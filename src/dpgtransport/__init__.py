@@ -27,7 +27,6 @@ from .testspace import (
     CoefficientCache,
     TestCoefficients,
     compute_coefficients,
-    coefficients_for_cell,
     near_optimal_load,
     near_optimal_local_matrix,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "cg_solve",
     "cholesky_factor",
     "cholesky_solve",
-    "coefficients_for_cell",
     "compute_coefficients",
     "exact_transport_solution",
     "face_normal_dot",

@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import DofMap
+from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import BilinearForm, InnerProduct, local_load
 from .mesh import MeshPair, TriMesh
 from .testspace import CoefficientCache, cell_blocks, near_optimal_load
 
 CHARACTERISTIC_TOL = 1e-10
-NODE_ON_EDGE_TOL = 1e-10
 
 
 @dataclass
@@ -92,29 +91,36 @@ def _constrain(system: GlobalSystem, indices: np.ndarray, value: float) -> Globa
     return GlobalSystem(matrix, rhs, system.n_phi, system.n_theta, constraints)
 
 
-def inflow_mask(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
-    """Mark theta DOFs whose node lies on a boundary edge with beta . n < 0."""
+def _edge_flux(mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
+    """beta . n on every cell edge, shape (n_cells, 3).
+
+    Edge e runs from vertex e to vertex (e + 1) % 3 of its cell; cells are
+    CCW, so the outward unit normal is (t_y, -t_x) / |t| for the tangent t.
+    """
     beta = np.asarray(beta, dtype=float)
-    nodes = theta_map.node_coords
-    if nodes is None:
-        raise ValueError("inflow mask needs the continuous trace space")
+    v = mesh.vertices[mesh.cells]
+    t = np.roll(v, -1, axis=1) - v
+    return (beta[0] * t[..., 1] - beta[1] * t[..., 0]) / np.hypot(t[..., 0], t[..., 1])
+
+
+def _dofs_on_edges(theta_map: DofMap, edges: np.ndarray) -> np.ndarray:
+    """Mark the theta DOFs on the cell edges flagged in `edges` (n_cells, 3)."""
+    if theta_map.kind is not SpaceKind.CONTINUOUS:
+        raise ValueError("edge DOFs need the continuous trace space")
     mask = np.zeros(theta_map.ndofs, dtype=bool)
-    for face in mesh.boundary_faces():
-        n_out = mesh.outward_normal(face, face.cells[0])
-        if np.dot(beta, n_out) >= -CHARACTERISTIC_TOL:
-            continue
-        a, b = mesh.vertices[list(face.vertex_ids)]
-        mask |= _nodes_on_segment(nodes, a, b)
+    mask[theta_map.cell_dofs[:, edge_nodes(theta_map.degree)][edges]] = True
     return mask
 
 
-def _nodes_on_segment(nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = b - a
-    length = np.hypot(*t)
-    rel = nodes - a
-    cross = np.abs(rel[:, 0] * t[1] - rel[:, 1] * t[0]) / length
-    proj = (rel @ t) / length**2
-    return (cross <= NODE_ON_EDGE_TOL) & (proj >= -NODE_ON_EDGE_TOL) & (proj <= 1.0 + NODE_ON_EDGE_TOL)
+def inflow_mask(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
+    """Mark theta DOFs on a boundary edge with beta . n < 0."""
+    pairs = np.sort(np.stack([mesh.cells, np.roll(mesh.cells, -1, axis=1)], axis=-1), axis=-1)
+    _, inverse, counts = np.unique(
+        pairs[..., 0] * mesh.n_vertices + pairs[..., 1], return_inverse=True, return_counts=True
+    )
+    boundary = counts[inverse] == 1
+    inflow = _edge_flux(mesh, beta) < -CHARACTERISTIC_TOL
+    return _dofs_on_edges(theta_map, boundary & inflow)
 
 
 def apply_dirichlet(system: GlobalSystem, mask: np.ndarray, value: float) -> GlobalSystem:
@@ -130,18 +136,8 @@ def characteristic_theta_dofs(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray
     A DOF's supporting edges are the mesh edges its Lagrange node lies on;
     interior nodes (no edge at all) carry no trace weight and are included.
     """
-    beta = np.asarray(beta, dtype=float)
-    nodes = theta_map.node_coords
-    if nodes is None:
-        raise ValueError("characteristic detection needs the continuous trace space")
-    has_live_edge = np.zeros(theta_map.ndofs, dtype=bool)
-    for face in mesh.faces:
-        a, b = mesh.vertices[list(face.vertex_ids)]
-        tangent = (b - a) / np.hypot(*(b - a))
-        beta_dot_n = abs(beta[0] * tangent[1] - beta[1] * tangent[0])
-        if beta_dot_n > CHARACTERISTIC_TOL:
-            has_live_edge |= _nodes_on_segment(nodes, a, b)
-    return np.flatnonzero(~has_live_edge)
+    live = np.abs(_edge_flux(mesh, beta)) > CHARACTERISTIC_TOL
+    return np.flatnonzero(~_dofs_on_edges(theta_map, live))
 
 
 def pin_characteristic_dofs(

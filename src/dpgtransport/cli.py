@@ -46,6 +46,8 @@ class RunConfig:
             raise ValueError("enrichment degree must be in [1, 5]")
         if self.tol <= 0.0:
             raise ValueError("solver tolerance must be positive")
+        if not self.reaction >= 0.0:
+            raise ValueError("reaction coefficient c must be non-negative")
 
     @property
     def beta(self) -> np.ndarray:

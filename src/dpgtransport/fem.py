@@ -90,6 +90,22 @@ def lagrange_basis(degree: int) -> LocalBasis:
     return LocalBasis(degree)
 
 
+@lru_cache(maxsize=None)
+def edge_nodes(degree: int) -> np.ndarray:
+    """Local nodes on each reference edge, shape (3, degree + 1); read-only.
+
+    Row e lists the nodes on the edge from vertex e to vertex (e + 1) % 3,
+    so the rows follow a cell's vertex pairs (0,1), (1,2), (2,0).  A node
+    lies on that edge when the barycentric coordinate of the opposite vertex,
+    (e + 2) % 3, is zero.
+    """
+    x, y = _lattice_nodes(degree).T
+    bary = np.stack([1.0 - x - y, x, y])
+    table = np.array([np.flatnonzero(np.abs(bary[(e + 2) % 3]) < _INSIDE_TOL) for e in range(3)])
+    table.setflags(write=False)
+    return table
+
+
 def eval_basis(basis: LocalBasis, point) -> np.ndarray:
     """Values of all basis functions at one reference point."""
     return basis.eval(np.asarray(point, dtype=float).reshape(1, 2))[0]
@@ -138,7 +154,6 @@ def edge_quadrature(exactness_degree: int) -> QuadratureRule:
 class SpaceKind(enum.Enum):
     BROKEN_COARSE = "broken_coarse"  # discontinuous across coarse cells
     CONTINUOUS = "continuous"  # Lagrange space, shared nodes
-    BROKEN_FINE = "broken_fine"  # discontinuous across fine cells
 
 
 @dataclass(frozen=True)
@@ -154,7 +169,12 @@ class DofMap:
 
 
 def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
-    """Global numbering for one of the three space families."""
+    """Global numbering for one of the two space families.
+
+    Continuous DOFs are the distinct physical Lagrange nodes, keyed by their
+    coordinates rounded to 1e-10 and numbered in order of first appearance
+    in the cell-major node list.
+    """
     basis = lagrange_basis(degree)
     nloc = basis.size
     nc = mesh_pair.coarse.n_cells
@@ -163,27 +183,15 @@ def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
         cell_dofs = np.arange(nc * nloc).reshape(nc, nloc)
         return DofMap(kind, degree, nc * nloc, cell_dofs)
 
-    if kind is SpaceKind.BROKEN_FINE:
-        nsub = mesh_pair.n_subcells
-        cell_dofs = np.arange(nc * nsub * nloc).reshape(nc, nsub * nloc)
-        return DofMap(kind, degree, nc * nsub * nloc, cell_dofs)
-
     if kind is SpaceKind.CONTINUOUS:
-        index: dict[tuple[int, int], int] = {}
-        coords: list[np.ndarray] = []
-        cell_dofs = np.empty((nc, nloc), dtype=int)
-        for c in range(nc):
-            v = mesh_pair.coarse.cell_coords(c)
-            jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-            phys = basis.nodes @ jac.T + v[0]
-            for i, p in enumerate(phys):
-                key = (round(p[0] * 1e10), round(p[1] * 1e10))
-                g = index.get(key)
-                if g is None:
-                    g = len(coords)
-                    index[key] = g
-                    coords.append(p)
-                cell_dofs[c, i] = g
-        return DofMap(kind, degree, len(coords), cell_dofs, np.array(coords))
+        v = mesh_pair.coarse.vertices[mesh_pair.coarse.cells]
+        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        phys = (basis.nodes @ jac.transpose(0, 2, 1) + v[:, :1]).reshape(-1, 2)
+        keys = np.round(phys * 1e10)
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=int)
+        rank[np.argsort(first)] = np.arange(len(first))
+        cell_dofs = rank[inverse.ravel()].reshape(nc, nloc)
+        return DofMap(kind, degree, len(first), cell_dofs, phys[np.sort(first)])
 
     raise ValueError(f"unknown space kind: {kind}")

@@ -10,7 +10,7 @@ share the same subdivision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,8 +41,6 @@ class TriMesh:
         areas = self.areas()
         if np.any(areas <= 0.0):
             raise ValueError("all cells must be counter-clockwise with positive area")
-        self.faces = self._build_faces()
-        self._face_index = {f.vertex_ids: i for i, f in enumerate(self.faces)}
 
     @property
     def n_vertices(self) -> int:
@@ -71,7 +69,9 @@ class TriMesh:
         e2 = v[:, 2] - v[:, 0]
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
-    def _build_faces(self) -> list[Face]:
+    @cached_property
+    def faces(self) -> list[Face]:
+        """Edges in order of first appearance, built on first access."""
         adjacency: dict[tuple[int, int], list[int]] = {}
         order: list[tuple[int, int]] = []
         for c, (a, b, d) in enumerate(self.cells):

@@ -8,7 +8,6 @@ reference map, so congruent-up-to-translation cells share one solve.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +47,22 @@ def near_optimal_load(coefficients: TestCoefficients, load: np.ndarray) -> np.nd
 
 
 class CoefficientCache:
-    """Keyed map from cell geometry to (C_K, A_K); safe for concurrent use."""
+    """Keyed map from cell geometry to (C_K, A_K); not thread-safe."""
 
     def __init__(self):
         self._entries: dict[tuple[float, ...], tuple[TestCoefficients, np.ndarray]] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def lookup(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-            return entry
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.hits += 1
+        return entry
 
     def store(self, key, entry) -> None:
-        with self._lock:
-            self._entries.setdefault(key, entry)
-            self.misses += 1
+        self._entries.setdefault(key, entry)
+        self.misses += 1
 
     @property
     def hit_rate(self) -> float:
@@ -97,12 +93,3 @@ def cell_blocks(
         cache.store(key, entry)
     return entry
 
-
-def coefficients_for_cell(
-    cell: int,
-    mesh_pair: MeshPair,
-    bilinear_form: BilinearForm,
-    inner_product: InnerProduct,
-    cache: CoefficientCache | None = None,
-) -> TestCoefficients:
-    return cell_blocks(cell, mesh_pair, bilinear_form, inner_product, cache)[0]

@@ -12,6 +12,7 @@ from dpgtransport import (
     apply_dirichlet,
     assemble,
     build_dof_map,
+    TriMesh,
     build_uniform_mesh,
     cg_solve,
     exact_transport_solution,
@@ -22,6 +23,17 @@ from dpgtransport import (
 )
 
 BENCHMARK_BETA = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+
+
+def perturbed_mesh(level, seed=0, fraction=0.2):
+    """Uniform mesh with each interior vertex moved by up to fraction * H per coordinate."""
+    mesh = build_uniform_mesh(level)
+    vertices = mesh.vertices.copy()
+    interior = np.flatnonzero(np.all((vertices > 0.0) & (vertices < 1.0), axis=1))
+    h = 2.0**-level
+    rng = np.random.default_rng([seed, level])
+    vertices[interior] += rng.uniform(-fraction * h, fraction * h, size=(len(interior), 2))
+    return TriMesh(vertices, mesh.cells)
 
 
 def constant_rhs(value=1.0):

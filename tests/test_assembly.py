@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import BENCHMARK_BETA, constant_rhs, solve_transport
+from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh, solve_transport
 from dpgtransport.assembly import (
+    CHARACTERISTIC_TOL,
     GlobalSystem,
     apply_dirichlet,
     assemble,
@@ -209,3 +210,64 @@ def test_pinning_leaves_phi_block_untouched():
     np.testing.assert_array_equal(
         system.matrix.toarray()[:n_phi, :n_phi], pinned.matrix.toarray()[:n_phi, :n_phi]
     )
+
+
+# ------------------------------------- geometric brute-force constraint oracle
+
+
+def _nodes_on_segment(nodes, a, b, tol=1e-10):
+    t = b - a
+    length = np.hypot(*t)
+    rel = nodes - a
+    cross = np.abs(rel[:, 0] * t[1] - rel[:, 1] * t[0]) / length
+    proj = (rel @ t) / length**2
+    return (cross <= tol) & (proj >= -tol) & (proj <= 1.0 + tol)
+
+
+def reference_inflow_mask(theta_map, mesh, beta):
+    """Every boundary face against every trace node, normals from the face table."""
+    mask = np.zeros(theta_map.ndofs, dtype=bool)
+    for face in mesh.boundary_faces():
+        if np.dot(beta, mesh.outward_normal(face, face.cells[0])) < -CHARACTERISTIC_TOL:
+            a, b = mesh.vertices[list(face.vertex_ids)]
+            mask |= _nodes_on_segment(theta_map.node_coords, a, b)
+    return mask
+
+
+def reference_characteristic_dofs(theta_map, mesh, beta):
+    """Trace nodes on no face with |beta . n| > tol, by a geometric search."""
+    has_live_edge = np.zeros(theta_map.ndofs, dtype=bool)
+    for face in mesh.faces:
+        a, b = mesh.vertices[list(face.vertex_ids)]
+        tangent = (b - a) / np.hypot(*(b - a))
+        if abs(beta[0] * tangent[1] - beta[1] * tangent[0]) > CHARACTERISTIC_TOL:
+            has_live_edge |= _nodes_on_segment(theta_map.node_coords, a, b)
+    return np.flatnonzero(~has_live_edge)
+
+
+# pi/4 makes the uniform mesh's diagonals characteristic.
+ORACLE_ANGLES = (0.0, np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi, 1.0)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("level", range(1, 5))
+def test_constraints_match_geometric_oracle(level, perturbed):
+    mesh = perturbed_mesh(level) if perturbed else build_uniform_mesh(level)
+    pair = MeshPair(mesh, 0)
+    for m in range(1, 5):
+        theta_map = build_dof_map(SpaceKind.CONTINUOUS, pair, m)
+        for angle in ORACLE_ANGLES:
+            beta = np.array([np.cos(angle), np.sin(angle)])
+            np.testing.assert_array_equal(
+                inflow_mask(theta_map, mesh, beta), reference_inflow_mask(theta_map, mesh, beta)
+            )
+            np.testing.assert_array_equal(
+                characteristic_theta_dofs(theta_map, mesh, beta),
+                reference_characteristic_dofs(theta_map, mesh, beta),
+            )
+
+
+def test_constraints_need_the_continuous_trace_space():
+    mesh_pair, _, _, phi_map, _ = _setup(1, 0, BENCHMARK_BETA)
+    with pytest.raises(ValueError):
+        inflow_mask(phi_map, mesh_pair.coarse, BENCHMARK_BETA)

@@ -61,6 +61,7 @@ def test_default_config_matches_benchmark():
         {"enrich_degree": 0},
         {"enrich_degree": 6},
         {"tol": 0.0},
+        {"reaction": -5.0},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -183,6 +184,11 @@ def test_main_smoke(tmp_path, capsys):
 
 def test_main_rejects_bad_degree(capsys):
     assert main(["--degree", "9"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_main_rejects_negative_reaction(capsys):
+    assert main(["--levels", "3", "--reaction", "-5"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

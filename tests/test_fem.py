@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perturbed_mesh
 from dpgtransport.fem import (
     MAX_BASIS_DEGREE,
     SpaceKind,
     build_dof_map,
+    edge_nodes,
     edge_quadrature,
     eval_basis,
     eval_gradients,
     lagrange_basis,
     make_quadrature,
 )
-from dpgtransport.mesh import MeshPair, build_uniform_mesh
+from dpgtransport.forms import SpaceDescriptor
+from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh
 
 
 def _random_reference_points(rng, n):
@@ -70,6 +73,18 @@ def test_exact_polynomial_reproduction(degree):
     nodal = poly(basis.nodes)
     pts = _random_reference_points(rng, 20)
     np.testing.assert_allclose(basis.eval(pts) @ nodal, poly(pts), atol=1e-11)
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_BASIS_DEGREE + 1))
+def test_edge_nodes_are_the_lattice_nodes_on_each_edge(degree):
+    nodes = lagrange_basis(degree).nodes
+    table = edge_nodes(degree)
+    assert table.shape == (3, degree + 1)
+    for e in range(3):
+        a, b = REFERENCE_TRIANGLE[e], REFERENCE_TRIANGLE[(e + 1) % 3]
+        rel = nodes - a
+        on_edge = np.abs(rel[:, 0] * (b - a)[1] - rel[:, 1] * (b - a)[0]) < 1e-12
+        np.testing.assert_array_equal(np.sort(table[e]), np.flatnonzero(on_edge))
 
 
 def test_degree1_vertex_gradient():
@@ -162,7 +177,8 @@ def test_theta_dof_count_level0():
 
 def test_test_search_dof_count():
     pair = MeshPair(build_uniform_mesh(0), 1)
-    assert build_dof_map(SpaceKind.BROKEN_FINE, pair, 3).ndofs == 80  # 2 * 4 * 10
+    # continuous P3 on a once-refined triangle: 6 vertices + 9 edges x 2 + 4 interior
+    assert SpaceDescriptor(3, broken=True).local_size(pair) == 28
 
 
 @pytest.mark.parametrize("level", range(4))
@@ -177,6 +193,37 @@ def test_dof_count_formulas(level, degree):
         n_edges = len(mesh.faces)
         cont = build_dof_map(SpaceKind.CONTINUOUS, pair, 2)
         assert cont.ndofs == mesh.n_vertices + n_edges
+
+
+def _dict_numbering(mesh, degree):
+    """Reference continuous numbering: one cell and one node at a time, by first appearance."""
+    basis = lagrange_basis(degree)
+    index: dict[tuple[int, int], int] = {}
+    coords = []
+    cell_dofs = np.empty((mesh.n_cells, basis.size), dtype=int)
+    for c in range(mesh.n_cells):
+        v = mesh.cell_coords(c)
+        jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
+        for i, p in enumerate(basis.nodes @ jac.T + v[0]):
+            key = (round(p[0] * 1e10), round(p[1] * 1e10))
+            if key not in index:
+                index[key] = len(coords)
+                coords.append(p)
+            cell_dofs[c, i] = index[key]
+    return cell_dofs, np.array(coords)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("level", range(1, 5))
+def test_continuous_numbering_matches_first_appearance_reference(level, perturbed):
+    mesh = perturbed_mesh(level) if perturbed else build_uniform_mesh(level)
+    pair = MeshPair(mesh, 0)
+    for degree in range(1, 5):
+        dof_map = build_dof_map(SpaceKind.CONTINUOUS, pair, degree)
+        cell_dofs, coords = _dict_numbering(mesh, degree)
+        np.testing.assert_array_equal(dof_map.cell_dofs, cell_dofs)
+        assert dof_map.ndofs == len(coords)
+        np.testing.assert_allclose(dof_map.node_coords, coords, rtol=0.0, atol=1e-15)
 
 
 def test_continuous_space_edge_agreement():
