@@ -9,19 +9,8 @@ from .assembly import (
 )
 from .estimator import ErrorBreakdown, a_posteriori_error, exact_transport_solution, l2_error
 from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis, make_quadrature
-from .forms import (
-    BilinearForm,
-    DomainOfIntegration,
-    InnerProduct,
-    IntegralTerm,
-    IntegrationType,
-    SpaceDescriptor,
-    local_load,
-    local_saddle_blocks,
-    term_local_matrix,
-    transport_forms,
-)
-from .mesh import Face, MeshPair, TriMesh, build_uniform_mesh, face_normal_dot, refine_cell
+from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks, transport_form
+from .mesh import Face, MeshPair, TriMesh, build_uniform_mesh, refine_cell
 from .solve import CgReport, CholeskyFactor, cg_solve, cholesky_factor, cholesky_solve
 from .testspace import (
     CoefficientCache,
@@ -32,22 +21,18 @@ from .testspace import (
 )
 
 __all__ = [
-    "BilinearForm",
     "CgReport",
     "CholeskyFactor",
     "CoefficientCache",
     "DofMap",
-    "DomainOfIntegration",
     "ErrorBreakdown",
     "Face",
     "GlobalSystem",
-    "InnerProduct",
-    "IntegralTerm",
-    "IntegrationType",
     "MeshPair",
     "SpaceDescriptor",
     "SpaceKind",
     "TestCoefficients",
+    "TransportForm",
     "TriMesh",
     "a_posteriori_error",
     "apply_dirichlet",
@@ -59,7 +44,6 @@ __all__ = [
     "cholesky_solve",
     "compute_coefficients",
     "exact_transport_solution",
-    "face_normal_dot",
     "inflow_mask",
     "l2_error",
     "lagrange_basis",
@@ -70,6 +54,5 @@ __all__ = [
     "near_optimal_local_matrix",
     "pin_characteristic_dofs",
     "refine_cell",
-    "term_local_matrix",
-    "transport_forms",
+    "transport_form",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import DofMap, SpaceKind, edge_nodes
-from .forms import BilinearForm, InnerProduct, local_load
+from .forms import TransportForm, local_load
 from .mesh import MeshPair, TriMesh
 from .testspace import CoefficientCache, cell_blocks, near_optimal_load
 
@@ -34,8 +34,7 @@ class GlobalSystem:
 
 
 def assemble(
-    bilinear_form: BilinearForm,
-    inner_product: InnerProduct,
+    form: TransportForm,
     mesh_pair: MeshPair,
     dof_maps: tuple[DofMap, DofMap],
     rhs_f,
@@ -45,15 +44,14 @@ def assemble(
     phi_map, theta_map = dof_maps
     n_phi, n_theta = phi_map.ndofs, theta_map.ndofs
     n = n_phi + n_theta
-    test_space = bilinear_form.test_spaces[0]
 
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     rhs = np.zeros(n)
     for cell in range(mesh_pair.coarse.n_cells):
-        coefficients, a_k = cell_blocks(cell, mesh_pair, bilinear_form, inner_product, cache)
-        f_k = near_optimal_load(coefficients, local_load(rhs_f, cell, mesh_pair, test_space))
+        coefficients, a_k = cell_blocks(cell, mesh_pair, form, cache)
+        f_k = near_optimal_load(coefficients, local_load(rhs_f, cell, mesh_pair, form.test_space))
         gdofs = np.concatenate(
             [phi_map.dofs_on_cell(cell), n_phi + theta_map.dofs_on_cell(cell)]
         )

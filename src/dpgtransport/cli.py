@@ -13,7 +13,7 @@ import numpy as np
 from .assembly import apply_dirichlet, assemble, inflow_mask, pin_characteristic_dofs
 from .estimator import a_posteriori_error, exact_transport_solution, l2_error
 from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis
-from .forms import transport_forms
+from .forms import transport_form
 from .mesh import MeshPair, build_uniform_mesh
 from .solve import cg_solve
 from .testspace import CoefficientCache
@@ -91,14 +91,14 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
     m = config.degree
     mesh = build_uniform_mesh(level)
     mesh_pair = MeshPair(mesh, config.test_refine)
-    bform, iprod = transport_forms(m, beta, config.reaction)
+    form = transport_form(m, beta, config.reaction)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
 
     def rhs_f(points):
         return np.full(len(points), config.rhs_const)
 
-    system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), rhs_f, CoefficientCache())
+    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f, CoefficientCache())
     system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta), 0.0)
     system = pin_characteristic_dofs(system, theta_map, mesh, beta)
     x, report = cg_solve(system.matrix, system.rhs, tol=config.tol)
@@ -109,7 +109,7 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
     else:
         err = math.nan  # no closed-form reference for this configuration
     breakdown = a_posteriori_error(
-        bform, iprod, mesh_pair, (phi_map, theta_map), x, rhs_f, config.enrich_degree
+        form, mesh_pair, (phi_map, theta_map), x, rhs_f, config.enrich_degree
     )
     efficiency = breakdown.eta / err if err and not math.isnan(err) else math.nan
     seconds = time.perf_counter() - start

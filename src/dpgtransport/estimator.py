@@ -9,15 +9,15 @@ the cell form reduces to coarse-cell integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fem import DofMap, lagrange_basis, make_quadrature
-from .forms import BilinearForm, InnerProduct, SpaceDescriptor, local_load
+from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks
 from .mesh import MeshPair
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
-from .testspace import geometry_key
+from .testspace import CoefficientCache, geometry_key
 
 DEFAULT_ENRICHMENT_DEGREE = 5
 
@@ -29,16 +29,8 @@ class ErrorBreakdown:
     l2_error: float | None = None
 
 
-def _enriched_forms(bilinear_form: BilinearForm, inner_product: InnerProduct, degree: int):
-    enriched = SpaceDescriptor(degree, broken=False)
-    form = BilinearForm((enriched,), bilinear_form.trial_spaces, bilinear_form.terms)
-    product = InnerProduct((enriched,), inner_product.terms)
-    return enriched, form, product
-
-
 def a_posteriori_error(
-    bilinear_form: BilinearForm,
-    inner_product: InnerProduct,
+    form: TransportForm,
     mesh_pair: MeshPair,
     dof_maps: tuple[DofMap, DofMap],
     solution: np.ndarray,
@@ -50,28 +42,26 @@ def a_posteriori_error(
     n_phi = phi_map.ndofs
     if len(solution) != n_phi + theta_map.ndofs:
         raise ValueError("solution vector does not match the DOF maps")
-    enriched, form, product = _enriched_forms(bilinear_form, inner_product, enrichment_degree)
+    enriched = replace(form, test_space=SpaceDescriptor(enrichment_degree))
 
-    cache: dict[tuple[float, ...], tuple[np.ndarray, object]] = {}
+    def enriched_blocks(cell):
+        b_bar, g_bar = local_saddle_blocks(enriched, cell, mesh_pair)
+        try:
+            return g_bar, cholesky_factor(b_bar)
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(
+                f"enriched Gram matrix indefinite on cell {cell}: {exc}"
+            ) from exc
+
+    cache = CoefficientCache()
     indicators = np.empty(mesh_pair.coarse.n_cells)
     for cell in range(mesh_pair.coarse.n_cells):
         key = geometry_key(mesh_pair.coarse.jacobian(cell))
-        entry = cache.get(key)
-        if entry is None:
-            g_bar = form.local_matrix(cell, mesh_pair)
-            try:
-                factor = cholesky_factor(product.local_gram(cell, mesh_pair))
-            except NotPositiveDefiniteError as exc:
-                raise NotPositiveDefiniteError(
-                    f"enriched Gram matrix indefinite on cell {cell}: {exc}"
-                ) from exc
-            entry = (g_bar, factor)
-            cache[key] = entry
-        g_bar, factor = entry
+        g_bar, factor = cache.get(key, lambda: enriched_blocks(cell))
         u_local = np.concatenate(
             [solution[phi_map.dofs_on_cell(cell)], solution[n_phi + theta_map.dofs_on_cell(cell)]]
         )
-        rho = g_bar @ u_local - local_load(rhs_f, cell, mesh_pair, enriched)
+        rho = g_bar @ u_local - local_load(rhs_f, cell, mesh_pair, enriched.test_space)
         indicators[cell] = rho @ cholesky_solve(factor, rho)
     return ErrorBreakdown(indicators, float(np.sqrt(indicators.sum())))
 

@@ -106,18 +106,6 @@ def edge_nodes(degree: int) -> np.ndarray:
     return table
 
 
-def eval_basis(basis: LocalBasis, point) -> np.ndarray:
-    """Values of all basis functions at one reference point."""
-    return basis.eval(np.asarray(point, dtype=float).reshape(1, 2))[0]
-
-
-def eval_gradients(basis: LocalBasis, point, jacobian_inv_t: np.ndarray) -> np.ndarray:
-    """Physical gradients at one reference point; shape (size, 2)."""
-    jacobian_inv_t = np.asarray(jacobian_inv_t, dtype=float)
-    ref = basis.grad(np.asarray(point, dtype=float).reshape(1, 2))[0]
-    return ref @ jacobian_inv_t.T
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     points: np.ndarray

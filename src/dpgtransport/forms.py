@@ -1,101 +1,45 @@
-"""Bilinear forms and inner products as sums of elementary integral terms.
+"""The ultra-weak transport form and its broken graph-norm inner product.
 
-A form is described symbolically by `IntegralTerm`s between indexed test and
-trial spaces and evaluated cell by cell on a `MeshPair`.  Test spaces may be
-continuous piecewise polynomials on the red-refined submesh of a coarse cell
-(the test-search space) or a single polynomial per coarse cell (the enriched
-estimator space); both are broken across coarse cells only, so they lie in
-the broken graph space prod_K H(beta; K).  Trial spaces are always one
-polynomial per coarse cell.
+On a coarse cell K, with test functions v, w and the trial pair (phi, theta),
+`local_saddle_blocks` returns
+
+    B_K = (v, w)_K + (beta . grad v, beta . grad w)_K,
+    G_K = [ (phi, c v - beta . grad v)_K  |  <theta, (beta . n) v>_dK ].
+
+Test spaces are continuous piecewise polynomials on the red-refined submesh
+of a coarse cell (the test-search space) or a single polynomial per coarse
+cell (the enriched estimator space); both are broken across coarse cells
+only, so they lie in the broken graph space prod_K H(beta; K).  Trial spaces
+are one polynomial per coarse cell.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fem import LocalBasis, edge_quadrature, lagrange_basis, make_quadrature
-from .mesh import GEOM_TOL, MeshPair, reference_subcells
+from .fem import edge_quadrature, lagrange_basis, make_quadrature
+from .mesh import GEOM_TOL, REFERENCE_TRIANGLE, MeshPair, reference_subcells
 
-UNIT_TOL = 1e-12
-SIGN_TOL = 1e-10
-
-# Reference-triangle edges as (start, end) vertex coordinates; CCW order,
-# so the outward normal is the tangent rotated by -90 degrees.
-_REF_EDGES = (
-    (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
-    (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-    (np.array([0.0, 1.0]), np.array([0.0, 0.0])),
-)
+# Edge k of a triangle runs from vertex k to vertex (k + 1) % 3.
+_REF_EDGE_VECTORS = np.roll(REFERENCE_TRIANGLE, -1, axis=0) - REFERENCE_TRIANGLE
 
 
-class IntegrationType(enum.Enum):
-    VALUE_VALUE = "valueValue"
-    GRAD_VALUE = "gradValue"
-    VALUE_GRAD = "valueGrad"
-    GRAD_GRAD = "gradGrad"
-    NORMAL_VECTOR = "normalVector"
-    NORMAL_SIGN = "normalSign"
+@lru_cache(maxsize=None)
+def _subcell_maps(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Affine maps unit triangle -> subcell t of `reference_subcells(levels)`.
 
-
-class DomainOfIntegration(enum.Enum):
-    INTERIOR = "interior"
-    FACE = "face"
-
-
-_INTERIOR_TYPES = {
-    IntegrationType.VALUE_VALUE,
-    IntegrationType.GRAD_VALUE,
-    IntegrationType.VALUE_GRAD,
-    IntegrationType.GRAD_GRAD,
-}
-_FACE_TYPES = {IntegrationType.NORMAL_VECTOR, IntegrationType.NORMAL_SIGN}
-_NEEDS_DIRECTION = {
-    IntegrationType.GRAD_VALUE,
-    IntegrationType.VALUE_GRAD,
-    IntegrationType.GRAD_GRAD,
-    IntegrationType.NORMAL_VECTOR,
-}
-
-
-@dataclass(frozen=True)
-class IntegralTerm:
-    """One weighted product of (derivatives of) test and trial functions."""
-
-    test_index: int
-    trial_index: int
-    integration_type: IntegrationType
-    domain: DomainOfIntegration
-    coefficient: float = 1.0
-    direction: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        it, dom = self.integration_type, self.domain
-        if dom is DomainOfIntegration.INTERIOR and it not in _INTERIOR_TYPES:
-            raise ValueError(f"{it.value} is not an interior integration type")
-        if dom is DomainOfIntegration.FACE and it not in _FACE_TYPES:
-            raise ValueError(f"{it.value} is not a face integration type")
-        if it in _NEEDS_DIRECTION and self.direction is None:
-            raise ValueError(f"{it.value} requires a direction vector")
-        if it is IntegrationType.VALUE_VALUE and self.direction is not None:
-            raise ValueError(f"{it.value} does not take a direction vector")
-        if self.direction is not None:
-            d = np.asarray(self.direction, dtype=float)
-            if abs(np.linalg.norm(d) - 1.0) > UNIT_TOL:
-                raise ValueError("direction must have unit length")
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.asarray(self.direction, dtype=float)
-
-
-def _affine(sub: np.ndarray):
-    """Jacobian and offset of the map unit triangle -> `sub` (in coarse ref coords)."""
-    jac = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
-    return jac, sub[0]
+    Returns `(jacobians, offsets)`, shapes (pieces, 2, 2) and (pieces, 2), in
+    coarse reference coordinates.  Read-only, cached.
+    """
+    subs = reference_subcells(levels)
+    jacobians = np.stack([subs[:, 1] - subs[:, 0], subs[:, 2] - subs[:, 0]], axis=-1)
+    offsets = subs[:, 0].copy()
+    for a in (jacobians, offsets):
+        a.setflags(write=False)
+    return jacobians, offsets
 
 
 @lru_cache(maxsize=None)
@@ -109,15 +53,14 @@ def submesh_dofs(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     gives the identity table.  Read-only, cached.
     """
     basis = lagrange_basis(degree)
-    subs = reference_subcells(levels)
+    jacobians, offsets = _subcell_maps(levels)
     if degree == 0:  # the continuous P0 space holds the constants only
-        table, nodes = np.zeros((len(subs), 1), dtype=int), basis.nodes.copy()
+        table, nodes = np.zeros((len(jacobians), 1), dtype=int), basis.nodes.copy()
     else:
         lattice = degree * 2**levels  # every node lies on the 1/lattice grid
         index: dict[tuple[int, int], int] = {}
-        table = np.empty((len(subs), basis.size), dtype=int)
-        for t, sub in enumerate(subs):
-            jac_s, shift = _affine(sub)
+        table = np.empty((len(jacobians), basis.size), dtype=int)
+        for t, (jac_s, shift) in enumerate(zip(jacobians, offsets)):
             for i, p in enumerate(np.rint((basis.nodes @ jac_s.T + shift) * lattice)):
                 table[t, i] = index.setdefault((int(p[0]), int(p[1])), len(index))
         nodes = np.array(list(index), dtype=float) / lattice
@@ -139,23 +82,9 @@ class SpaceDescriptor:
     degree: int
     broken: bool = False
 
-    @property
-    def basis(self) -> LocalBasis:
-        return lagrange_basis(self.degree)
-
     def levels(self, mesh_pair: MeshPair) -> int:
         """Red refinements of the reference triangle the space is piecewise on."""
         return mesh_pair.level if self.broken else 0
-
-    def layout(self, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
-        """Pieces of a coarse cell and their DOF table.
-
-        Returns `(pieces, table)`: the triangles, in coarse reference
-        coordinates, on which the space is one polynomial, and `table[t, i]`,
-        the cell-local DOF of basis function i on piece t.
-        """
-        levels = self.levels(mesh_pair)
-        return reference_subcells(levels), submesh_dofs(self.degree, levels)[0]
 
     def local_nodes(self, mesh_pair: MeshPair) -> np.ndarray:
         """Reference coordinates of the cell-local DOFs, in DOF order."""
@@ -165,194 +94,131 @@ class SpaceDescriptor:
         return len(self.local_nodes(mesh_pair))
 
 
-def term_local_matrix(
-    term: IntegralTerm,
-    cell: int,
-    mesh_pair: MeshPair,
-    test_space: SpaceDescriptor,
-    trial_space: SpaceDescriptor,
-) -> np.ndarray:
-    """Local matrix of one term on one coarse cell.
+@dataclass(frozen=True)
+class TransportForm:
+    """Ultra-weak form of beta . grad(phi) + c phi = f with trial parameter m.
 
-    Rows run over the cell-local test DOFs, columns over the trial DOFs, each
-    in the order of `SpaceDescriptor.local_nodes`.
+    The trial pair is phi of degree m-1 and theta of degree m, one polynomial
+    per coarse cell each; `beta` is a unit vector and `reaction` is c.
     """
-    if term.domain is DomainOfIntegration.INTERIOR:
-        return _interior_matrix(term, cell, mesh_pair, test_space, trial_space)
-    return _face_matrix(term, cell, mesh_pair, test_space, trial_space)
+
+    degree: int
+    beta: tuple[float, float]
+    reaction: float
+    test_space: SpaceDescriptor
 
 
-def _interior_matrix(term, cell, mesh_pair, test_space, trial_space) -> np.ndarray:
-    jac_c = mesh_pair.coarse.jacobian(cell)
-    det_c = abs(np.linalg.det(jac_c))
-    tb, ub = test_space.basis, trial_space.basis
-    quad = make_quadrature(min(tb.degree + ub.degree + 2, 12))
-    it = term.integration_type
-
-    test_subs, test_dofs = test_space.layout(mesh_pair)
-    trial_subs, trial_dofs = trial_space.layout(mesh_pair)
-    # integration always runs over the finer of the two decompositions
-    int_subs = test_subs if test_space.broken else trial_subs
-
-    nt, nu = test_space.local_size(mesh_pair), trial_space.local_size(mesh_pair)
-    out = np.zeros((nt, nu))
-    for t, sub in enumerate(int_subs):
-        jac_s, shift = _affine(sub)
-        scale = abs(np.linalg.det(jac_s)) * det_c
-        # quadrature points in coarse reference coordinates
-        pts_c = quad.points @ jac_s.T + shift
-
-        if test_space.broken:
-            test_pts, test_jac, rows = quad.points, jac_c @ jac_s, test_dofs[t]
-        else:
-            test_pts, test_jac, rows = pts_c, jac_c, test_dofs[0]
-        if trial_space.broken:
-            trial_pts, trial_jac, cols = quad.points, jac_c @ jac_s, trial_dofs[t]
-        else:
-            trial_pts, trial_jac, cols = pts_c, jac_c, trial_dofs[0]
-
-        if it in (IntegrationType.GRAD_VALUE, IntegrationType.GRAD_GRAD):
-            g = tb.grad(test_pts) @ np.linalg.inv(test_jac)
-            tv = g @ term.beta
-        else:
-            tv = tb.eval(test_pts)
-        if it in (IntegrationType.VALUE_GRAD, IntegrationType.GRAD_GRAD):
-            g = ub.grad(trial_pts) @ np.linalg.inv(trial_jac)
-            uv = g @ term.beta
-        else:
-            uv = ub.eval(trial_pts)
-
-        block = np.einsum("q,qi,qj->ij", quad.weights * scale, tv, uv)
-        out[np.ix_(rows, cols)] += term.coefficient * block
-    return out
+def transport_form(
+    m: int, beta, reaction: float, test_space: SpaceDescriptor | None = None
+) -> TransportForm:
+    """The transport form; the default test space is the degree-(m+1) test-search space."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (2,) or not abs(np.hypot(*beta) - 1.0) <= GEOM_TOL:
+        raise ValueError("beta must be a finite unit vector in the plane")
+    if test_space is None:
+        test_space = SpaceDescriptor(m + 1, broken=True)
+    return TransportForm(m, (float(beta[0]), float(beta[1])), float(reaction), test_space)
 
 
 @lru_cache(maxsize=None)
 def _boundary_edges(levels: int) -> tuple:
     """Fine edges of the red-refined reference triangle that lie on its boundary.
 
-    One entry `(t, a_ref, b_ref, a_c, b_c)` per edge: subcell t, and the
-    edge's ends on the unit triangle and in coarse reference coordinates, in
-    the subcell's counter-clockwise order.
+    One entry `(t, k, a_ref, b_ref, a_c, b_c)` per edge: subcell t, the
+    reference edge k it lies on, and its ends on the unit triangle and in
+    coarse reference coordinates, in the subcell's counter-clockwise order.
     """
     edges = []
-    for t, sub in enumerate(reference_subcells(levels)):
-        jac_s, shift = _affine(sub)
-        for a_ref, b_ref in _REF_EDGES:
-            a_c, b_c = a_ref @ jac_s.T + shift, b_ref @ jac_s.T + shift
+    for t, (jac_s, shift) in enumerate(zip(*_subcell_maps(levels))):
+        for a_ref, b_ref in zip(REFERENCE_TRIANGLE, np.roll(REFERENCE_TRIANGLE, -1, axis=0)):
+            a_c, b_c = jac_s @ a_ref + shift, jac_s @ b_ref + shift
             bary = np.abs([[p[1], 1.0 - p[0] - p[1], p[0]] for p in (a_c, b_c)])
-            if np.any((bary < GEOM_TOL).all(axis=0)):  # both ends on one reference edge
-                edges.append((t, a_ref, b_ref, a_c, b_c))
+            on_edge = np.flatnonzero((bary < GEOM_TOL).all(axis=0))  # both ends on edge k
+            if on_edge.size:
+                edges.append((t, int(on_edge[0]), a_ref, b_ref, a_c, b_c))
     return tuple(edges)
 
 
-def _face_matrix(term, cell, mesh_pair, test_space, trial_space) -> np.ndarray:
-    """Face term over the coarse-cell boundary.
+@lru_cache(maxsize=None)
+def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference-cell moment matrices from which `local_saddle_blocks` combines B_K and G_K.
 
-    Test functions are continuous inside the coarse cell and the trial
-    function is one polynomial there, so on fine edges interior to the cell
-    the contributions of the two adjacent subcells cancel exactly; only the
-    fine edges on the coarse boundary are integrated.
+    With b = J^-1 beta in reference coordinates, J the cell's Jacobian, and
+    f_k = (beta . n_k)|e_k| the flux through its edge k:
+
+        B_K = |det J| (M + b_0^2 S_00 + b_1^2 S_11 + b_0 b_1 (S_01 + S_10)),
+        G_K = |det J| (c P - b_0 D_0 - b_1 D_1) + sum_k f_k E_k.
+
+    Returns `(gram_terms, form_terms)`: (M, S_00, S_11, S_01 + S_10), shape
+    (4, N, N), and (P, D_0, D_1, E_0, E_1, E_2), shape (6, N, n_phi + n_theta),
+    with the phi columns first.  N is the test space's cell-local size.  One
+    triangle rule of exactness min(2 deg + 2, 12) on every subcell is exact
+    for every product here.  Read-only, cached.
     """
-    if trial_space.broken:
-        raise ValueError("face terms expect an unbroken trial space")
-    jac_c = mesh_pair.coarse.jacobian(cell)
-    v0 = mesh_pair.coarse.cell_coords(cell)[0]
-    tb, ub = test_space.basis, trial_space.basis
-    quad = edge_quadrature(tb.degree + ub.degree + 1)
-    if term.direction is None:
-        raise ValueError("face terms need a flow direction to weight the normals")
-    beta = term.beta
+    test, phi, theta = lagrange_basis(test_degree), lagrange_basis(m - 1), lagrange_basis(m)
+    table, nodes = submesh_dofs(test_degree, levels)
+    jacobians, offsets = _subcell_maps(levels)
+    quad = make_quadrature(min(2 * test_degree + 2, 12))
 
-    dofs = test_space.layout(mesh_pair)[1]
-    nt, nu = test_space.local_size(mesh_pair), trial_space.local_size(mesh_pair)
-    out = np.zeros((nt, nu))
-    s = quad.points  # parameters on [0,1]
-    for t, a_ref, b_ref, a_c, b_c in _boundary_edges(test_space.levels(mesh_pair)):
-        a_p, b_p = a_c @ jac_c.T + v0, b_c @ jac_c.T + v0
-        tangent = b_p - a_p
-        length = np.hypot(*tangent)
-        normal = np.array([tangent[1], -tangent[0]]) / length
-        bn = float(beta @ normal)
-        if term.integration_type is IntegrationType.NORMAL_VECTOR:
-            factor = bn
-        else:
-            factor = float(np.sign(bn)) if abs(bn) > SIGN_TOL else 0.0
-        if factor == 0.0:
-            continue
-        tv = tb.eval(a_ref + np.outer(s, b_ref - a_ref))
-        uv = ub.eval(a_c + np.outer(s, b_c - a_c))
-        w = term.coefficient * factor * length * quad.weights
-        out[dofs[t]] += np.einsum("q,qi,qj->ij", w, tv, uv)
-    return out
+    weights = np.abs(np.linalg.det(jacobians))[:, None] * quad.weights  # (pieces, nq)
+    values = test.eval(quad.points)  # (nq, nt), the same on every piece
+    # gradients in coarse reference coordinates, (pieces, nq, nt, 2)
+    grads = np.einsum("qid,sde->sqie", test.grad(quad.points), np.linalg.inv(jacobians))
+    points = np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]
+    phi_values = phi.eval(points.reshape(-1, 2)).reshape(len(jacobians), len(quad.weights), -1)
 
+    # per-piece blocks, summed into the cell-local DOFs through the table
+    mass = np.einsum("sq,qi,qj->sij", weights, values, values)
+    stiff = np.einsum("sq,sqid,sqje->desij", weights, grads, grads)
+    gram_pieces = np.stack([mass, stiff[0, 0], stiff[1, 1], stiff[0, 1] + stiff[1, 0]])
+    gram_terms = np.zeros((4, len(nodes), len(nodes)))
+    np.add.at(gram_terms, (slice(None), table[:, :, None], table[:, None, :]), gram_pieces)
+    gram_terms = 0.5 * (gram_terms + gram_terms.transpose(0, 2, 1))
 
-@dataclass(frozen=True)
-class BilinearForm:
-    test_spaces: tuple[SpaceDescriptor, ...]
-    trial_spaces: tuple[SpaceDescriptor, ...]
-    terms: tuple[IntegralTerm, ...]
-
-    def __post_init__(self):
-        for t in self.terms:
-            if not 0 <= t.test_index < len(self.test_spaces):
-                raise ValueError(f"test space index {t.test_index} out of range")
-            if not 0 <= t.trial_index < len(self.trial_spaces):
-                raise ValueError(f"trial space index {t.trial_index} out of range")
-
-    def local_matrix(self, cell: int, mesh_pair: MeshPair) -> np.ndarray:
-        """G_K: rows = stacked test DOFs, columns = stacked trial DOFs."""
-        row_sizes = [s.local_size(mesh_pair) for s in self.test_spaces]
-        col_sizes = [s.local_size(mesh_pair) for s in self.trial_spaces]
-        row_off = np.concatenate([[0], np.cumsum(row_sizes)])
-        col_off = np.concatenate([[0], np.cumsum(col_sizes)])
-        out = np.zeros((row_off[-1], col_off[-1]))
-        for t in self.terms:
-            block = term_local_matrix(
-                t, cell, mesh_pair, self.test_spaces[t.test_index], self.trial_spaces[t.trial_index]
-            )
-            r, c = row_off[t.test_index], col_off[t.trial_index]
-            out[r : r + block.shape[0], c : c + block.shape[1]] += block
-        return out
-
-
-@dataclass(frozen=True)
-class InnerProduct:
-    test_spaces: tuple[SpaceDescriptor, ...]
-    terms: tuple[IntegralTerm, ...]
-
-    def __post_init__(self):
-        for t in self.terms:
-            if not 0 <= t.test_index < len(self.test_spaces):
-                raise ValueError(f"test space index {t.test_index} out of range")
-            if not 0 <= t.trial_index < len(self.test_spaces):
-                raise ValueError(f"rhs space index {t.trial_index} out of range")
-
-    def local_gram(self, cell: int, mesh_pair: MeshPair) -> np.ndarray:
-        """B_K, the SPD Gram matrix of the test space on one coarse cell."""
-        sizes = [s.local_size(mesh_pair) for s in self.test_spaces]
-        off = np.concatenate([[0], np.cumsum(sizes)])
-        out = np.zeros((off[-1], off[-1]))
-        for t in self.terms:
-            block = term_local_matrix(
-                t, cell, mesh_pair, self.test_spaces[t.test_index], self.test_spaces[t.trial_index]
-            )
-            r, c = off[t.test_index], off[t.trial_index]
-            out[r : r + block.shape[0], c : c + block.shape[1]] += block
-        asym = np.abs(out - out.T).max()
-        if asym > 1e-12 * max(np.abs(out).max(), 1.0):
-            raise ValueError(f"inner product is not symmetric on cell {cell}")
-        return 0.5 * (out + out.T)
+    form_terms = np.zeros((6, len(nodes), phi.size + theta.size))
+    phi_pieces = np.concatenate(
+        [
+            np.einsum("sq,qi,sqj->sij", weights, values, phi_values)[None],
+            np.einsum("sq,sqid,sqj->dsij", weights, grads, phi_values),
+        ]
+    )
+    np.add.at(form_terms[:3, :, : phi.size], (slice(None), table), phi_pieces)
+    # On fine edges inside the coarse cell the two sides' contributions cancel
+    # for continuous test functions; only the coarse boundary remains.  f_k is
+    # the flux through the whole edge k, and each fine edge is 2^-levels of it.
+    edge = edge_quadrature(test_degree + m + 1)
+    for t, k, a_ref, b_ref, a_c, b_c in _boundary_edges(levels):
+        tv = test.eval(a_ref + np.outer(edge.points, b_ref - a_ref))
+        uv = theta.eval(a_c + np.outer(edge.points, b_c - a_c))
+        form_terms[3 + k, table[t], phi.size :] += 2.0**-levels * np.einsum(
+            "q,qi,qj->ij", edge.weights, tv, uv
+        )
+    for a in (gram_terms, form_terms):
+        a.setflags(write=False)
+    return gram_terms, form_terms
 
 
 def local_saddle_blocks(
-    bilinear_form: BilinearForm,
-    inner_product: InnerProduct,
-    cell: int,
-    mesh_pair: MeshPair,
+    form: TransportForm, cell: int, mesh_pair: MeshPair
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(B_K, G_K) for one coarse cell."""
-    return inner_product.local_gram(cell, mesh_pair), bilinear_form.local_matrix(cell, mesh_pair)
+    """(B_K, G_K) for one coarse cell.
+
+    Rows run over the cell-local test DOFs in the order of
+    `SpaceDescriptor.local_nodes`; the columns of G_K over the phi DOFs, then
+    the theta DOFs.
+    """
+    jac = mesh_pair.coarse.jacobian(cell)
+    det = abs(np.linalg.det(jac))
+    beta = np.array(form.beta)
+    b = np.linalg.solve(jac, beta)  # beta in reference coordinates
+    t = _REF_EDGE_VECTORS @ jac.T  # CCW edge vectors; the outward normal is t rotated by -90 degrees
+    flux = beta[0] * t[:, 1] - beta[1] * t[:, 0]
+    gram_terms, form_terms = _moments(
+        form.test_space.degree, form.test_space.levels(mesh_pair), form.degree
+    )
+    gram = np.tensordot(det * np.array([1.0, b[0] ** 2, b[1] ** 2, b[0] * b[1]]), gram_terms, 1)
+    coefficients = np.concatenate([det * np.array([form.reaction, -b[0], -b[1]]), flux])
+    return gram, np.tensordot(coefficients, form_terms, 1)
 
 
 @lru_cache(maxsize=None)
@@ -365,9 +231,9 @@ def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.nda
     the same on every piece, shape (nq, basis size).  Read-only, cached.
     """
     quad = make_quadrature(min(degree + 4, 12))
-    pieces = [_affine(sub) for sub in reference_subcells(levels)]
-    points = np.concatenate([quad.points @ jac.T + shift for jac, shift in pieces])
-    weights = np.array([abs(np.linalg.det(jac)) * quad.weights for jac, _ in pieces])
+    jacobians, offsets = _subcell_maps(levels)
+    points = (np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]).reshape(-1, 2)
+    weights = np.abs(np.linalg.det(jacobians))[:, None] * quad.weights
     values = lagrange_basis(degree).eval(quad.points)
     for a in (points, weights, values):
         a.setflags(write=False)
@@ -384,39 +250,3 @@ def local_load(rhs_f, cell: int, mesh_pair: MeshPair, test_space: SpaceDescripto
     per_piece = abs(np.linalg.det(jac_c)) * (weights * f) @ values
     table, nodes = submesh_dofs(test_space.degree, levels)
     return np.bincount(table.ravel(), weights=per_piece.ravel(), minlength=len(nodes))
-
-
-def transport_forms(
-    m: int, beta: np.ndarray, reaction: float, test_space: SpaceDescriptor | None = None
-) -> tuple[BilinearForm, InnerProduct]:
-    """Ultra-weak transport form and broken graph-norm inner product.
-
-    Trial spaces: (phi of degree m-1, theta of degree m); the default test
-    space is the degree-(m+1) test-search space: continuous on the red-refined
-    submesh of each coarse cell, broken across coarse cells.
-    """
-    beta_t = tuple(float(b) for b in np.asarray(beta, dtype=float))
-    if test_space is None:
-        test_space = SpaceDescriptor(m + 1, broken=True)
-    phi = SpaceDescriptor(m - 1)
-    theta = SpaceDescriptor(m)
-    terms = []
-    if reaction != 0.0:
-        terms.append(
-            IntegralTerm(0, 0, IntegrationType.VALUE_VALUE, DomainOfIntegration.INTERIOR, reaction)
-        )
-    terms.append(
-        IntegralTerm(0, 0, IntegrationType.GRAD_VALUE, DomainOfIntegration.INTERIOR, -1.0, beta_t)
-    )
-    terms.append(
-        IntegralTerm(0, 1, IntegrationType.NORMAL_VECTOR, DomainOfIntegration.FACE, 1.0, beta_t)
-    )
-    form = BilinearForm((test_space,), (phi, theta), tuple(terms))
-    product = InnerProduct(
-        (test_space,),
-        (
-            IntegralTerm(0, 0, IntegrationType.VALUE_VALUE, DomainOfIntegration.INTERIOR, 1.0),
-            IntegralTerm(0, 0, IntegrationType.GRAD_GRAD, DomainOfIntegration.INTERIOR, 1.0, beta_t),
-        ),
-    )
-    return form, product

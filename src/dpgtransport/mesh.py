@@ -164,9 +164,8 @@ def reference_subcells(levels: int) -> np.ndarray:
 class MeshPair:
     """Coarse mesh plus uniform per-cell refinement to level `level`.
 
-    Fine cells are indexed coarse-major: fine cell (k, t) is subcell t of
-    coarse cell k.  Subcell t has the same shape for every coarse cell; its
-    reference coordinates are `ref_subcells[t]`.
+    Every coarse cell is split alike: subcell t of any cell is the image of
+    `reference_subcells(level)[t]` under the cell's reference map.
     """
 
     def __init__(self, coarse: TriMesh, level: int):
@@ -174,29 +173,4 @@ class MeshPair:
             raise ValueError("refinement level must be non-negative")
         self.coarse = coarse
         self.level = level
-        self.ref_subcells = reference_subcells(level)
 
-    @property
-    def n_subcells(self) -> int:
-        return len(self.ref_subcells)
-
-    @property
-    def n_fine(self) -> int:
-        return self.coarse.n_cells * self.n_subcells
-
-    def fine_to_coarse(self, fine: int) -> int:
-        return fine // self.n_subcells
-
-    def fine_cell_coords(self, coarse_cell: int, subcell: int) -> np.ndarray:
-        """Physical coordinates of one fine cell, shape (3, 2)."""
-        v = self.coarse.cell_coords(coarse_cell)
-        jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        return self.ref_subcells[subcell] @ jac.T + v[0]
-
-
-def face_normal_dot(mesh: TriMesh, face: Face, beta: np.ndarray, owner: int) -> float:
-    """beta . n with n the outward unit normal of `owner` on `face`."""
-    beta = np.asarray(beta, dtype=float)
-    if abs(np.linalg.norm(beta) - 1.0) > GEOM_TOL:
-        raise ValueError("beta must be a unit vector")
-    return float(np.dot(beta, mesh.outward_normal(face, owner)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 PIVOT_TOL = 1e-14
 SYMMETRY_TOL = 1e-12
@@ -25,21 +25,23 @@ class CholeskyFactor:
 
 
 def cholesky_factor(matrix: np.ndarray) -> CholeskyFactor:
-    """Lower-triangular Cholesky factor of a dense SPD matrix."""
+    """Lower-triangular Cholesky factor of a dense SPD matrix.
+
+    Every pivot, diag(L)^2, must exceed PIVOT_TOL times the largest diagonal
+    entry (at least 1), so near-singular matrices are rejected too.
+    """
     a = np.asarray(matrix, dtype=float)
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
-    n = len(a)
-    threshold = PIVOT_TOL * max(np.abs(np.diag(a)).max(), 1.0) if n else 0.0
-    lower = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if d <= threshold:
-            raise NotPositiveDefiniteError(f"non-positive pivot at index {j}")
-        lower[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    try:
+        lower = cholesky(a, lower=True)
+    except LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    threshold = PIVOT_TOL * max(np.abs(np.diag(a)).max(), 1.0)
+    small = np.flatnonzero(np.diag(lower) ** 2 <= threshold)
+    if small.size:
+        raise NotPositiveDefiniteError(f"non-positive pivot at index {small[0]}")
     return CholeskyFactor(lower)
 
 

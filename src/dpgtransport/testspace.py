@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import BilinearForm, InnerProduct, local_saddle_blocks
+from .forms import TransportForm, local_saddle_blocks
 from .mesh import MeshPair
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 
@@ -47,22 +47,22 @@ def near_optimal_load(coefficients: TestCoefficients, load: np.ndarray) -> np.nd
 
 
 class CoefficientCache:
-    """Keyed map from cell geometry to (C_K, A_K); not thread-safe."""
+    """Entries keyed by cell geometry, computed once per key; not thread-safe."""
 
     def __init__(self):
-        self._entries: dict[tuple[float, ...], tuple[TestCoefficients, np.ndarray]] = {}
+        self._entries: dict[tuple[float, ...], object] = {}
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key):
+    def get(self, key, compute):
+        """The entry for `key`, made by `compute()` on the first request."""
         entry = self._entries.get(key)
-        if entry is not None:
+        if entry is None:
+            entry = self._entries[key] = compute()
+            self.misses += 1
+        else:
             self.hits += 1
         return entry
-
-    def store(self, key, entry) -> None:
-        self._entries.setdefault(key, entry)
-        self.misses += 1
 
     @property
     def hit_rate(self) -> float:
@@ -73,23 +73,19 @@ class CoefficientCache:
 def cell_blocks(
     cell: int,
     mesh_pair: MeshPair,
-    bilinear_form: BilinearForm,
-    inner_product: InnerProduct,
+    form: TransportForm,
     cache: CoefficientCache | None = None,
 ) -> tuple[TestCoefficients, np.ndarray]:
     """(C_K, A_K) for one coarse cell, served from the cache when possible."""
-    key = geometry_key(mesh_pair.coarse.jacobian(cell)) if cache is not None else None
-    if cache is not None:
-        entry = cache.lookup(key)
-        if entry is not None:
-            return entry
-    b_k, g_k = local_saddle_blocks(bilinear_form, inner_product, cell, mesh_pair)
-    try:
-        coefficients = compute_coefficients(b_k, g_k)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"Gram matrix indefinite on cell {cell}: {exc}") from exc
-    entry = (coefficients, near_optimal_local_matrix(b_k, g_k, coefficients))
-    if cache is not None:
-        cache.store(key, entry)
-    return entry
 
+    def compute():
+        b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
+        try:
+            coefficients = compute_coefficients(b_k, g_k)
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(f"Gram matrix indefinite on cell {cell}: {exc}") from exc
+        return coefficients, near_optimal_local_matrix(b_k, g_k, coefficients)
+
+    if cache is None:
+        return compute()
+    return cache.get(geometry_key(mesh_pair.coarse.jacobian(cell)), compute)

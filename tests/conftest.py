@@ -19,7 +19,7 @@ from dpgtransport import (
     inflow_mask,
     l2_error,
     pin_characteristic_dofs,
-    transport_forms,
+    transport_form,
 )
 
 BENCHMARK_BETA = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
@@ -46,11 +46,11 @@ def solve_transport(level, test_refine, beta, m=2, rhs_f=None, pin=True, tol=1e-
         rhs_f = constant_rhs()
     mesh = build_uniform_mesh(level)
     mesh_pair = MeshPair(mesh, test_refine)
-    bform, iprod = transport_forms(m, beta, 0.0)
+    form = transport_form(m, beta, 0.0)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
     cache = CoefficientCache()
-    system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), rhs_f, cache)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f, cache)
     system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta), 0.0)
     if pin:
         system = pin_characteristic_dofs(system, theta_map, mesh, beta)
@@ -59,8 +59,7 @@ def solve_transport(level, test_refine, beta, m=2, rhs_f=None, pin=True, tol=1e-
         "mesh_pair": mesh_pair,
         "phi_map": phi_map,
         "theta_map": theta_map,
-        "bform": bform,
-        "iprod": iprod,
+        "form": form,
         "system": system,
         "x": x,
         "cg": report,
@@ -79,8 +78,7 @@ def benchmark_sweep():
         exact = lambda p: exact_transport_solution(p, BENCHMARK_BETA)
         err = l2_error(run["x"][: run["phi_map"].ndofs], exact, run["mesh_pair"], run["phi_map"])
         breakdown = a_posteriori_error(
-            run["bform"],
-            run["iprod"],
+            run["form"],
             run["mesh_pair"],
             (run["phi_map"], run["theta_map"]),
             run["x"],

@@ -19,7 +19,7 @@ from dpgtransport import (
     exact_transport_solution,
     l2_error,
     local_saddle_blocks,
-    transport_forms,
+    transport_form,
 )
 from dpgtransport.cli import ErrorReport, RunConfig, export_csv, export_vtk, solve_level
 from dpgtransport.testspace import compute_coefficients
@@ -165,12 +165,12 @@ def test_criterion_5_local_solve_oracle(capsys):
     ok = True
     for level in (0, 1):  # 2-cell and 8-cell meshes
         mesh_pair = MeshPair(build_uniform_mesh(level), 1)
-        bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+        form = transport_form(2, BENCHMARK_BETA, 0.0)
         phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, 1)
         theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
         rhs_f = constant_rhs()
-        system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), rhs_f)
-        a, f = dense_oracle(mesh_pair, bform, iprod, phi_map, theta_map, rhs_f)
+        system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
+        a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
         da = np.abs(system.matrix.toarray() - a).max()
         df = np.abs(system.rhs - f).max()
         ok = ok and da <= 1e-11 and df <= 1e-11
@@ -182,10 +182,10 @@ def test_criterion_5_local_solve_oracle(capsys):
 
 def test_criterion_6_defining_relation(capsys):
     mesh_pair = MeshPair(build_uniform_mesh(2), 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     worst = 0.0
     for cell in range(mesh_pair.coarse.n_cells):
-        b, g = local_saddle_blocks(bform, iprod, cell, mesh_pair)
+        b, g = local_saddle_blocks(form, cell, mesh_pair)
         c = compute_coefficients(b, g)
         worst = max(worst, np.abs(b @ c.matrix - g).max())
     ok = worst <= 1e-10
@@ -221,13 +221,13 @@ def test_criterion_7_estimator_sanity(benchmark_sweep, capsys):
 
 def test_criterion_8_cache_transparency(capsys):
     mesh_pair = MeshPair(build_uniform_mesh(3), 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     rhs_f = constant_rhs()
     cache = CoefficientCache()
-    with_cache = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), rhs_f, cache)
-    without = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), rhs_f, None)
+    with_cache = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f, cache)
+    without = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f, None)
     diff = np.abs((with_cache.matrix - without.matrix).toarray()).max()
     n = mesh_pair.coarse.n_cells
     rate_ok = cache.hit_rate >= (n - 2) / n

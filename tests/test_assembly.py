@@ -13,28 +13,28 @@ from dpgtransport.assembly import (
     pin_characteristic_dofs,
 )
 from dpgtransport.fem import SpaceKind, build_dof_map
-from dpgtransport.forms import local_load, local_saddle_blocks, transport_forms
+from dpgtransport.forms import local_load, local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.testspace import CoefficientCache, cell_blocks
 
 
 def _setup(level, ell, beta, m=2):
     mesh_pair = MeshPair(build_uniform_mesh(level), ell)
-    bform, iprod = transport_forms(m, beta, 0.0)
+    form = transport_form(m, beta, 0.0)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
-    return mesh_pair, bform, iprod, phi_map, theta_map
+    return mesh_pair, form, phi_map, theta_map
 
 
-def dense_oracle(mesh_pair, bform, iprod, phi_map, theta_map, rhs_f):
+def dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f):
     """Brute-force A and F: global scattered G against block-diagonal B."""
     n_phi = phi_map.ndofs
     n = n_phi + theta_map.ndofs
     blocks_b, blocks_g, loads, gdofs = [], [], [], []
     for cell in range(mesh_pair.coarse.n_cells):
-        b_k, g_k = local_saddle_blocks(bform, iprod, cell, mesh_pair)
+        b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
         blocks_b.append(b_k)
-        loads.append(local_load(rhs_f, cell, mesh_pair, bform.test_spaces[0]))
+        loads.append(local_load(rhs_f, cell, mesh_pair, form.test_space))
         blocks_g.append(g_k)
         gdofs.append(
             np.concatenate([phi_map.dofs_on_cell(cell), n_phi + theta_map.dofs_on_cell(cell)])
@@ -57,36 +57,36 @@ def dense_oracle(mesh_pair, bform, iprod, phi_map, theta_map, rhs_f):
 
 
 def test_zero_rhs_gives_zero_load():
-    mesh_pair, bform, iprod, phi_map, theta_map = _setup(1, 1, BENCHMARK_BETA)
-    system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), constant_rhs(0.0))
+    mesh_pair, form, phi_map, theta_map = _setup(1, 1, BENCHMARK_BETA)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs(0.0))
     np.testing.assert_array_equal(system.rhs, 0.0)
 
 
 def test_single_cell_mesh_matches_local_block():
     mesh = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
     mesh_pair = MeshPair(mesh, 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
-    system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), constant_rhs())
-    _, a_k = cell_blocks(0, mesh_pair, bform, iprod, None)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
+    _, a_k = cell_blocks(0, mesh_pair, form, None)
     np.testing.assert_allclose(system.matrix.toarray(), a_k, atol=1e-14)
 
 
 @pytest.mark.parametrize("level,ell", [(0, 0), (0, 1), (1, 1)])
 def test_assembly_matches_dense_oracle(level, ell):
-    mesh_pair, bform, iprod, phi_map, theta_map = _setup(level, ell, BENCHMARK_BETA)
+    mesh_pair, form, phi_map, theta_map = _setup(level, ell, BENCHMARK_BETA)
     rhs_f = constant_rhs()
-    system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), rhs_f)
-    a, f = dense_oracle(mesh_pair, bform, iprod, phi_map, theta_map, rhs_f)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
+    a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
     assert np.abs(system.matrix.toarray() - a).max() < 1e-11
     assert np.abs(system.rhs - f).max() < 1e-11
 
 
 @pytest.mark.parametrize("level", range(3))
 def test_assembled_matrix_symmetric(level):
-    mesh_pair, bform, iprod, phi_map, theta_map = _setup(level, 1, BENCHMARK_BETA)
-    system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), constant_rhs())
+    mesh_pair, form, phi_map, theta_map = _setup(level, 1, BENCHMARK_BETA)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
     def asymmetry(matrix):
         diff = matrix - matrix.T
         return np.abs(diff.data).max() if diff.nnz else 0.0
@@ -100,13 +100,13 @@ def test_assembled_matrix_symmetric(level):
 
 
 def test_scatter_linearity():
-    mesh_pair, bform, iprod, phi_map, theta_map = _setup(1, 1, BENCHMARK_BETA)
+    mesh_pair, form, phi_map, theta_map = _setup(1, 1, BENCHMARK_BETA)
     f1 = lambda p: p[:, 0]
     f2 = lambda p: np.cos(p[:, 1])
     both = lambda p: f1(p) + f2(p)
-    rhs1 = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), f1).rhs
-    rhs2 = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), f2).rhs
-    rhs12 = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), both).rhs
+    rhs1 = assemble(form, mesh_pair, (phi_map, theta_map), f1).rhs
+    rhs2 = assemble(form, mesh_pair, (phi_map, theta_map), f2).rhs
+    rhs12 = assemble(form, mesh_pair, (phi_map, theta_map), both).rhs
     assert np.abs(rhs12 - (rhs1 + rhs2)).max() < 1e-13
 
 
@@ -147,7 +147,7 @@ def test_dirichlet_mask_size_checked():
 
 
 def test_inflow_mask_benchmark_beta():
-    mesh_pair, _, _, _, theta_map = _setup(1, 0, BENCHMARK_BETA)
+    mesh_pair, _, _, theta_map = _setup(1, 0, BENCHMARK_BETA)
     mask = inflow_mask(theta_map, mesh_pair.coarse, BENCHMARK_BETA)
     nodes = theta_map.node_coords
     expected = (np.abs(nodes[:, 0]) < 1e-12) | (np.abs(nodes[:, 1]) < 1e-12)
@@ -156,7 +156,7 @@ def test_inflow_mask_benchmark_beta():
 
 def test_inflow_mask_axis_aligned_beta():
     beta = np.array([1.0, 0.0])
-    mesh_pair, _, _, _, theta_map = _setup(1, 0, beta)
+    mesh_pair, _, _, theta_map = _setup(1, 0, beta)
     mask = inflow_mask(theta_map, mesh_pair.coarse, beta)
     nodes = theta_map.node_coords
     expected = np.abs(nodes[:, 0]) < 1e-12
@@ -164,7 +164,7 @@ def test_inflow_mask_axis_aligned_beta():
 
 
 def test_inflow_corner_marked_once():
-    mesh_pair, _, _, _, theta_map = _setup(1, 0, BENCHMARK_BETA)
+    mesh_pair, _, _, theta_map = _setup(1, 0, BENCHMARK_BETA)
     mask = inflow_mask(theta_map, mesh_pair.coarse, BENCHMARK_BETA)
     nodes = theta_map.node_coords
     corner = np.flatnonzero((np.abs(nodes[:, 0]) < 1e-12) & (np.abs(nodes[:, 1]) < 1e-12))
@@ -175,13 +175,13 @@ def test_inflow_corner_marked_once():
 
 
 def test_no_characteristic_dofs_for_benchmark_beta():
-    mesh_pair, _, _, _, theta_map = _setup(2, 0, BENCHMARK_BETA)
+    mesh_pair, _, _, theta_map = _setup(2, 0, BENCHMARK_BETA)
     assert len(characteristic_theta_dofs(theta_map, mesh_pair.coarse, BENCHMARK_BETA)) == 0
 
 
 def test_characteristic_dofs_horizontal_beta():
     beta = np.array([1.0, 0.0])
-    mesh_pair, _, _, _, theta_map = _setup(1, 0, beta)
+    mesh_pair, _, _, theta_map = _setup(1, 0, beta)
     pinned = characteristic_theta_dofs(theta_map, mesh_pair.coarse, beta)
     nodes = theta_map.node_coords
     # exactly the midpoints of horizontal edges: y on the grid, x off the grid
@@ -192,7 +192,7 @@ def test_characteristic_dofs_horizontal_beta():
 
 def test_characteristic_dofs_vertical_beta():
     beta = np.array([0.0, 1.0])
-    mesh_pair, _, _, _, theta_map = _setup(1, 0, beta)
+    mesh_pair, _, _, theta_map = _setup(1, 0, beta)
     pinned = characteristic_theta_dofs(theta_map, mesh_pair.coarse, beta)
     nodes = theta_map.node_coords
     on_grid = lambda t: np.abs(t * 2.0 - np.round(t * 2.0)) < 1e-12
@@ -202,8 +202,8 @@ def test_characteristic_dofs_vertical_beta():
 
 def test_pinning_leaves_phi_block_untouched():
     beta = np.array([1.0, 0.0])
-    mesh_pair, bform, iprod, phi_map, theta_map = _setup(1, 0, beta)
-    system = assemble(bform, iprod, mesh_pair, (phi_map, theta_map), constant_rhs())
+    mesh_pair, form, phi_map, theta_map = _setup(1, 0, beta)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
     pinned = pin_characteristic_dofs(system, theta_map, mesh_pair.coarse, beta)
     n_phi = phi_map.ndofs
     assert len(pinned.constraints) > 0
@@ -268,6 +268,6 @@ def test_constraints_match_geometric_oracle(level, perturbed):
 
 
 def test_constraints_need_the_continuous_trace_space():
-    mesh_pair, _, _, phi_map, _ = _setup(1, 0, BENCHMARK_BETA)
+    mesh_pair, _, phi_map, _ = _setup(1, 0, BENCHMARK_BETA)
     with pytest.raises(ValueError):
         inflow_mask(phi_map, mesh_pair.coarse, BENCHMARK_BETA)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,14 +7,13 @@ import pytest
 from conftest import BENCHMARK_BETA, constant_rhs, solve_transport
 from dpgtransport.estimator import a_posteriori_error, exact_transport_solution, l2_error
 from dpgtransport.fem import lagrange_basis
-from dpgtransport.forms import BilinearForm, InnerProduct, SpaceDescriptor, local_load
+from dpgtransport.forms import SpaceDescriptor, local_load, local_saddle_blocks
 from dpgtransport.solve import cholesky_factor, cholesky_solve
 
 
 def _estimate(run, enrich=5):
     return a_posteriori_error(
-        run["bform"],
-        run["iprod"],
+        run["form"],
         run["mesh_pair"],
         (run["phi_map"], run["theta_map"]),
         run["x"],
@@ -24,24 +24,20 @@ def _estimate(run, enrich=5):
 
 def _dense_eta_oracle(run, enrich=5):
     """Independent per-cell evaluation of rho^T Bbar^{-1} rho via dense LU."""
-    bform, iprod = run["bform"], run["iprod"]
     mesh_pair = run["mesh_pair"]
     phi_map, theta_map = run["phi_map"], run["theta_map"]
     n_phi = phi_map.ndofs
-    enriched = SpaceDescriptor(enrich, broken=False)
-    form = BilinearForm((enriched,), bform.trial_spaces, bform.terms)
-    product = InnerProduct((enriched,), iprod.terms)
+    enriched = replace(run["form"], test_space=SpaceDescriptor(enrich, broken=False))
     total = 0.0
     for cell in range(mesh_pair.coarse.n_cells):
-        g = form.local_matrix(cell, mesh_pair)
-        b = product.local_gram(cell, mesh_pair)
+        b, g = local_saddle_blocks(enriched, cell, mesh_pair)
         u = np.concatenate(
             [
                 run["x"][phi_map.dofs_on_cell(cell)],
                 run["x"][n_phi + theta_map.dofs_on_cell(cell)],
             ]
         )
-        rho = g @ u - local_load(run["rhs_f"], cell, mesh_pair, enriched)
+        rho = g @ u - local_load(run["rhs_f"], cell, mesh_pair, enriched.test_space)
         total += rho @ np.linalg.solve(b, rho)
     return math.sqrt(total)
 
@@ -91,8 +87,7 @@ def test_solution_size_checked():
     run = solve_transport(1, 1, BENCHMARK_BETA)
     with pytest.raises(ValueError):
         a_posteriori_error(
-            run["bform"],
-            run["iprod"],
+            run["form"],
             run["mesh_pair"],
             (run["phi_map"], run["theta_map"]),
             run["x"][:-1],

@@ -1,21 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from dpgtransport.fem import lagrange_basis
+from conftest import perturbed_mesh
+from dpgtransport.fem import edge_quadrature, lagrange_basis, make_quadrature
 from dpgtransport.forms import (
-    BilinearForm,
-    DomainOfIntegration,
-    InnerProduct,
-    IntegralTerm,
-    IntegrationType,
     SpaceDescriptor,
     local_load,
     local_saddle_blocks,
     submesh_dofs,
-    term_local_matrix,
-    transport_forms,
+    transport_form,
 )
-from dpgtransport.mesh import MeshPair, TriMesh, reference_subcells
+from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh, reference_subcells
 
 _REF_MESH = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
@@ -28,54 +25,35 @@ P0 = SpaceDescriptor(0)
 P1 = SpaceDescriptor(1)
 
 
-# ------------------------------------------------------------ term matrices
+# ------------------------------------------------------------ local blocks
 
 
 def test_value_value_p0_is_area():
-    term = IntegralTerm(0, 0, IntegrationType.VALUE_VALUE, DomainOfIntegration.INTERIOR)
-    mat = term_local_matrix(term, 0, _ref_pair(), P0, P0)
-    np.testing.assert_allclose(mat, [[0.5]], atol=1e-14)
+    """Constant test and phi functions: (v, w) and (phi, c v) are both the area."""
+    b, g = local_saddle_blocks(transport_form(1, (0.6, 0.8), 1.0, P0), 0, _ref_pair())
+    np.testing.assert_allclose(b, [[0.5]], atol=1e-14)
+    np.testing.assert_allclose(g[:, :1], [[0.5]], atol=1e-14)
 
 
 def test_grad_value_barycentric():
     """-int (beta . grad lambda_0) * 1 = +1/2 for beta=(1,0)."""
-    term = IntegralTerm(
-        0, 0, IntegrationType.GRAD_VALUE, DomainOfIntegration.INTERIOR, -1.0, (1.0, 0.0)
-    )
-    mat = term_local_matrix(term, 0, _ref_pair(), P1, P0)
-    assert abs(mat[0, 0] - 0.5) < 1e-14
+    _, g = local_saddle_blocks(transport_form(1, (1.0, 0.0), 0.0, P1), 0, _ref_pair())
+    assert abs(g[0, 0] - 0.5) < 1e-14
 
 
 def test_normal_vector_divergence_theorem():
-    """For constant v=u=1 the closed boundary integral of beta . n vanishes."""
-    term = IntegralTerm(
-        0, 0, IntegrationType.NORMAL_VECTOR, DomainOfIntegration.FACE, 1.0, (1.0, 0.0)
-    )
-    mat = term_local_matrix(term, 0, _ref_pair(), P0, P0)
-    assert abs(mat[0, 0]) < 1e-14
+    """For constant v = theta = 1 the closed boundary integral of beta . n vanishes."""
+    _, g = local_saddle_blocks(transport_form(1, (1.0, 0.0), 0.0, P0), 0, _ref_pair())
+    assert abs(g[0, 1:].sum()) < 1e-14  # the P1 theta basis sums to 1
 
 
 def test_p1_mass_matrix():
-    term = IntegralTerm(0, 0, IntegrationType.VALUE_VALUE, DomainOfIntegration.INTERIOR)
-    mat = term_local_matrix(term, 0, _ref_pair(), P1, P1)
-    expected = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
-    np.testing.assert_allclose(mat, expected, atol=1e-14)
-
-
-@pytest.mark.parametrize("degree", [0, 1, 2])
-def test_term_symmetry_under_basis_swap(degree):
-    """Swapping test and trial spaces transposes the matrix."""
-    term = IntegralTerm(
-        0, 0, IntegrationType.VALUE_GRAD, DomainOfIntegration.INTERIOR, 1.0, (0.6, 0.8)
-    )
-    flipped = IntegralTerm(
-        0, 0, IntegrationType.GRAD_VALUE, DomainOfIntegration.INTERIOR, 1.0, (0.6, 0.8)
-    )
-    a = SpaceDescriptor(degree)
-    b = SpaceDescriptor(2)
-    mat = term_local_matrix(term, 0, _ref_pair(), a, b)
-    mat_t = term_local_matrix(flipped, 0, _ref_pair(), b, a)
-    np.testing.assert_allclose(mat, mat_t.T, atol=1e-13)
+    """B_K on P1: the mass matrix plus |K| (beta . grad lambda_i)(beta . grad lambda_j)."""
+    beta = np.array([0.6, 0.8])
+    b, _ = local_saddle_blocks(transport_form(1, beta, 0.0, P1), 0, _ref_pair())
+    mass = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
+    slopes = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ beta
+    np.testing.assert_allclose(b, mass + 0.5 * np.outer(slopes, slopes), atol=1e-14)
 
 
 def _broken_coefficients_of_polynomial(poly, space, mesh_pair, cell):
@@ -107,75 +85,37 @@ def test_submesh_dofs_are_the_distinct_lagrange_nodes(degree, levels):
 def test_broken_vs_whole_consistency():
     """Sub-cell splitting is invisible when the test function is one polynomial."""
     poly = lambda p: 1.0 + 2.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 1]
-    term = IntegralTerm(
-        0, 0, IntegrationType.GRAD_VALUE, DomainOfIntegration.INTERIOR, -1.0, (0.6, 0.8)
-    )
-    trial = SpaceDescriptor(1)
-    whole = term_local_matrix(term, 0, _ref_pair(0), SpaceDescriptor(3), trial)
-    broken = term_local_matrix(term, 0, _ref_pair(1), SpaceDescriptor(3, broken=True), trial)
-    basis = lagrange_basis(3)
-    v_whole = poly(basis.nodes)
+    whole_form = transport_form(2, (0.6, 0.8), 0.5, SpaceDescriptor(3))
+    broken_form = transport_form(2, (0.6, 0.8), 0.5, SpaceDescriptor(3, broken=True))
+    b_whole, g_whole = local_saddle_blocks(whole_form, 0, _ref_pair(0))
+    b_broken, g_broken = local_saddle_blocks(broken_form, 0, _ref_pair(1))
+    v_whole = poly(lagrange_basis(3).nodes)
     v_broken = _broken_coefficients_of_polynomial(
         poly, SpaceDescriptor(3, broken=True), _ref_pair(1), 0
     )
-    np.testing.assert_allclose(v_broken @ broken, v_whole @ whole, atol=1e-12)
+    np.testing.assert_allclose(v_broken @ g_broken, v_whole @ g_whole, atol=1e-12)
+    assert abs(v_broken @ b_broken @ v_broken - v_whole @ b_whole @ v_whole) < 1e-12
 
 
 def test_fine_face_jump_cancellation():
-    """normalVector against a single polynomial reduces to the coarse boundary."""
+    """The theta term against a single polynomial reduces to the coarse boundary."""
     poly = lambda p: 0.5 - p[:, 0] + 3.0 * p[:, 1] + p[:, 0] ** 2
-    term = IntegralTerm(
-        0, 0, IntegrationType.NORMAL_VECTOR, DomainOfIntegration.FACE, 1.0, (0.6, 0.8)
-    )
-    trial = SpaceDescriptor(2)
-    whole = term_local_matrix(term, 0, _ref_pair(0), SpaceDescriptor(2), trial)
-    broken = term_local_matrix(term, 0, _ref_pair(2), SpaceDescriptor(2, broken=True), trial)
-    basis = lagrange_basis(2)
-    v_whole = poly(basis.nodes)
-    v_broken = _broken_coefficients_of_polynomial(
-        poly, SpaceDescriptor(2, broken=True), _ref_pair(2), 0
-    )
-    np.testing.assert_allclose(v_broken @ broken, v_whole @ whole, atol=1e-12)
+    _, whole = local_saddle_blocks(transport_form(2, (0.6, 0.8), 0.0, SpaceDescriptor(2)), 0, _ref_pair(0))
+    broken_space = SpaceDescriptor(2, broken=True)
+    _, broken = local_saddle_blocks(transport_form(2, (0.6, 0.8), 0.0, broken_space), 0, _ref_pair(2))
+    v_whole = poly(lagrange_basis(2).nodes)
+    v_broken = _broken_coefficients_of_polynomial(poly, broken_space, _ref_pair(2), 0)
+    # columns 3: hold the P2 theta DOFs, after the 3 P1 phi DOFs
+    np.testing.assert_allclose(v_broken @ broken[:, 3:], v_whole @ whole[:, 3:], atol=1e-12)
 
 
 # --------------------------------------------------------------- validation
 
 
-def test_interior_rejects_face_types():
-    with pytest.raises(ValueError):
-        IntegralTerm(
-            0, 0, IntegrationType.NORMAL_VECTOR, DomainOfIntegration.INTERIOR, 1.0, (1.0, 0.0)
-        )
-
-
-def test_face_rejects_interior_types():
-    with pytest.raises(ValueError):
-        IntegralTerm(0, 0, IntegrationType.VALUE_VALUE, DomainOfIntegration.FACE)
-
-
-def test_grad_requires_direction():
-    with pytest.raises(ValueError):
-        IntegralTerm(0, 0, IntegrationType.GRAD_VALUE, DomainOfIntegration.INTERIOR)
-
-
 def test_direction_must_be_unit():
-    with pytest.raises(ValueError):
-        IntegralTerm(
-            0, 0, IntegrationType.GRAD_VALUE, DomainOfIntegration.INTERIOR, 1.0, (1.0, 1.0)
-        )
-
-
-def test_value_value_rejects_direction():
-    with pytest.raises(ValueError):
-        IntegralTerm(
-            0, 0, IntegrationType.VALUE_VALUE, DomainOfIntegration.INTERIOR, 1.0, (1.0, 0.0)
-        )
-
-
-def test_form_space_index_out_of_range():
-    term = IntegralTerm(0, 1, IntegrationType.VALUE_VALUE, DomainOfIntegration.INTERIOR)
-    with pytest.raises(ValueError):
-        BilinearForm((P0,), (P0,), (term,))
+    for beta in [(1.0, 1.0), (math.nan, 0.0), (math.inf, 0.0), (1.0, 0.0, 0.0)]:
+        with pytest.raises(ValueError):
+            transport_form(2, beta, 0.0)
 
 
 # --------------------------------------------------------------- load/blocks
@@ -200,36 +140,88 @@ def test_load_constant_p1():
 
 
 def test_saddle_blocks_p0():
-    product = InnerProduct(
-        (P0,),
-        (
-            IntegralTerm(0, 0, IntegrationType.VALUE_VALUE, DomainOfIntegration.INTERIOR),
-            IntegralTerm(
-                0, 0, IntegrationType.GRAD_GRAD, DomainOfIntegration.INTERIOR, 1.0, (1.0, 0.0)
-            ),
-        ),
-    )
-    form = BilinearForm(
-        (P0,),
-        (P0,),
-        (
-            IntegralTerm(
-                0, 0, IntegrationType.GRAD_VALUE, DomainOfIntegration.INTERIOR, -1.0, (1.0, 0.0)
-            ),
-        ),
-    )
-    b, g = local_saddle_blocks(form, product, 0, _ref_pair())
+    b, g = local_saddle_blocks(transport_form(1, (1.0, 0.0), 0.0, P0), 0, _ref_pair())
     np.testing.assert_allclose(b, [[0.5]], atol=1e-14)  # P0 gradients vanish
-    np.testing.assert_allclose(g, [[0.0]], atol=1e-14)
+    np.testing.assert_allclose(g[:, :1], [[0.0]], atol=1e-14)
 
 
 def test_transport_forms_shapes_and_spd():
     beta = np.array([np.cos(0.3), np.sin(0.3)])
-    bform, iprod = transport_forms(2, beta, 0.5)
-    pair = _ref_pair(1)
-    b, g = local_saddle_blocks(bform, iprod, 0, pair)
+    form = transport_form(2, beta, 0.5)
+    b, g = local_saddle_blocks(form, 0, _ref_pair(1))
     # continuous cubics on the 4 subcells: 6 vertex + 9 edges x 2 + 4 interior DOFs
     assert b.shape == (28, 28)
     assert g.shape == (28, 9)  # 3 phi + 6 theta trial DOFs
     np.testing.assert_allclose(b, b.T, atol=1e-13)
     assert np.linalg.eigvalsh(b).min() > 0.0
+
+
+# ------------------------------------------------------- brute-force oracle
+
+
+def _brute_force_blocks(form, cell, mesh_pair):
+    """B_K and G_K by a loop over subcells and quadrature points in physical coordinates.
+
+    Returns `(B, G_0, P)` with G_K = G_0 + c P.  The theta term is integrated
+    over every edge of every subcell: on edges inside the coarse cell the
+    two sides cancel for continuous test functions.
+    """
+    mesh = mesh_pair.coarse
+    jac, v0 = mesh.jacobian(cell), mesh.cell_coords(cell)[0]
+    beta = np.array(form.beta)
+    levels = form.test_space.levels(mesh_pair)
+    table, nodes = submesh_dofs(form.test_space.degree, levels)
+    test = lagrange_basis(form.test_space.degree)
+    phi, theta = lagrange_basis(form.degree - 1), lagrange_basis(form.degree)
+    quad = make_quadrature(2 * test.degree)  # exact for every product below
+    edge = edge_quadrature(2 * test.degree)
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def coarse_ref(x):
+        return np.linalg.solve(jac, x - v0)[None]
+
+    n = len(nodes)
+    b = np.zeros((n, n))
+    g0 = np.zeros((n, phi.size + theta.size))
+    p = np.zeros((n, phi.size))
+    for t, sub in enumerate(reference_subcells(levels)):
+        corners = sub @ jac.T + v0
+        jac_s = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
+        area = abs(np.linalg.det(jac_s))
+        b_t = np.zeros((test.size, test.size))
+        for xi, w in zip(quad.points, quad.weights):
+            v = test.eval(xi[None])[0]
+            dv = test.grad(xi[None])[0] @ np.linalg.solve(jac_s, beta)  # beta . grad v
+            u = phi.eval(coarse_ref(corners[0] + jac_s @ xi))[0]
+            b_t += w * area * (np.outer(v, v) + np.outer(dv, dv))
+            g0[table[t], : phi.size] -= w * area * np.outer(dv, u)
+            p[table[t]] += w * area * np.outer(v, u)
+        b[np.ix_(table[t], table[t])] += b_t
+        for k in range(3):
+            tangent = corners[(k + 1) % 3] - corners[k]
+            length = np.hypot(*tangent)
+            flux = beta @ np.array([tangent[1], -tangent[0]]) / length  # beta . outward normal
+            for s, w in zip(edge.points, edge.weights):
+                v = test.eval((unit[k] + s * (unit[(k + 1) % 3] - unit[k]))[None])[0]
+                u = theta.eval(coarse_ref(corners[k] + s * tangent))[0]
+                g0[table[t], phi.size :] += w * length * flux * np.outer(v, u)
+    return b, g0, p
+
+
+@pytest.mark.parametrize("ell", range(4))
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_local_saddle_blocks_match_brute_force_oracle(perturbed, m, ell):
+    mesh = perturbed_mesh(1) if perturbed else build_uniform_mesh(1)
+    pair = MeshPair(mesh, ell)
+    # cells 0, 3, 6: two lower triangles and an upper one
+    for cell, angle in zip((0, 3, 6), (0.0, math.pi / 8, 2.0)):
+        beta = (math.cos(angle), math.sin(angle))
+        for space in (SpaceDescriptor(m + 1, broken=True), SpaceDescriptor(5)):
+            b_ref, g0_ref, p_ref = _brute_force_blocks(transport_form(m, beta, 0.0, space), cell, pair)
+            for c in (0.0, 1.0):
+                b, g = local_saddle_blocks(transport_form(m, beta, c, space), cell, pair)
+                g_ref = g0_ref.copy()
+                g_ref[:, : p_ref.shape[1]] += c * p_ref
+                assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+                assert np.abs(g - g_ref).max() <= 1e-12 * np.abs(g_ref).max()

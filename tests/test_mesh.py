@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dpgtransport.mesh import (
     REFERENCE_TRIANGLE,
-    MeshPair,
     build_uniform_mesh,
-    face_normal_dot,
+    reference_subcells,
     refine_cell,
 )
 
@@ -77,15 +74,15 @@ def test_face_normal_dot_axis_aligned():
     beta = np.array([1.0, 0.0])
     right = next(f for f in mesh.boundary_faces() if all(mesh.vertices[v][0] == 1.0 for v in f.vertex_ids))
     bottom = next(f for f in mesh.boundary_faces() if all(mesh.vertices[v][1] == 0.0 for v in f.vertex_ids))
-    assert face_normal_dot(mesh, right, beta, right.cells[0]) == pytest.approx(1.0)
-    assert face_normal_dot(mesh, bottom, beta, bottom.cells[0]) == pytest.approx(0.0, abs=1e-14)
+    assert beta @ mesh.outward_normal(right, right.cells[0]) == pytest.approx(1.0)
+    assert beta @ mesh.outward_normal(bottom, bottom.cells[0]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_face_normal_dot_oblique():
     mesh = build_uniform_mesh(1)
     beta = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
     left = next(f for f in mesh.boundary_faces() if all(mesh.vertices[v][0] == 0.0 for v in f.vertex_ids))
-    value = face_normal_dot(mesh, left, beta, left.cells[0])
+    value = beta @ mesh.outward_normal(left, left.cells[0])
     assert value == pytest.approx(-math.cos(math.pi / 8), abs=1e-12)
 
 
@@ -94,14 +91,7 @@ def test_face_normal_dot_requires_adjacency():
     face = mesh.boundary_faces()[0]
     bad = next(c for c in range(mesh.n_cells) if c not in face.cells)
     with pytest.raises(ValueError):
-        face_normal_dot(mesh, face, np.array([1.0, 0.0]), bad)
-
-
-def test_face_normal_dot_rejects_non_unit_beta():
-    mesh = build_uniform_mesh(0)
-    face = mesh.faces[0]
-    with pytest.raises(ValueError):
-        face_normal_dot(mesh, face, np.array([1.0, 1.0]), face.cells[0])
+        mesh.outward_normal(face, bad)
 
 
 @pytest.mark.parametrize("level", range(3))
@@ -112,25 +102,14 @@ def test_interior_normals_opposite(level):
         if face.boundary:
             assert len(face.cells) == 1
         else:
-            a = face_normal_dot(mesh, face, beta, face.cells[0])
-            b = face_normal_dot(mesh, face, beta, face.cells[1])
+            a = beta @ mesh.outward_normal(face, face.cells[0])
+            b = beta @ mesh.outward_normal(face, face.cells[1])
             assert abs(a + b) < 1e-14
 
 
-@given(level=st.integers(0, 2), ell=st.integers(0, 3))
-@settings(max_examples=20, deadline=None)
-def test_containment_partition(level, ell):
-    pair = MeshPair(build_uniform_mesh(level), ell)
-    counts = {}
-    for fine in range(pair.n_fine):
-        counts[pair.fine_to_coarse(fine)] = counts.get(pair.fine_to_coarse(fine), 0) + 1
-    assert set(counts) == set(range(pair.coarse.n_cells))
-    assert all(c == 4**ell for c in counts.values())
-
-
 def test_fine_cells_tile_coarse_cell():
-    pair = MeshPair(build_uniform_mesh(1), 2)
-    for cell in range(pair.coarse.n_cells):
-        tris = np.stack([pair.fine_cell_coords(cell, t) for t in range(pair.n_subcells)])
-        coarse_area = _areas(pair.coarse.cell_coords(cell)[None])[0]
+    mesh = build_uniform_mesh(1)
+    for cell in range(mesh.n_cells):
+        tris = reference_subcells(2) @ mesh.jacobian(cell).T + mesh.cell_coords(cell)[0]
+        coarse_area = _areas(mesh.cell_coords(cell)[None])[0]
         assert abs(_areas(tris).sum() - coarse_area) < 1e-14

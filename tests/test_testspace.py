@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgtransport.forms import local_saddle_blocks, transport_forms
+from dpgtransport import testspace
+from dpgtransport.forms import local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
 from dpgtransport.testspace import (
@@ -103,10 +104,10 @@ def test_reflected_cell_gets_fresh_key():
 
 def test_translated_cells_hit_cache_with_identical_coefficients():
     pair = MeshPair(build_uniform_mesh(1), 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     cache = CoefficientCache()
-    c0, a0 = cell_blocks(0, pair, bform, iprod, cache)
-    c2, a2 = cell_blocks(2, pair, bform, iprod, cache)
+    c0, a0 = cell_blocks(0, pair, form, cache)
+    c2, a2 = cell_blocks(2, pair, form, cache)
     assert cache.misses == 1 and cache.hits == 1
     assert c0.matrix is c2.matrix  # served from the cache, not recomputed
     np.testing.assert_array_equal(a0, a2)
@@ -116,10 +117,10 @@ def test_translated_cells_hit_cache_with_identical_coefficients():
 def test_uniform_mesh_has_two_congruence_classes(level):
     mesh = build_uniform_mesh(level)
     pair = MeshPair(mesh, 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     cache = CoefficientCache()
     for cell in range(mesh.n_cells):
-        cell_blocks(cell, pair, bform, iprod, cache)
+        cell_blocks(cell, pair, form, cache)
     n = mesh.n_cells
     assert cache.misses == 2
     assert cache.hits == n - 2
@@ -128,11 +129,11 @@ def test_uniform_mesh_has_two_congruence_classes(level):
 
 def test_cache_disabled_gives_same_blocks():
     pair = MeshPair(build_uniform_mesh(1), 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     cache = CoefficientCache()
     for cell in range(pair.coarse.n_cells):
-        _, cached = cell_blocks(cell, pair, bform, iprod, cache)
-        _, fresh = cell_blocks(cell, pair, bform, iprod, None)
+        _, cached = cell_blocks(cell, pair, form, cache)
+        _, fresh = cell_blocks(cell, pair, form, None)
         assert np.abs(cached - fresh).max() < 1e-13
 
 
@@ -142,18 +143,18 @@ def test_cache_disabled_gives_same_blocks():
 def test_defining_relation_on_mesh():
     """B_K C_K = G_K, the variational characterization, on every cell."""
     pair = MeshPair(build_uniform_mesh(1), 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
-        b, g = local_saddle_blocks(bform, iprod, cell, pair)
+        b, g = local_saddle_blocks(form, cell, pair)
         c = compute_coefficients(b, g)
         assert np.abs(b @ c.matrix - g).max() < 1e-10
 
 
 def test_energy_identity_and_psd():
     pair = MeshPair(build_uniform_mesh(1), 1)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
-        b, g = local_saddle_blocks(bform, iprod, cell, pair)
+        b, g = local_saddle_blocks(form, cell, pair)
         c = compute_coefficients(b, g)
         a = near_optimal_local_matrix(b, g, c)
         # (A_K)_ii is the test-norm energy of the i-th near-optimal function
@@ -162,12 +163,14 @@ def test_energy_identity_and_psd():
         assert np.linalg.eigvalsh(a).min() > -1e-10
 
 
-def test_cell_id_reported_on_failure():
+def test_cell_id_reported_on_failure(monkeypatch):
     pair = MeshPair(build_uniform_mesh(0), 0)
-    bform, iprod = transport_forms(2, BENCHMARK_BETA, 0.0)
-    broken_iprod = iprod.__class__(iprod.test_spaces, (iprod.terms[1],))  # drop the L2 part
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
+    b, g = local_saddle_blocks(form, 0, pair)
+    singular = b.copy()
+    singular[:, 0] = singular[0, :] = 0.0  # first test DOF has zero energy
 
-    # the pure gradGrad product is singular on constants, so the solve must
-    # fail and the error must say which cell
+    # the local solve must fail and the error must say which cell
+    monkeypatch.setattr(testspace, "local_saddle_blocks", lambda *args: (singular, g))
     with pytest.raises(NotPositiveDefiniteError, match="cell 0"):
-        cell_blocks(0, pair, bform, broken_iprod, None)
+        cell_blocks(0, pair, form, None)
