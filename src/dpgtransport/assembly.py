@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import TransportForm, local_load
-from .mesh import MeshPair, TriMesh
+from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
 from .testspace import CoefficientCache, cell_blocks, near_optimal_load
 
 CHARACTERISTIC_TOL = 1e-10
@@ -90,15 +90,10 @@ def _constrain(system: GlobalSystem, indices: np.ndarray, value: float) -> Globa
 
 
 def _edge_flux(mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
-    """beta . n on every cell edge, shape (n_cells, 3).
-
-    Edge e runs from vertex e to vertex (e + 1) % 3 of its cell; cells are
-    CCW, so the outward unit normal is (t_y, -t_x) / |t| for the tangent t.
-    """
-    beta = np.asarray(beta, dtype=float)
+    """beta . n on every cell edge, shape (n_cells, 3)."""
     v = mesh.vertices[mesh.cells]
-    t = np.roll(v, -1, axis=1) - v
-    return (beta[0] * t[..., 1] - beta[1] * t[..., 0]) / np.hypot(t[..., 0], t[..., 1])
+    t = v[:, NEXT_VERTEX] - v
+    return edge_flux(t, np.asarray(beta, dtype=float)) / np.hypot(t[..., 0], t[..., 1])
 
 
 def _dofs_on_edges(theta_map: DofMap, edges: np.ndarray) -> np.ndarray:
@@ -112,7 +107,7 @@ def _dofs_on_edges(theta_map: DofMap, edges: np.ndarray) -> np.ndarray:
 
 def inflow_mask(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
     """Mark theta DOFs on a boundary edge with beta . n < 0."""
-    pairs = np.sort(np.stack([mesh.cells, np.roll(mesh.cells, -1, axis=1)], axis=-1), axis=-1)
+    pairs = np.sort(np.stack([mesh.cells, mesh.cells[:, NEXT_VERTEX]], axis=-1), axis=-1)
     _, inverse, counts = np.unique(
         pairs[..., 0] * mesh.n_vertices + pairs[..., 1], return_inverse=True, return_counts=True
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem import DofMap, lagrange_basis, make_quadrature
-from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks
+from .forms import BilinearForm, InnerProduct, SpaceDescriptor, TransportForm, local_load
 from .mesh import MeshPair
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 from .testspace import CoefficientCache, geometry_key
@@ -45,9 +45,9 @@ def a_posteriori_error(
     enriched = replace(form, test_space=SpaceDescriptor(enrichment_degree))
 
     def enriched_blocks(cell):
-        b_bar, g_bar = local_saddle_blocks(enriched, cell, mesh_pair)
+        g_bar = BilinearForm(enriched).local_matrix(cell, mesh_pair)
         try:
-            return g_bar, cholesky_factor(b_bar)
+            return g_bar, cholesky_factor(InnerProduct(enriched).local_gram(cell, mesh_pair))
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"enriched Gram matrix indefinite on cell {cell}: {exc}"

@@ -1,7 +1,9 @@
 """The ultra-weak transport form and its broken graph-norm inner product.
 
 On a coarse cell K, with test functions v, w and the trial pair (phi, theta),
-`local_saddle_blocks` returns
+`local_saddle_blocks` returns the Gram matrix of the inner product
+(`InnerProduct.local_gram`) and the matrix of the form
+(`BilinearForm.local_matrix`):
 
     B_K = (v, w)_K + (beta . grad v, beta . grad w)_K,
     G_K = [ (phi, c v - beta . grad v)_K  |  <theta, (beta . n) v>_dK ].
@@ -21,10 +23,14 @@ from functools import lru_cache
 import numpy as np
 
 from .fem import edge_quadrature, lagrange_basis, make_quadrature
-from .mesh import GEOM_TOL, REFERENCE_TRIANGLE, MeshPair, reference_subcells
-
-# Edge k of a triangle runs from vertex k to vertex (k + 1) % 3.
-_REF_EDGE_VECTORS = np.roll(REFERENCE_TRIANGLE, -1, axis=0) - REFERENCE_TRIANGLE
+from .mesh import (
+    GEOM_TOL,
+    NEXT_VERTEX,
+    REFERENCE_TRIANGLE,
+    MeshPair,
+    edge_flux,
+    reference_subcells,
+)
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +136,7 @@ def _boundary_edges(levels: int) -> tuple:
     """
     edges = []
     for t, (jac_s, shift) in enumerate(zip(*_subcell_maps(levels))):
-        for a_ref, b_ref in zip(REFERENCE_TRIANGLE, np.roll(REFERENCE_TRIANGLE, -1, axis=0)):
+        for a_ref, b_ref in zip(REFERENCE_TRIANGLE, REFERENCE_TRIANGLE[NEXT_VERTEX]):
             a_c, b_c = jac_s @ a_ref + shift, jac_s @ b_ref + shift
             bary = np.abs([[p[1], 1.0 - p[0] - p[1], p[0]] for p in (a_c, b_c)])
             on_edge = np.flatnonzero((bary < GEOM_TOL).all(axis=0))  # both ends on edge k
@@ -141,7 +147,7 @@ def _boundary_edges(levels: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference-cell moment matrices from which `local_saddle_blocks` combines B_K and G_K.
+    """Reference-cell moment matrices from which B_K and G_K are combined per cell.
 
     With b = J^-1 beta in reference coordinates, J the cell's Jacobian, and
     f_k = (beta . n_k)|e_k| the flux through its edge k:
@@ -198,27 +204,50 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     return gram_terms, form_terms
 
 
+def _reference_beta(form: TransportForm, cell: int, mesh_pair: MeshPair):
+    """(|det J|, b = J^-1 beta): the cell's area ratio and beta in reference coordinates."""
+    jac = mesh_pair.coarse.jacobian(cell)
+    return abs(np.linalg.det(jac)), np.linalg.solve(jac, form.beta)
+
+
+def _cell_moments(form: TransportForm, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
+    return _moments(form.test_space.degree, form.test_space.levels(mesh_pair), form.degree)
+
+
+@dataclass(frozen=True)
+class InnerProduct:
+    """The broken graph-norm inner product on the test space of `form`."""
+
+    form: TransportForm
+
+    def local_gram(self, cell: int, mesh_pair: MeshPair) -> np.ndarray:
+        """B_K over the cell-local test DOFs, in the order of `SpaceDescriptor.local_nodes`."""
+        det, b = _reference_beta(self.form, cell, mesh_pair)
+        weights = det * np.array([1.0, b[0] ** 2, b[1] ** 2, b[0] * b[1]])
+        return np.tensordot(weights, _cell_moments(self.form, mesh_pair)[0], 1)
+
+
+@dataclass(frozen=True)
+class BilinearForm:
+    """The ultra-weak transport form tested against the test space of `form`."""
+
+    form: TransportForm
+
+    def local_matrix(self, cell: int, mesh_pair: MeshPair) -> np.ndarray:
+        """G_K: rows as in `InnerProduct.local_gram`; columns the phi DOFs, then the theta DOFs."""
+        det, b = _reference_beta(self.form, cell, mesh_pair)
+        corners = mesh_pair.coarse.cell_coords(cell)
+        flux = edge_flux(corners[NEXT_VERTEX] - corners, self.form.beta)
+        weights = np.concatenate([det * np.array([self.form.reaction, -b[0], -b[1]]), flux])
+        return np.tensordot(weights, _cell_moments(self.form, mesh_pair)[1], 1)
+
+
 def local_saddle_blocks(
     form: TransportForm, cell: int, mesh_pair: MeshPair
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(B_K, G_K) for one coarse cell.
-
-    Rows run over the cell-local test DOFs in the order of
-    `SpaceDescriptor.local_nodes`; the columns of G_K over the phi DOFs, then
-    the theta DOFs.
-    """
-    jac = mesh_pair.coarse.jacobian(cell)
-    det = abs(np.linalg.det(jac))
-    beta = np.array(form.beta)
-    b = np.linalg.solve(jac, beta)  # beta in reference coordinates
-    t = _REF_EDGE_VECTORS @ jac.T  # CCW edge vectors; the outward normal is t rotated by -90 degrees
-    flux = beta[0] * t[:, 1] - beta[1] * t[:, 0]
-    gram_terms, form_terms = _moments(
-        form.test_space.degree, form.test_space.levels(mesh_pair), form.degree
-    )
-    gram = np.tensordot(det * np.array([1.0, b[0] ** 2, b[1] ** 2, b[0] * b[1]]), gram_terms, 1)
-    coefficients = np.concatenate([det * np.array([form.reaction, -b[0], -b[1]]), flux])
-    return gram, np.tensordot(coefficients, form_terms, 1)
+    """(B_K, G_K) for one coarse cell."""
+    gram = InnerProduct(form).local_gram(cell, mesh_pair)
+    return gram, BilinearForm(form).local_matrix(cell, mesh_pair)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,17 @@ GEOM_TOL = 1e-12
 # Unit reference triangle with vertices (0,0), (1,0), (0,1).
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
+# Edge k of a triangle runs from its vertex k to vertex NEXT_VERTEX[k].
+NEXT_VERTEX = np.array([1, 2, 0])
+
+
+def edge_flux(tangents: np.ndarray, beta) -> np.ndarray:
+    """(beta . n)|t| for edge vectors t of CCW triangles, shape (..., 2) -> (...).
+
+    The outward normal of a CCW triangle's edge vector t is (t_y, -t_x) / |t|.
+    """
+    return beta[0] * tangents[..., 1] - beta[1] * tangents[..., 0]
+
 
 @dataclass(frozen=True)
 class Face:

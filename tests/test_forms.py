@@ -208,16 +208,18 @@ def _brute_force_blocks(form, cell, mesh_pair):
     return b, g0, p
 
 
-@pytest.mark.parametrize("ell", range(4))
+@pytest.mark.parametrize("ell", range(3))
 @pytest.mark.parametrize("m", range(1, 5))
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_local_saddle_blocks_match_brute_force_oracle(perturbed, m, ell):
     mesh = perturbed_mesh(1) if perturbed else build_uniform_mesh(1)
     pair = MeshPair(mesh, ell)
+    # the enriched space is one polynomial per cell whatever ell is
+    spaces = [SpaceDescriptor(m + 1, broken=True)] + ([SpaceDescriptor(5)] if ell == 0 else [])
     # cells 0, 3, 6: two lower triangles and an upper one
     for cell, angle in zip((0, 3, 6), (0.0, math.pi / 8, 2.0)):
         beta = (math.cos(angle), math.sin(angle))
-        for space in (SpaceDescriptor(m + 1, broken=True), SpaceDescriptor(5)):
+        for space in spaces:
             b_ref, g0_ref, p_ref = _brute_force_blocks(transport_form(m, beta, 0.0, space), cell, pair)
             for c in (0.0, 1.0):
                 b, g = local_saddle_blocks(transport_form(m, beta, c, space), cell, pair)
