@@ -12,18 +12,11 @@ from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis, make_quadratu
 from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks, transport_form
 from .mesh import Face, MeshPair, TriMesh, build_uniform_mesh, refine_cell
 from .solve import CgReport, CholeskyFactor, cg_solve, cholesky_factor, cholesky_solve
-from .testspace import (
-    CoefficientCache,
-    TestCoefficients,
-    compute_coefficients,
-    near_optimal_load,
-    near_optimal_local_matrix,
-)
+from .testspace import compute_coefficients, near_optimal_local_matrix
 
 __all__ = [
     "CgReport",
     "CholeskyFactor",
-    "CoefficientCache",
     "DofMap",
     "ErrorBreakdown",
     "Face",
@@ -31,7 +24,6 @@ __all__ = [
     "MeshPair",
     "SpaceDescriptor",
     "SpaceKind",
-    "TestCoefficients",
     "TransportForm",
     "TriMesh",
     "a_posteriori_error",
@@ -50,7 +42,6 @@ __all__ = [
     "local_load",
     "local_saddle_blocks",
     "make_quadrature",
-    "near_optimal_load",
     "near_optimal_local_matrix",
     "pin_characteristic_dofs",
     "refine_cell",

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import TransportForm, local_load
 from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
-from .testspace import CoefficientCache, cell_blocks, near_optimal_load
+from .testspace import cell_blocks, class_members, geometry_classes
 
 CHARACTERISTIC_TOL = 1e-10
 
@@ -38,34 +38,30 @@ def assemble(
     mesh_pair: MeshPair,
     dof_maps: tuple[DofMap, DofMap],
     rhs_f,
-    cache: CoefficientCache | None = None,
 ) -> GlobalSystem:
-    """A = sum_K scatter(A_K), F = sum_K scatter(C_K^T l_K)."""
+    """A = sum_K scatter(A_K), F = sum_K scatter(C_K^T l_K), one local solve per geometry class."""
     phi_map, theta_map = dof_maps
     n_phi, n_theta = phi_map.ndofs, theta_map.ndofs
     n = n_phi + n_theta
+    gdofs = np.hstack([phi_map.cell_dofs, n_phi + theta_map.cell_dofs])  # (n_cells, N)
+    representatives, inverse = geometry_classes(mesh_pair.coarse)
+    loads = local_load(rhs_f, mesh_pair, form.test_space)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    rhs = np.zeros(n)
-    for cell in range(mesh_pair.coarse.n_cells):
-        coefficients, a_k = cell_blocks(cell, mesh_pair, form, cache)
-        f_k = near_optimal_load(coefficients, local_load(rhs_f, cell, mesh_pair, form.test_space))
-        gdofs = np.concatenate(
-            [phi_map.dofs_on_cell(cell), n_phi + theta_map.dofs_on_cell(cell)]
-        )
-        rr, cc = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(a_k.ravel())
-        np.add.at(rhs, gdofs, f_k)
+    blocks = []
+    tested_loads = np.empty(gdofs.shape)
+    for cell, members in zip(representatives, class_members(inverse)):
+        coefficients, a_k = cell_blocks(cell, mesh_pair, form)
+        blocks.append(a_k)
+        tested_loads[members] = loads[members] @ coefficients
 
+    size = gdofs.shape[1]
+    rows, cols = np.repeat(gdofs, size, axis=1), np.tile(gdofs, size)
     matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        (np.stack(blocks)[inverse].ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
     ).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
+    rhs = np.bincount(gdofs.ravel(), weights=tested_loads.ravel(), minlength=n)
     return GlobalSystem(matrix, rhs, n_phi, n_theta)
 
 

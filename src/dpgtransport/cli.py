@@ -16,7 +16,6 @@ from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis
 from .forms import transport_form
 from .mesh import MeshPair, build_uniform_mesh
 from .solve import cg_solve
-from .testspace import CoefficientCache
 
 MAX_TRIAL_DEGREE = 4  # m + 1 <= 5, the basis table bound
 MAX_TEST_REFINE = 3  # cost guard
@@ -98,7 +97,7 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
     def rhs_f(points):
         return np.full(len(points), config.rhs_const)
 
-    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f, CoefficientCache())
+    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
     system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta), 0.0)
     system = pin_characteristic_dofs(system, theta_map, mesh, beta)
     x, report = cg_solve(system.matrix, system.rhs, tol=config.tol)
@@ -172,16 +171,9 @@ def export_vtk(
     phi_basis = lagrange_basis(phi_map.degree)
     theta_basis = lagrange_basis(theta_map.degree)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    phi_at_corners = phi_basis.eval(corners)
-    theta_at_corners = theta_basis.eval(corners)
-
-    points: list[np.ndarray] = []
-    phi_vals: list[float] = []
-    theta_vals: list[float] = []
-    for cell in range(mesh.n_cells):
-        points.extend(mesh.cell_coords(cell))
-        phi_vals.extend(phi_at_corners @ phi_coefficients[phi_map.dofs_on_cell(cell)])
-        theta_vals.extend(theta_at_corners @ theta_coefficients[theta_map.dofs_on_cell(cell)])
+    points = mesh.vertices[mesh.cells].reshape(-1, 2)
+    phi_vals = (phi_coefficients[phi_map.cell_dofs] @ phi_basis.eval(corners).T).ravel()
+    theta_vals = (theta_coefficients[theta_map.cell_dofs] @ theta_basis.eval(corners).T).ravel()
 
     lines = [
         "# vtk DataFile Version 2.0",

@@ -17,7 +17,7 @@ from .fem import DofMap, lagrange_basis, make_quadrature
 from .forms import BilinearForm, InnerProduct, SpaceDescriptor, TransportForm, local_load
 from .mesh import MeshPair
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
-from .testspace import CoefficientCache, geometry_key
+from .testspace import class_members, geometry_classes
 
 DEFAULT_ENRICHMENT_DEGREE = 5
 
@@ -26,7 +26,6 @@ DEFAULT_ENRICHMENT_DEGREE = 5
 class ErrorBreakdown:
     cell_indicators_sq: np.ndarray  # eta_K^2 per coarse cell
     eta: float
-    l2_error: float | None = None
 
 
 def a_posteriori_error(
@@ -37,32 +36,30 @@ def a_posteriori_error(
     rhs_f,
     enrichment_degree: int = DEFAULT_ENRICHMENT_DEGREE,
 ) -> ErrorBreakdown:
-    """Per-cell indicators eta_K^2 = rho_K^T Bbar_K^{-1} rho_K and their total."""
+    """Per-cell indicators eta_K^2 = rho_K^T Bbar_K^{-1} rho_K and their total.
+
+    Gbar_K and the Cholesky factor of Bbar_K are formed once per geometry class.
+    """
     phi_map, theta_map = dof_maps
     n_phi = phi_map.ndofs
     if len(solution) != n_phi + theta_map.ndofs:
         raise ValueError("solution vector does not match the DOF maps")
     enriched = replace(form, test_space=SpaceDescriptor(enrichment_degree))
+    u = solution[np.hstack([phi_map.cell_dofs, n_phi + theta_map.cell_dofs])]  # (n_cells, N)
+    loads = local_load(rhs_f, mesh_pair, enriched.test_space)
 
-    def enriched_blocks(cell):
+    representatives, inverse = geometry_classes(mesh_pair.coarse)
+    indicators = np.empty(mesh_pair.coarse.n_cells)
+    for cell, members in zip(representatives, class_members(inverse)):
         g_bar = BilinearForm(enriched).local_matrix(cell, mesh_pair)
         try:
-            return g_bar, cholesky_factor(InnerProduct(enriched).local_gram(cell, mesh_pair))
+            factor = cholesky_factor(InnerProduct(enriched).local_gram(cell, mesh_pair))
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"enriched Gram matrix indefinite on cell {cell}: {exc}"
             ) from exc
-
-    cache = CoefficientCache()
-    indicators = np.empty(mesh_pair.coarse.n_cells)
-    for cell in range(mesh_pair.coarse.n_cells):
-        key = geometry_key(mesh_pair.coarse.jacobian(cell))
-        g_bar, factor = cache.get(key, lambda: enriched_blocks(cell))
-        u_local = np.concatenate(
-            [solution[phi_map.dofs_on_cell(cell)], solution[n_phi + theta_map.dofs_on_cell(cell)]]
-        )
-        rho = g_bar @ u_local - local_load(rhs_f, cell, mesh_pair, enriched.test_space)
-        indicators[cell] = rho @ cholesky_solve(factor, rho)
+        rho = (u[members] @ g_bar.T - loads[members]).T  # one column per member cell
+        indicators[members] = np.einsum("mc,mc->c", rho, cholesky_solve(factor, rho))
     return ErrorBreakdown(indicators, float(np.sqrt(indicators.sum())))
 
 
@@ -94,10 +91,10 @@ def l2_error(
     vals = basis.eval(quad.points)  # (nq, nloc), same on every cell
 
     mesh = mesh_pair.coarse
-    verts = mesh.vertices[mesh.cells]  # (nc, 3, 2)
-    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+    jac = mesh.jacobians()
     dets = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
-    phys = np.einsum("qr,crd->cqd", quad.points, np.swapaxes(jac, 1, 2)) + verts[:, None, 0]
+    origins = mesh.vertices[mesh.cells[:, :1]]  # (nc, 1, 2)
+    phys = np.einsum("qr,crd->cqd", quad.points, np.swapaxes(jac, 1, 2)) + origins
     phi_h = phi_coefficients[phi_map.cell_dofs] @ vals.T  # (nc, nq)
     diff = phi_h - exact(phys)
     return float(np.sqrt(np.einsum("cq,q,c->", diff**2, quad.weights, dets)))

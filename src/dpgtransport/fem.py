@@ -172,9 +172,9 @@ def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
         return DofMap(kind, degree, nc * nloc, cell_dofs)
 
     if kind is SpaceKind.CONTINUOUS:
-        v = mesh_pair.coarse.vertices[mesh_pair.coarse.cells]
-        jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-        phys = (basis.nodes @ jac.transpose(0, 2, 1) + v[:, :1]).reshape(-1, 2)
+        mesh = mesh_pair.coarse
+        origins = mesh.vertices[mesh.cells[:, :1]]  # (nc, 1, 2)
+        phys = (basis.nodes @ mesh.jacobians().transpose(0, 2, 1) + origins).reshape(-1, 2)
         keys = np.round(phys * 1e10)
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         rank = np.empty(len(first), dtype=int)

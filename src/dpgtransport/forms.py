@@ -269,13 +269,19 @@ def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return points, weights, values
 
 
-def local_load(rhs_f, cell: int, mesh_pair: MeshPair, test_space: SpaceDescriptor) -> np.ndarray:
-    """Load vector (l_K)_j = int_K f z^j over the cell-local test DOFs."""
-    jac_c = mesh_pair.coarse.jacobian(cell)
-    v0 = mesh_pair.coarse.cell_coords(cell)[0]
+def local_load(rhs_f, mesh_pair: MeshPair, test_space: SpaceDescriptor) -> np.ndarray:
+    """Load vectors (l_K)_j = int_K f z^j of all coarse cells, shape (n_cells, N).
+
+    `rhs_f` is called once, with the quadrature points of all cells as one (P, 2) array.
+    """
+    mesh = mesh_pair.coarse
+    jac = mesh.jacobians()
     levels = test_space.levels(mesh_pair)
     points, weights, values = _load_rule(test_space.degree, levels)
-    f = np.asarray(rhs_f(points @ jac_c.T + v0), dtype=float).reshape(weights.shape)
-    per_piece = abs(np.linalg.det(jac_c)) * (weights * f) @ values
+    phys = points @ jac.transpose(0, 2, 1) + mesh.vertices[mesh.cells[:, :1]]
+    f = np.asarray(rhs_f(phys.reshape(-1, 2)), dtype=float).reshape(mesh.n_cells, *weights.shape)
+    per_piece = np.abs(np.linalg.det(jac))[:, None, None] * (weights * f) @ values
     table, nodes = submesh_dofs(test_space.degree, levels)
-    return np.bincount(table.ravel(), weights=per_piece.ravel(), minlength=len(nodes))
+    index = len(nodes) * np.arange(mesh.n_cells)[:, None] + table.ravel()
+    loads = np.bincount(index.ravel(), weights=per_piece.ravel(), minlength=mesh.n_cells * len(nodes))
+    return loads.reshape(mesh.n_cells, len(nodes))

@@ -74,11 +74,14 @@ class TriMesh:
         v = self.cell_coords(cell)
         return np.column_stack([v[1] - v[0], v[2] - v[0]])
 
-    def areas(self) -> np.ndarray:
+    def jacobians(self) -> np.ndarray:
+        """Jacobians of every cell's reference map, shape (n_cells, 2, 2)."""
         v = self.vertices[self.cells]
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+
+    def areas(self) -> np.ndarray:
+        jac = self.jacobians()
+        return 0.5 * (jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 1, 0] * jac[:, 0, 1])
 
     @cached_property
     def faces(self) -> list[Face]:
@@ -123,17 +126,11 @@ def build_uniform_mesh(level: int) -> TriMesh:
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append([v00, v10, v11])  # lower triangle
-            cells.append([v00, v11, v01])  # upper triangle
-    return TriMesh(vertices, np.array(cells))
+    # lower-left vertex of square (i, j), row by row; vertex (i, j) has id j (n + 1) + i
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v11, v01 = v00 + 1, v00 + n + 2, v00 + n + 1
+    lower, upper = np.stack([v00, v10, v11], axis=-1), np.stack([v00, v11, v01], axis=-1)
+    return TriMesh(vertices, np.stack([lower, upper], axis=1).reshape(-1, 3))
 
 
 def _red_refine_once(tris: np.ndarray) -> np.ndarray:

@@ -57,15 +57,18 @@ def cholesky_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CgReport:
     iterations: int
-    residual_norm: float
+    residual_norm: float  # the true residual ||rhs - A x||_2
     converged: bool
 
 
 def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None):
     """Jacobi-preconditioned conjugate gradients for a sparse SPD system.
 
-    Stops when ||A x - rhs||_2 <= tol * ||rhs||_2.  Deterministic for fixed
-    inputs; raises on NaN breakdown.
+    Converged means the true residual ||rhs - A x||_2 <= tol * ||rhs||_2.  When
+    the recursively updated residual meets tol, the true one is recomputed and
+    CG restarts from it unless it meets tol too.  Stops unconverged at
+    `max_iter` iterations, or when a restart fails to lower the true
+    residual.  Deterministic for fixed inputs; raises on NaN breakdown.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -82,24 +85,30 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
 
     x = np.zeros(n)
     r = rhs.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    res = np.linalg.norm(r)
+    res = restart_res = norm_rhs
     iterations = 0
-    while res > tol * norm_rhs and iterations < max_iter:
-        ap = a @ p
-        alpha = rz / (p @ ap)
-        if not np.isfinite(alpha):
-            raise FloatingPointError("conjugate gradient breakdown (non-finite step)")
-        x += alpha * p
-        r -= alpha * ap
+    while True:
         z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = z.copy()
+        rz = r @ z
+        while res > tol * norm_rhs and iterations < max_iter:
+            ap = a @ p
+            alpha = rz / (p @ ap)
+            if not np.isfinite(alpha):
+                raise FloatingPointError("conjugate gradient breakdown (non-finite step)")
+            x += alpha * p
+            r -= alpha * ap
+            z = inv_diag * r
+            rz_new = r @ z
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+            res = np.linalg.norm(r)
+            iterations += 1
+        r = rhs - a @ x
         res = np.linalg.norm(r)
-        iterations += 1
+        if res <= tol * norm_rhs or iterations >= max_iter or not res < restart_res:
+            break
+        restart_res = res
     if not np.isfinite(res):
         raise FloatingPointError("conjugate gradient diverged")
     return x, CgReport(iterations, float(res), bool(res <= tol * norm_rhs))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dpgtransport import (
-    CoefficientCache,
     MeshPair,
     SpaceKind,
     a_posteriori_error,
@@ -40,17 +39,18 @@ def constant_rhs(value=1.0):
     return lambda points: np.full(len(points), value)
 
 
-def solve_transport(level, test_refine, beta, m=2, rhs_f=None, pin=True, tol=1e-12):
+def solve_transport(
+    level, test_refine, beta, m=2, rhs_f=None, pin=True, tol=1e-12, mesh_builder=build_uniform_mesh
+):
     """Full pipeline for one level; returns the pieces tests poke at."""
     if rhs_f is None:
         rhs_f = constant_rhs()
-    mesh = build_uniform_mesh(level)
+    mesh = mesh_builder(level)
     mesh_pair = MeshPair(mesh, test_refine)
     form = transport_form(m, beta, 0.0)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
-    cache = CoefficientCache()
-    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f, cache)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
     system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta), 0.0)
     if pin:
         system = pin_characteristic_dofs(system, theta_map, mesh, beta)
@@ -63,7 +63,6 @@ def solve_transport(level, test_refine, beta, m=2, rhs_f=None, pin=True, tol=1e-
         "system": system,
         "x": x,
         "cg": report,
-        "cache": cache,
         "rhs_f": rhs_f,
     }
 

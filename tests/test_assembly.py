@@ -15,11 +15,11 @@ from dpgtransport.assembly import (
 from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import local_load, local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
-from dpgtransport.testspace import CoefficientCache, cell_blocks
+from dpgtransport.testspace import cell_blocks
 
 
-def _setup(level, ell, beta, m=2):
-    mesh_pair = MeshPair(build_uniform_mesh(level), ell)
+def _setup(level, ell, beta, m=2, mesh_builder=build_uniform_mesh):
+    mesh_pair = MeshPair(mesh_builder(level), ell)
     form = transport_form(m, beta, 0.0)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
@@ -30,11 +30,11 @@ def dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f):
     """Brute-force A and F: global scattered G against block-diagonal B."""
     n_phi = phi_map.ndofs
     n = n_phi + theta_map.ndofs
-    blocks_b, blocks_g, loads, gdofs = [], [], [], []
+    blocks_b, blocks_g, gdofs = [], [], []
+    loads = local_load(rhs_f, mesh_pair, form.test_space)
     for cell in range(mesh_pair.coarse.n_cells):
         b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
         blocks_b.append(b_k)
-        loads.append(local_load(rhs_f, cell, mesh_pair, form.test_space))
         blocks_g.append(g_k)
         gdofs.append(
             np.concatenate([phi_map.dofs_on_cell(cell), n_phi + theta_map.dofs_on_cell(cell)])
@@ -69,14 +69,18 @@ def test_single_cell_mesh_matches_local_block():
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
-    _, a_k = cell_blocks(0, mesh_pair, form, None)
+    _, a_k = cell_blocks(0, mesh_pair, form)
     np.testing.assert_allclose(system.matrix.toarray(), a_k, atol=1e-14)
 
 
-@pytest.mark.parametrize("level,ell", [(0, 0), (0, 1), (1, 1)])
-def test_assembly_matches_dense_oracle(level, ell):
-    mesh_pair, form, phi_map, theta_map = _setup(level, ell, BENCHMARK_BETA)
-    rhs_f = constant_rhs()
+@pytest.mark.parametrize(
+    "level,ell,mesh_builder",
+    [(0, 0, build_uniform_mesh), (0, 1, build_uniform_mesh), (1, 1, build_uniform_mesh), (1, 1, perturbed_mesh)],
+    ids=["0-0", "0-1", "1-1", "perturbed-1-1"],
+)
+def test_assembly_matches_dense_oracle(level, ell, mesh_builder):
+    mesh_pair, form, phi_map, theta_map = _setup(level, ell, BENCHMARK_BETA, mesh_builder=mesh_builder)
+    rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]  # differs between the cells of one class
     system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
     a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
     assert np.abs(system.matrix.toarray() - a).max() < 1e-11

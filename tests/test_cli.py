@@ -182,6 +182,12 @@ def test_main_smoke(tmp_path, capsys):
     assert "level=0" in out and "level=1" in out
 
 
+def test_main_reports_solver_failure(capsys):
+    """A tolerance below the rounding of the true residual cannot be met: exit code 2."""
+    assert main(["--levels", "2", "--tol", "1e-16"]) == 2
+    assert "[solver did not converge]" in capsys.readouterr().out
+
+
 def test_main_rejects_bad_degree(capsys):
     assert main(["--degree", "9"]) == 1
     assert "error:" in capsys.readouterr().err

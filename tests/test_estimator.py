@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import BENCHMARK_BETA, constant_rhs, solve_transport
+from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh, solve_transport
 from dpgtransport.estimator import a_posteriori_error, exact_transport_solution, l2_error
 from dpgtransport.fem import lagrange_basis
 from dpgtransport.forms import SpaceDescriptor, local_load, local_saddle_blocks
+from dpgtransport.mesh import build_uniform_mesh
 from dpgtransport.solve import cholesky_factor, cholesky_solve
 
 
@@ -28,6 +29,7 @@ def _dense_eta_oracle(run, enrich=5):
     phi_map, theta_map = run["phi_map"], run["theta_map"]
     n_phi = phi_map.ndofs
     enriched = replace(run["form"], test_space=SpaceDescriptor(enrich, broken=False))
+    loads = local_load(run["rhs_f"], mesh_pair, enriched.test_space)
     total = 0.0
     for cell in range(mesh_pair.coarse.n_cells):
         b, g = local_saddle_blocks(enriched, cell, mesh_pair)
@@ -37,7 +39,7 @@ def _dense_eta_oracle(run, enrich=5):
                 run["x"][n_phi + theta_map.dofs_on_cell(cell)],
             ]
         )
-        rho = g @ u - local_load(run["rhs_f"], cell, mesh_pair, enriched.test_space)
+        rho = g @ u - loads[cell]
         total += rho @ np.linalg.solve(b, rho)
     return math.sqrt(total)
 
@@ -58,10 +60,12 @@ def test_scalar_indicator_algebra():
 
 
 def test_eta_matches_dense_oracle():
-    run = solve_transport(1, 1, BENCHMARK_BETA)
-    eta = _estimate(run).eta
-    oracle = _dense_eta_oracle(run)
-    assert abs(eta - oracle) <= 1e-10 * oracle
+    for mesh_builder in (build_uniform_mesh, perturbed_mesh):  # two classes, one class per cell
+        rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]  # differs between the cells of one class
+        run = solve_transport(1, 1, BENCHMARK_BETA, rhs_f=rhs_f, mesh_builder=mesh_builder)
+        eta = _estimate(run).eta
+        oracle = _dense_eta_oracle(run)
+        assert abs(eta - oracle) <= 1e-10 * oracle
 
 
 def test_indicators_nonnegative_and_sum_to_eta():

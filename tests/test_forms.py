@@ -12,7 +12,7 @@ from dpgtransport.forms import (
     submesh_dofs,
     transport_form,
 )
-from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh, reference_subcells
+from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh, reference_subcells, refine_cell
 
 _REF_MESH = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
@@ -123,20 +123,50 @@ def test_direction_must_be_unit():
 
 def test_load_zero_rhs():
     zero = lambda p: np.zeros(len(p))
-    out = local_load(zero, 0, _ref_pair(1), SpaceDescriptor(2, broken=True))
+    out = local_load(zero, _ref_pair(1), SpaceDescriptor(2, broken=True))
     np.testing.assert_array_equal(out, 0.0)
 
 
 def test_load_constant_p0():
     one = lambda p: np.ones(len(p))
-    out = local_load(one, 0, _ref_pair(), P0)
-    np.testing.assert_allclose(out, [0.5], atol=1e-14)
+    out = local_load(one, _ref_pair(), P0)
+    np.testing.assert_allclose(out, [[0.5]], atol=1e-14)
 
 
 def test_load_constant_p1():
     one = lambda p: np.ones(len(p))
-    out = local_load(one, 0, _ref_pair(), P1)
-    np.testing.assert_allclose(out, [1.0 / 6.0] * 3, atol=1e-14)
+    out = local_load(one, _ref_pair(), P1)
+    np.testing.assert_allclose(out, [[1.0 / 6.0] * 3], atol=1e-14)
+
+
+def _quartic(p):
+    x, y = p[:, 0], p[:, 1]
+    return 1.0 + x - 2.0 * x * y + 3.0 * y**2 + x**2 * y**2
+
+
+@pytest.mark.parametrize("ell", range(3))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_load_matches_per_cell_quadrature(m, ell):
+    """All cells at once against a loop over cells and physical subcells.
+
+    A quartic f times a test function of degree <= 5 is integrated exactly by
+    both the load rule and the degree-12 rule of the loop.
+    """
+    pair = MeshPair(perturbed_mesh(1), ell)
+    space = transport_form(m, (1.0, 0.0), 0.0).test_space
+    table, nodes = submesh_dofs(space.degree, ell)
+    basis = lagrange_basis(space.degree)
+    quad = make_quadrature(12)
+    values = basis.eval(quad.points)
+    expected = np.zeros((pair.coarse.n_cells, len(nodes)))
+    for cell in range(pair.coarse.n_cells):
+        for t, sub in enumerate(refine_cell(pair.coarse.cell_coords(cell), ell)):
+            jac = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
+            f = _quartic(quad.points @ jac.T + sub[0])
+            np.add.at(expected[cell], table[t], abs(np.linalg.det(jac)) * (quad.weights * f) @ values)
+    loads = local_load(_quartic, pair, space)
+    assert loads.shape == expected.shape
+    assert np.abs(loads - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_saddle_blocks_p0():

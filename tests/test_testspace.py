@@ -8,34 +8,32 @@ from dpgtransport.forms import local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
 from dpgtransport.testspace import (
-    CoefficientCache,
-    TestCoefficients as Coefficients,  # alias keeps pytest from collecting it
     cell_blocks,
+    class_members,
     compute_coefficients,
-    geometry_key,
-    near_optimal_load,
+    geometry_classes,
     near_optimal_local_matrix,
 )
 
-from conftest import BENCHMARK_BETA
+from conftest import BENCHMARK_BETA, perturbed_mesh
 
 
 def test_scalar_coefficients():
     c = compute_coefficients(np.array([[2.0]]), np.array([[3.0]]))
-    np.testing.assert_allclose(c.matrix, [[1.5]], atol=1e-14)
+    np.testing.assert_allclose(c, [[1.5]], atol=1e-14)
 
 
 def test_identity_gram_returns_g():
     g = np.arange(6.0).reshape(3, 2)
     c = compute_coefficients(np.eye(3), g)
-    np.testing.assert_allclose(c.matrix, g, atol=1e-14)
+    np.testing.assert_allclose(c, g, atol=1e-14)
 
 
 def test_two_by_two_hand_solve():
     b = np.array([[4.0, 2.0], [2.0, 3.0]])
     g = np.array([[2.0], [1.0]])
     c = compute_coefficients(b, g)
-    np.testing.assert_allclose(c.matrix, [[0.5], [0.0]], atol=1e-14)
+    np.testing.assert_allclose(c, [[0.5], [0.0]], atol=1e-14)
 
 
 def test_indefinite_gram_rejected():
@@ -51,13 +49,12 @@ def test_defining_relation_random(n, m, seed):
     b = r.T @ r + n * np.eye(n)
     g = rng.standard_normal((n, m))
     c = compute_coefficients(b, g)
-    assert np.abs(b @ c.matrix - g).max() < 1e-10
+    assert np.abs(b @ c - g).max() < 1e-10
 
 
 def test_near_optimal_matrix_scalar():
-    c = Coefficients(np.array([[1.0]]))
     np.testing.assert_allclose(
-        near_optimal_local_matrix(np.array([[2.0]]), np.array([[2.0]]), c), [[2.0]]
+        near_optimal_local_matrix(np.array([[2.0]]), np.array([[2.0]]), np.array([[1.0]])), [[2.0]]
     )
 
 
@@ -77,64 +74,52 @@ def test_near_optimal_matrix_against_dense_oracle():
     np.testing.assert_allclose(near_optimal_local_matrix(b, g, c), oracle, atol=1e-12)
 
 
-def test_near_optimal_load_cases():
-    assert near_optimal_load(Coefficients(np.array([[1.5]])), np.array([0.5]))[0] == 0.75
-    load = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(near_optimal_load(Coefficients(np.eye(3)), load), load)
-    np.testing.assert_array_equal(
-        near_optimal_load(Coefficients(np.zeros((3, 2))), np.zeros(3)), 0.0
-    )
-
-
-# ------------------------------------------------------------------- cache
+# ------------------------------------------------------- geometry classes
 
 
 def test_translated_cells_share_key():
-    mesh = build_uniform_mesh(1)
     # lower triangles of adjacent squares are translates of each other
-    assert geometry_key(mesh.jacobian(0)) == geometry_key(mesh.jacobian(2))
-    assert geometry_key(mesh.jacobian(0)) != geometry_key(mesh.jacobian(1))
+    classes = geometry_classes(build_uniform_mesh(1))[1]
+    assert classes[0] == classes[2]
+    assert classes[0] != classes[1]
 
 
 def test_reflected_cell_gets_fresh_key():
-    tri = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
-    mirrored = TriMesh(np.array([[0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), np.array([[0, 1, 2]]))
-    assert geometry_key(tri.jacobian(0)) != geometry_key(mirrored.jacobian(0))
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    mesh = TriMesh(vertices, np.array([[0, 1, 2], [0, 2, 3]]))  # cell 1 mirrors cell 0 in x = 0
+    representatives, classes = geometry_classes(mesh)
+    assert classes[0] != classes[1]
+    np.testing.assert_array_equal(np.sort(representatives), [0, 1])
 
 
-def test_translated_cells_hit_cache_with_identical_coefficients():
+def test_translated_cells_get_identical_blocks():
     pair = MeshPair(build_uniform_mesh(1), 1)
     form = transport_form(2, BENCHMARK_BETA, 0.0)
-    cache = CoefficientCache()
-    c0, a0 = cell_blocks(0, pair, form, cache)
-    c2, a2 = cell_blocks(2, pair, form, cache)
-    assert cache.misses == 1 and cache.hits == 1
-    assert c0.matrix is c2.matrix  # served from the cache, not recomputed
+    c0, a0 = cell_blocks(0, pair, form)
+    c2, a2 = cell_blocks(2, pair, form)
+    np.testing.assert_array_equal(c0, c2)
     np.testing.assert_array_equal(a0, a2)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_uniform_mesh_has_two_congruence_classes(level):
     mesh = build_uniform_mesh(level)
-    pair = MeshPair(mesh, 1)
-    form = transport_form(2, BENCHMARK_BETA, 0.0)
-    cache = CoefficientCache()
-    for cell in range(mesh.n_cells):
-        cell_blocks(cell, pair, form, cache)
-    n = mesh.n_cells
-    assert cache.misses == 2
-    assert cache.hits == n - 2
-    assert cache.hit_rate >= (n - 2) / n
+    representatives, classes = geometry_classes(mesh)
+    np.testing.assert_array_equal(np.sort(representatives), [0, 1])  # the first lower and upper cell
+    np.testing.assert_array_equal(classes[::2], classes[0])  # every lower triangle
+    np.testing.assert_array_equal(classes[1::2], classes[1])  # every upper triangle
+    members = class_members(classes)
+    assert sorted(len(m) for m in members) == [mesh.n_cells // 2] * 2
+    for k, cells in enumerate(members):
+        assert cells[0] == representatives[k] and np.all(classes[cells] == k)
+        assert np.all(np.diff(cells) > 0)
 
 
-def test_cache_disabled_gives_same_blocks():
-    pair = MeshPair(build_uniform_mesh(1), 1)
-    form = transport_form(2, BENCHMARK_BETA, 0.0)
-    cache = CoefficientCache()
-    for cell in range(pair.coarse.n_cells):
-        _, cached = cell_blocks(cell, pair, form, cache)
-        _, fresh = cell_blocks(cell, pair, form, None)
-        assert np.abs(cached - fresh).max() < 1e-13
+def test_perturbed_mesh_has_one_class_per_cell():
+    mesh = perturbed_mesh(2)
+    representatives, classes = geometry_classes(mesh)
+    np.testing.assert_array_equal(np.sort(representatives), np.arange(mesh.n_cells))
+    np.testing.assert_array_equal(representatives[classes], np.arange(mesh.n_cells))
 
 
 # ------------------------------------------------------ method properties
@@ -147,7 +132,7 @@ def test_defining_relation_on_mesh():
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
         c = compute_coefficients(b, g)
-        assert np.abs(b @ c.matrix - g).max() < 1e-10
+        assert np.abs(b @ c - g).max() < 1e-10
 
 
 def test_energy_identity_and_psd():
@@ -158,7 +143,7 @@ def test_energy_identity_and_psd():
         c = compute_coefficients(b, g)
         a = near_optimal_local_matrix(b, g, c)
         # (A_K)_ii is the test-norm energy of the i-th near-optimal function
-        energies = np.einsum("ji,jk,ki->i", c.matrix, b, c.matrix)
+        energies = np.einsum("ji,jk,ki->i", c, b, c)
         np.testing.assert_allclose(np.diag(a), energies, atol=1e-11)
         assert np.linalg.eigvalsh(a).min() > -1e-10
 
@@ -173,4 +158,4 @@ def test_cell_id_reported_on_failure(monkeypatch):
     # the local solve must fail and the error must say which cell
     monkeypatch.setattr(testspace, "local_saddle_blocks", lambda *args: (singular, g))
     with pytest.raises(NotPositiveDefiniteError, match="cell 0"):
-        cell_blocks(0, pair, form, None)
+        cell_blocks(0, pair, form)
