@@ -1,13 +1,16 @@
-"""Global assembly of the SPD system A x = F and boundary handling.
+"""Global assembly of the system A x = F and its free-DOF mask.
 
 Global unknowns are blocked by trial variable: all phi DOFs first, then all
-theta DOFs.  Inflow Dirichlet conditions and the pinning of characteristic
-trace DOFs are applied by symmetric elimination so the system stays SPD.
+theta DOFs.  Every constraint fixes a theta DOF to zero: the inflow trace and
+the ill-posed characteristic trace.  Constraints only clear bits of the
+system's free-DOF mask and leave A and F as assembled; the solve restricts
+them to the free DOFs, where the matrix is an SPD principal submatrix of A,
+and scatters the solution back with zeros on the fixed DOFs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +29,7 @@ class GlobalSystem:
     rhs: np.ndarray
     n_phi: int
     n_theta: int
-    constraints: list[tuple[int, float]] = field(default_factory=list)
+    free: np.ndarray  # bool over all DOFs; False where a constraint fixes the DOF to 0
 
     @property
     def size(self) -> int:
@@ -62,27 +65,14 @@ def assemble(
     matrix.sum_duplicates()
     matrix.sort_indices()
     rhs = np.bincount(gdofs.ravel(), weights=tested_loads.ravel(), minlength=n)
-    return GlobalSystem(matrix, rhs, n_phi, n_theta)
+    return GlobalSystem(matrix, rhs, n_phi, n_theta, np.ones(n, dtype=bool))
 
 
-def _constrain(system: GlobalSystem, indices: np.ndarray, value: float) -> GlobalSystem:
-    """Symmetric elimination: zero rows/cols, unit diagonal, move data to F."""
-    if len(indices) == 0:
-        return system
-    n = system.size
-    x_c = np.zeros(n)
-    x_c[indices] = value
-    rhs = system.rhs - system.matrix @ x_c
-    keep = np.ones(n)
-    keep[indices] = 0.0
-    projector = sp.diags(keep)
-    pinned = np.zeros(n)
-    pinned[indices] = 1.0
-    matrix = (projector @ system.matrix @ projector + sp.diags(pinned)).tocsr()
-    matrix.sort_indices()
-    rhs[indices] = value
-    constraints = system.constraints + [(int(i), value) for i in indices]
-    return GlobalSystem(matrix, rhs, system.n_phi, system.n_theta, constraints)
+def _fix_theta(system: GlobalSystem, dofs: np.ndarray) -> GlobalSystem:
+    """`system` with the theta DOFs `dofs` (a mask or indices) taken off the free mask."""
+    free = system.free.copy()
+    free[system.n_phi :][dofs] = False
+    return replace(system, free=free)
 
 
 def _edge_flux(mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
@@ -112,11 +102,11 @@ def inflow_mask(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarra
     return _dofs_on_edges(theta_map, boundary & inflow)
 
 
-def apply_dirichlet(system: GlobalSystem, mask: np.ndarray, value: float) -> GlobalSystem:
-    """Constrain the marked theta DOFs to `value` by symmetric elimination."""
+def apply_dirichlet(system: GlobalSystem, mask: np.ndarray) -> GlobalSystem:
+    """Fix the marked theta DOFs to zero."""
     if len(mask) != system.n_theta:
         raise ValueError("mask must be sized to the theta block")
-    return _constrain(system, system.n_phi + np.flatnonzero(mask), value)
+    return _fix_theta(system, mask)
 
 
 def characteristic_theta_dofs(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
@@ -132,6 +122,5 @@ def characteristic_theta_dofs(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray
 def pin_characteristic_dofs(
     system: GlobalSystem, theta_map: DofMap, mesh: TriMesh, beta: np.ndarray
 ) -> GlobalSystem:
-    """Constrain ill-posed characteristic trace DOFs to zero."""
-    dofs = characteristic_theta_dofs(theta_map, mesh, beta)
-    return _constrain(system, system.n_phi + dofs, 0.0)
+    """Fix the ill-posed characteristic trace DOFs to zero."""
+    return _fix_theta(system, characteristic_theta_dofs(theta_map, mesh, beta))

@@ -43,10 +43,12 @@ class RunConfig:
             raise ValueError(f"test refinement must be in [0, {MAX_TEST_REFINE}]")
         if not 1 <= self.enrich_degree <= 5:
             raise ValueError("enrichment degree must be in [1, 5]")
-        if self.tol <= 0.0:
-            raise ValueError("solver tolerance must be positive")
-        if not self.reaction >= 0.0:
-            raise ValueError("reaction coefficient c must be non-negative")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError("solver tolerance must satisfy 0 < tol < 1")
+        if not 0.0 <= self.reaction < math.inf:
+            raise ValueError("reaction coefficient c must be finite and non-negative")
+        if not (math.isfinite(self.beta_angle) and math.isfinite(self.rhs_const)):
+            raise ValueError("beta angle and right-hand side f must be finite")
 
     @property
     def beta(self) -> np.ndarray:
@@ -84,7 +86,7 @@ class LevelSolution:
 
 
 def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow]:
-    """Assemble, constrain, and solve one mesh level of the sweep."""
+    """Assemble, constrain, and solve one mesh level of the sweep on its free DOFs."""
     start = time.perf_counter()
     beta = config.beta
     m = config.degree
@@ -98,9 +100,12 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
         return np.full(len(points), config.rhs_const)
 
     system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
-    system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta), 0.0)
+    system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta))
     system = pin_characteristic_dofs(system, theta_map, mesh, beta)
-    x, report = cg_solve(system.matrix, system.rhs, tol=config.tol)
+    free = system.free
+    x_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=config.tol)
+    x = np.zeros(system.size)
+    x[free] = x_free
 
     if config.reaction == 0.0 and beta[0] > 1e-12 and beta[1] > 1e-12:
         exact = lambda p: config.rhs_const * exact_transport_solution(p, beta)

@@ -152,8 +152,13 @@ class DofMap:
     cell_dofs: np.ndarray = field(repr=False)  # (n_coarse, local size)
     node_coords: np.ndarray | None = field(default=None, repr=False)
 
-    def dofs_on_cell(self, cell: int) -> np.ndarray:
-        return self.cell_dofs[cell]
+
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of integer `keys` by first appearance: (numbers, first rows)."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()], np.sort(first)
 
 
 def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
@@ -175,11 +180,7 @@ def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
         mesh = mesh_pair.coarse
         origins = mesh.vertices[mesh.cells[:, :1]]  # (nc, 1, 2)
         phys = (basis.nodes @ mesh.jacobians().transpose(0, 2, 1) + origins).reshape(-1, 2)
-        keys = np.round(phys * 1e10)
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        rank = np.empty(len(first), dtype=int)
-        rank[np.argsort(first)] = np.arange(len(first))
-        cell_dofs = rank[inverse.ravel()].reshape(nc, nloc)
-        return DofMap(kind, degree, len(first), cell_dofs, phys[np.sort(first)])
+        numbers, first = first_appearance(np.round(phys * 1e10).astype(np.int64))
+        return DofMap(kind, degree, len(first), numbers.reshape(nc, nloc), phys[first])
 
     raise ValueError(f"unknown space kind: {kind}")

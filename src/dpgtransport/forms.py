@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import edge_quadrature, lagrange_basis, make_quadrature
+from .fem import edge_quadrature, first_appearance, lagrange_basis, make_quadrature
 from .mesh import (
     GEOM_TOL,
     NEXT_VERTEX,
@@ -64,12 +64,11 @@ def submesh_dofs(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
         table, nodes = np.zeros((len(jacobians), 1), dtype=int), basis.nodes.copy()
     else:
         lattice = degree * 2**levels  # every node lies on the 1/lattice grid
-        index: dict[tuple[int, int], int] = {}
-        table = np.empty((len(jacobians), basis.size), dtype=int)
-        for t, (jac_s, shift) in enumerate(zip(jacobians, offsets)):
-            for i, p in enumerate(np.rint((basis.nodes @ jac_s.T + shift) * lattice)):
-                table[t, i] = index.setdefault((int(p[0]), int(p[1])), len(index))
-        nodes = np.array(list(index), dtype=float) / lattice
+        points = basis.nodes @ jacobians.transpose(0, 2, 1) + offsets[:, None]
+        keys = np.rint(points.reshape(-1, 2) * lattice).astype(np.int64)
+        numbers, first = first_appearance(keys)
+        table = numbers.reshape(len(jacobians), basis.size)
+        nodes = keys[first] / lattice
     table.setflags(write=False)
     nodes.setflags(write=False)
     return table, nodes
@@ -95,9 +94,6 @@ class SpaceDescriptor:
     def local_nodes(self, mesh_pair: MeshPair) -> np.ndarray:
         """Reference coordinates of the cell-local DOFs, in DOF order."""
         return submesh_dofs(self.degree, self.levels(mesh_pair))[1]
-
-    def local_size(self, mesh_pair: MeshPair) -> int:
-        return len(self.local_nodes(mesh_pair))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ share the same subdivision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,20 +30,8 @@ def edge_flux(tangents: np.ndarray, beta) -> np.ndarray:
     return beta[0] * tangents[..., 1] - beta[1] * tangents[..., 0]
 
 
-@dataclass(frozen=True)
-class Face:
-    """An edge of the triangulation with its cell adjacency."""
-
-    vertex_ids: tuple[int, int]
-    cells: tuple[int, ...]
-
-    @property
-    def boundary(self) -> bool:
-        return len(self.cells) == 1
-
-
 class TriMesh:
-    """Immutable triangle mesh: vertex table, CCW cells, face table."""
+    """Immutable triangle mesh: vertex table and CCW cells."""
 
     def __init__(self, vertices: np.ndarray, cells: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=float)
@@ -60,10 +47,6 @@ class TriMesh:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.faces)
 
     def cell_coords(self, cell: int) -> np.ndarray:
         """Vertex coordinates of a cell, shape (3, 2)."""
@@ -82,35 +65,6 @@ class TriMesh:
     def areas(self) -> np.ndarray:
         jac = self.jacobians()
         return 0.5 * (jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 1, 0] * jac[:, 0, 1])
-
-    @cached_property
-    def faces(self) -> list[Face]:
-        """Edges in order of first appearance, built on first access."""
-        adjacency: dict[tuple[int, int], list[int]] = {}
-        order: list[tuple[int, int]] = []
-        for c, (a, b, d) in enumerate(self.cells):
-            for p, q in ((a, b), (b, d), (d, a)):
-                key = (min(p, q), max(p, q))
-                if key not in adjacency:
-                    adjacency[key] = []
-                    order.append(key)
-                adjacency[key].append(c)
-        return [Face(key, tuple(adjacency[key])) for key in order]
-
-    def outward_normal(self, face: Face, owner: int) -> np.ndarray:
-        """Unit normal on `face` pointing out of cell `owner`."""
-        if owner not in face.cells:
-            raise ValueError(f"cell {owner} is not adjacent to face {face.vertex_ids}")
-        a, b = self.vertices[list(face.vertex_ids)]
-        t = b - a
-        n = np.array([t[1], -t[0]]) / np.hypot(*t)
-        centroid = self.cell_coords(owner).mean(axis=0)
-        if np.dot(n, 0.5 * (a + b) - centroid) < 0.0:
-            n = -n
-        return n
-
-    def boundary_faces(self) -> list[Face]:
-        return [f for f in self.faces if f.boundary]
 
 
 def build_uniform_mesh(level: int) -> TriMesh:

@@ -40,7 +40,7 @@ def compute_coefficients(b_k: np.ndarray, g_k: np.ndarray) -> np.ndarray:
     return cholesky_solve(cholesky_factor(b_k), g_k)
 
 
-def near_optimal_local_matrix(b_k, g_k, coefficients: np.ndarray) -> np.ndarray:
+def near_optimal_local_matrix(g_k, coefficients: np.ndarray) -> np.ndarray:
     """A_K = G_K^T C_K = G_K^T B_K^{-1} G_K; symmetrized against roundoff."""
     a_k = np.asarray(g_k).T @ coefficients
     return 0.5 * (a_k + a_k.T)
@@ -53,4 +53,4 @@ def cell_blocks(cell: int, mesh_pair: MeshPair, form: TransportForm) -> tuple[np
         coefficients = compute_coefficients(b_k, g_k)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"Gram matrix indefinite on cell {cell}: {exc}") from exc
-    return coefficients, near_optimal_local_matrix(b_k, g_k, coefficients)
+    return coefficients, near_optimal_local_matrix(g_k, coefficients)

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,6 +25,55 @@ from dpgtransport import (
 BENCHMARK_BETA = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
 
 
+# ----------------------------------------------- geometric oracle of the mesh skeleton
+
+
+@dataclass(frozen=True)
+class Face:
+    """An edge of the triangulation with its cell adjacency."""
+
+    vertex_ids: tuple[int, int]
+    cells: tuple[int, ...]
+
+    @property
+    def boundary(self) -> bool:
+        return len(self.cells) == 1
+
+
+def mesh_faces(mesh) -> list[Face]:
+    """Edges of `mesh` in order of first appearance, one dict lookup at a time."""
+    adjacency: dict[tuple[int, int], list[int]] = {}
+    order: list[tuple[int, int]] = []
+    for c, (a, b, d) in enumerate(mesh.cells):
+        for p, q in ((a, b), (b, d), (d, a)):
+            key = (min(p, q), max(p, q))
+            if key not in adjacency:
+                adjacency[key] = []
+                order.append(key)
+            adjacency[key].append(c)
+    return [Face(key, tuple(adjacency[key])) for key in order]
+
+
+def boundary_faces(mesh) -> list[Face]:
+    return [f for f in mesh_faces(mesh) if f.boundary]
+
+
+def outward_normal(mesh, face: Face, owner: int) -> np.ndarray:
+    """Unit normal on `face` pointing out of cell `owner`."""
+    if owner not in face.cells:
+        raise ValueError(f"cell {owner} is not adjacent to face {face.vertex_ids}")
+    a, b = mesh.vertices[list(face.vertex_ids)]
+    t = b - a
+    n = np.array([t[1], -t[0]]) / np.hypot(*t)
+    centroid = mesh.cell_coords(owner).mean(axis=0)
+    if np.dot(n, 0.5 * (a + b) - centroid) < 0.0:
+        n = -n
+    return n
+
+
+# ------------------------------------------------------------------ pipeline
+
+
 def perturbed_mesh(level, seed=0, fraction=0.2):
     """Uniform mesh with each interior vertex moved by up to fraction * H per coordinate."""
     mesh = build_uniform_mesh(level)
@@ -40,9 +90,9 @@ def constant_rhs(value=1.0):
 
 
 def solve_transport(
-    level, test_refine, beta, m=2, rhs_f=None, pin=True, tol=1e-12, mesh_builder=build_uniform_mesh
+    level, test_refine, beta, m=2, rhs_f=None, tol=1e-12, mesh_builder=build_uniform_mesh
 ):
-    """Full pipeline for one level; returns the pieces tests poke at."""
+    """Full pipeline for one level, solved on the free DOFs as `cli.solve_level` does."""
     if rhs_f is None:
         rhs_f = constant_rhs()
     mesh = mesh_builder(level)
@@ -51,10 +101,12 @@ def solve_transport(
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
     system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
-    system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta), 0.0)
-    if pin:
-        system = pin_characteristic_dofs(system, theta_map, mesh, beta)
-    x, report = cg_solve(system.matrix, system.rhs, tol=tol)
+    system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta))
+    system = pin_characteristic_dofs(system, theta_map, mesh, beta)
+    free = system.free
+    x_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=tol)
+    x = np.zeros(system.size)
+    x[free] = x_free
     return {
         "mesh_pair": mesh_pair,
         "phi_map": phi_map,

@@ -85,7 +85,7 @@ def test_criterion_3_manufactured_exactness(capsys):
     beta = np.array([1.0, 0.0])
     errs = []
     for level in range(1, 5):
-        run = solve_transport(level, 0, beta, pin=True)
+        run = solve_transport(level, 0, beta)
         errs.append(
             l2_error(
                 run["x"][: run["phi_map"].ndofs],
@@ -110,7 +110,7 @@ def test_axis_aligned_exactness_on_refined_test_space(axis, ell):
     beta = np.eye(2)[axis]
     errs = []
     for level in range(1, 4):
-        run = solve_transport(level, ell, beta, pin=True)
+        run = solve_transport(level, ell, beta)
         errs.append(
             l2_error(
                 run["x"][: run["phi_map"].ndofs],
@@ -141,7 +141,8 @@ def test_criterion_4_spd_structure(capsys):
     ok = True
     for level in range(5):
         run = solve_transport(level, 1, BENCHMARK_BETA)
-        a = run["system"].matrix
+        free = run["system"].free
+        a = run["system"].matrix[free][:, free]
         diff = a - a.T
         asym = np.abs(diff.data).max() if diff.nnz else 0.0
         rel = asym / np.abs(a.data).max()
@@ -228,7 +229,7 @@ def test_criterion_8_cache_transparency(capsys):
     per_cell = np.zeros((system.size, system.size))
     for cell in range(mesh_pair.coarse.n_cells):
         _, a_k = cell_blocks(cell, mesh_pair, form)
-        dofs = np.concatenate([phi_map.dofs_on_cell(cell), phi_map.ndofs + theta_map.dofs_on_cell(cell)])
+        dofs = np.concatenate([phi_map.cell_dofs[cell], phi_map.ndofs + theta_map.cell_dofs[cell]])
         per_cell[np.ix_(dofs, dofs)] += a_k
     diff = np.abs(system.matrix.toarray() - per_cell).max()
     n = mesh_pair.coarse.n_cells

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh, solve_transport
+from conftest import (
+    BENCHMARK_BETA,
+    boundary_faces,
+    constant_rhs,
+    mesh_faces,
+    outward_normal,
+    perturbed_mesh,
+)
 from dpgtransport.assembly import (
     CHARACTERISTIC_TOL,
     GlobalSystem,
@@ -12,6 +19,7 @@ from dpgtransport.assembly import (
     inflow_mask,
     pin_characteristic_dofs,
 )
+from dpgtransport.cli import RunConfig, solve_level
 from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import local_load, local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
@@ -37,7 +45,7 @@ def dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f):
         blocks_b.append(b_k)
         blocks_g.append(g_k)
         gdofs.append(
-            np.concatenate([phi_map.dofs_on_cell(cell), n_phi + theta_map.dofs_on_cell(cell)])
+            np.concatenate([phi_map.cell_dofs[cell], n_phi + theta_map.cell_dofs[cell]])
         )
     m_total = sum(b.shape[0] for b in blocks_b)
     big_b = np.zeros((m_total, m_total))
@@ -97,10 +105,8 @@ def test_assembled_matrix_symmetric(level):
 
     scale = np.abs(system.matrix.data).max()
     assert asymmetry(system.matrix) <= 1e-11 * scale
-    constrained = apply_dirichlet(
-        system, inflow_mask(theta_map, mesh_pair.coarse, BENCHMARK_BETA), 0.0
-    )
-    assert asymmetry(constrained.matrix) <= 1e-11 * scale
+    free = apply_dirichlet(system, inflow_mask(theta_map, mesh_pair.coarse, BENCHMARK_BETA)).free
+    assert asymmetry(system.matrix[free][:, free]) <= 1e-11 * scale
 
 
 def test_scatter_linearity():
@@ -119,32 +125,30 @@ def test_scatter_linearity():
 
 def _toy_system():
     matrix = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    return GlobalSystem(matrix, np.array([1.0, 1.0]), n_phi=0, n_theta=2)
-
-
-def test_dirichlet_hand_example():
-    system = apply_dirichlet(_toy_system(), np.array([True, False]), 3.0)
-    np.testing.assert_allclose(system.matrix.toarray(), [[1.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(system.rhs, [3.0, -2.0])
-    assert system.constraints == [(0, 3.0)]
+    return GlobalSystem(matrix, np.array([1.0, 1.0]), n_phi=0, n_theta=2, free=np.ones(2, dtype=bool))
 
 
 def test_dirichlet_zero_value():
-    system = apply_dirichlet(_toy_system(), np.array([True, False]), 0.0)
-    np.testing.assert_allclose(system.matrix.toarray(), [[1.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(system.rhs, [0.0, 1.0])
+    before = _toy_system()
+    after = apply_dirichlet(before, np.array([True, False]))
+    np.testing.assert_array_equal(after.free, [False, True])
+    assert after.matrix is before.matrix and after.rhs is before.rhs
+    np.testing.assert_array_equal(before.free, [True, True])  # the input is not modified
+    np.testing.assert_allclose(after.matrix[after.free][:, after.free].toarray(), [[2.0]])
+    np.testing.assert_allclose(after.rhs[after.free], [1.0])
 
 
 def test_dirichlet_no_marked_dofs():
     before = _toy_system()
-    after = apply_dirichlet(before, np.array([False, False]), 3.0)
+    after = apply_dirichlet(before, np.array([False, False]))
+    np.testing.assert_array_equal(after.free, [True, True])
     np.testing.assert_array_equal(after.matrix.toarray(), before.matrix.toarray())
     np.testing.assert_array_equal(after.rhs, before.rhs)
 
 
 def test_dirichlet_mask_size_checked():
     with pytest.raises(ValueError):
-        apply_dirichlet(_toy_system(), np.array([True]), 0.0)
+        apply_dirichlet(_toy_system(), np.array([True]))
 
 
 # ------------------------------------------------------------ inflow masks
@@ -210,10 +214,44 @@ def test_pinning_leaves_phi_block_untouched():
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
     pinned = pin_characteristic_dofs(system, theta_map, mesh_pair.coarse, beta)
     n_phi = phi_map.ndofs
-    assert len(pinned.constraints) > 0
-    np.testing.assert_array_equal(
-        system.matrix.toarray()[:n_phi, :n_phi], pinned.matrix.toarray()[:n_phi, :n_phi]
+    assert not pinned.free[n_phi:].all()
+    assert pinned.free[:n_phi].all()
+    assert pinned.matrix is system.matrix and pinned.rhs is system.rhs
+
+
+# ------------------------------------------- restriction to the free DOFs
+
+
+def eliminated_reference(config, level):
+    """Dense solve of the symmetrically eliminated system: P A P + (I - P), P F.
+
+    P zeroes the inflow and characteristic theta DOFs.  Symmetric elimination
+    is the reference the restriction to the free DOFs is checked against.
+    """
+    beta = config.beta
+    mesh_pair, form, phi_map, theta_map = _setup(level, config.test_refine, beta, m=config.degree)
+    mesh = mesh_pair.coarse
+    system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs(config.rhs_const))
+    fixed = np.concatenate(
+        [np.flatnonzero(inflow_mask(theta_map, mesh, beta)), characteristic_theta_dofs(theta_map, mesh, beta)]
     )
+    keep = np.ones(system.size)
+    keep[phi_map.ndofs + fixed] = 0.0
+    matrix = keep[:, None] * system.matrix.toarray() * keep + np.diag(1.0 - keep)
+    return np.linalg.solve(matrix, keep * system.rhs), keep == 1.0
+
+
+@pytest.mark.parametrize("angle", [np.pi / 8, 0.0], ids=["pi/8", "axis"])
+def test_restricted_solve_matches_symmetric_elimination(angle):
+    config = RunConfig(levels=(2,), beta_angle=angle)
+    solution, row = solve_level(config, 2)
+    reference, free = eliminated_reference(config, 2)
+    x = solution.solution
+    assert row.converged and row.ndof == len(x) == len(reference)
+    if angle == 0.0:  # beta = (1, 0) makes the horizontal edges characteristic
+        assert len(characteristic_theta_dofs(solution.theta_map, solution.mesh_pair.coarse, config.beta)) > 0
+    np.testing.assert_array_equal(x[~free], 0.0)
+    assert np.abs(x - reference).max() <= 1e-8 * np.abs(reference).max()
 
 
 # ------------------------------------- geometric brute-force constraint oracle
@@ -231,8 +269,8 @@ def _nodes_on_segment(nodes, a, b, tol=1e-10):
 def reference_inflow_mask(theta_map, mesh, beta):
     """Every boundary face against every trace node, normals from the face table."""
     mask = np.zeros(theta_map.ndofs, dtype=bool)
-    for face in mesh.boundary_faces():
-        if np.dot(beta, mesh.outward_normal(face, face.cells[0])) < -CHARACTERISTIC_TOL:
+    for face in boundary_faces(mesh):
+        if np.dot(beta, outward_normal(mesh, face, face.cells[0])) < -CHARACTERISTIC_TOL:
             a, b = mesh.vertices[list(face.vertex_ids)]
             mask |= _nodes_on_segment(theta_map.node_coords, a, b)
     return mask
@@ -241,7 +279,7 @@ def reference_inflow_mask(theta_map, mesh, beta):
 def reference_characteristic_dofs(theta_map, mesh, beta):
     """Trace nodes on no face with |beta . n| > tol, by a geometric search."""
     has_live_edge = np.zeros(theta_map.ndofs, dtype=bool)
-    for face in mesh.faces:
+    for face in mesh_faces(mesh):
         a, b = mesh.vertices[list(face.vertex_ids)]
         tangent = (b - a) / np.hypot(*(b - a))
         if abs(beta[0] * tangent[1] - beta[1] * tangent[0]) > CHARACTERISTIC_TOL:

@@ -61,7 +61,17 @@ def test_default_config_matches_benchmark():
         {"enrich_degree": 0},
         {"enrich_degree": 6},
         {"tol": 0.0},
+        {"tol": 1.0},
+        {"tol": 2.0},
+        {"tol": math.inf},
+        {"tol": math.nan},
         {"reaction": -5.0},
+        {"reaction": math.inf},
+        {"reaction": math.nan},
+        {"beta_angle": math.nan},
+        {"beta_angle": math.inf},
+        {"rhs_const": math.nan},
+        {"rhs_const": math.inf},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -196,6 +206,26 @@ def test_main_rejects_bad_degree(capsys):
 def test_main_rejects_negative_reaction(capsys):
     assert main(["--levels", "3", "--reaction", "-5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--tol", "inf"),
+        ("--tol", "2"),
+        ("--tol", "nan"),
+        ("--beta-angle", "nan"),
+        ("--rhs-const", "nan"),
+        ("--rhs-const", "inf"),
+        ("--reaction", "inf"),
+    ],
+)
+def test_main_rejects_non_finite_or_out_of_range_input(flag, value, capsys):
+    """Caught by validate before any level runs: exit code 1 and one error line."""
+    assert main(["--levels", "2", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and captured.err.startswith("error:")
 
 
 def test_main_rejects_bad_levels(capsys):

@@ -35,8 +35,8 @@ def _dense_eta_oracle(run, enrich=5):
         b, g = local_saddle_blocks(enriched, cell, mesh_pair)
         u = np.concatenate(
             [
-                run["x"][phi_map.dofs_on_cell(cell)],
-                run["x"][n_phi + theta_map.dofs_on_cell(cell)],
+                run["x"][phi_map.cell_dofs[cell]],
+                run["x"][n_phi + theta_map.cell_dofs[cell]],
             ]
         )
         rho = g @ u - loads[cell]
@@ -138,7 +138,7 @@ def test_l2_error_exact_for_representable_solution():
     for cell in range(mesh_pair.coarse.n_cells):
         v = mesh_pair.coarse.cell_coords(cell)
         jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        coeffs[phi_map.dofs_on_cell(cell)] = exact(basis.nodes @ jac.T + v[0])
+        coeffs[phi_map.cell_dofs[cell]] = exact(basis.nodes @ jac.T + v[0])
     assert l2_error(coeffs, exact, mesh_pair, phi_map) <= 1e-11
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed_mesh
+from conftest import mesh_faces, perturbed_mesh
 from dpgtransport.fem import (
     MAX_BASIS_DEGREE,
     SpaceKind,
@@ -171,7 +171,7 @@ def test_theta_dof_count_level0():
 def test_test_search_dof_count():
     pair = MeshPair(build_uniform_mesh(0), 1)
     # continuous P3 on a once-refined triangle: 6 vertices + 9 edges x 2 + 4 interior
-    assert SpaceDescriptor(3, broken=True).local_size(pair) == 28
+    assert len(SpaceDescriptor(3, broken=True).local_nodes(pair)) == 28
 
 
 @pytest.mark.parametrize("level", range(4))
@@ -183,7 +183,7 @@ def test_dof_count_formulas(level, degree):
     broken = build_dof_map(SpaceKind.BROKEN_COARSE, pair, degree)
     assert broken.ndofs == n * (degree + 1) * (degree + 2) // 2
     if degree == 2:
-        n_edges = len(mesh.faces)
+        n_edges = len(mesh_faces(mesh))
         cont = build_dof_map(SpaceKind.CONTINUOUS, pair, 2)
         assert cont.ndofs == mesh.n_vertices + n_edges
 
@@ -232,10 +232,10 @@ def test_continuous_space_edge_agreement():
         v = mesh.cell_coords(cell)
         jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
         ref = (phys_points - v[0]) @ np.linalg.inv(jac).T
-        return basis.eval(ref) @ coeffs[dof_map.dofs_on_cell(cell)]
+        return basis.eval(ref) @ coeffs[dof_map.cell_dofs[cell]]
 
     params = np.linspace(0.1, 0.9, 5)[:, None]
-    for face in mesh.faces:
+    for face in mesh_faces(mesh):
         if face.boundary:
             continue
         a, b = mesh.vertices[list(face.vertex_ids)]

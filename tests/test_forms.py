@@ -78,6 +78,8 @@ def test_submesh_dofs_are_the_distinct_lagrange_nodes(degree, levels):
     for t, sub in enumerate(reference_subcells(levels)):
         jac = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
         np.testing.assert_allclose(nodes[table[t]], basis.nodes @ jac.T + sub[0], atol=1e-14)
+    first_seen = np.unique(table.ravel(), return_index=True)[1]
+    assert np.all(np.diff(first_seen) > 0)  # numbered in order of first appearance
     if levels == 0:
         np.testing.assert_array_equal(table, [np.arange(basis.size)])
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import boundary_faces, mesh_faces, outward_normal
 from dpgtransport.mesh import (
     REFERENCE_TRIANGLE,
     build_uniform_mesh,
@@ -15,7 +16,7 @@ def test_level0_counts():
     mesh = build_uniform_mesh(0)
     assert mesh.n_cells == 2
     assert mesh.n_vertices == 4
-    assert mesh.n_faces == 5
+    assert len(mesh_faces(mesh)) == 5
 
 
 def test_level1_counts():
@@ -72,38 +73,38 @@ def test_refine_twice_preserves_area():
 def test_face_normal_dot_axis_aligned():
     mesh = build_uniform_mesh(0)
     beta = np.array([1.0, 0.0])
-    right = next(f for f in mesh.boundary_faces() if all(mesh.vertices[v][0] == 1.0 for v in f.vertex_ids))
-    bottom = next(f for f in mesh.boundary_faces() if all(mesh.vertices[v][1] == 0.0 for v in f.vertex_ids))
-    assert beta @ mesh.outward_normal(right, right.cells[0]) == pytest.approx(1.0)
-    assert beta @ mesh.outward_normal(bottom, bottom.cells[0]) == pytest.approx(0.0, abs=1e-14)
+    right = next(f for f in boundary_faces(mesh) if all(mesh.vertices[v][0] == 1.0 for v in f.vertex_ids))
+    bottom = next(f for f in boundary_faces(mesh) if all(mesh.vertices[v][1] == 0.0 for v in f.vertex_ids))
+    assert beta @ outward_normal(mesh, right, right.cells[0]) == pytest.approx(1.0)
+    assert beta @ outward_normal(mesh, bottom, bottom.cells[0]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_face_normal_dot_oblique():
     mesh = build_uniform_mesh(1)
     beta = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
-    left = next(f for f in mesh.boundary_faces() if all(mesh.vertices[v][0] == 0.0 for v in f.vertex_ids))
-    value = beta @ mesh.outward_normal(left, left.cells[0])
+    left = next(f for f in boundary_faces(mesh) if all(mesh.vertices[v][0] == 0.0 for v in f.vertex_ids))
+    value = beta @ outward_normal(mesh, left, left.cells[0])
     assert value == pytest.approx(-math.cos(math.pi / 8), abs=1e-12)
 
 
 def test_face_normal_dot_requires_adjacency():
     mesh = build_uniform_mesh(1)
-    face = mesh.boundary_faces()[0]
+    face = boundary_faces(mesh)[0]
     bad = next(c for c in range(mesh.n_cells) if c not in face.cells)
     with pytest.raises(ValueError):
-        mesh.outward_normal(face, bad)
+        outward_normal(mesh, face, bad)
 
 
 @pytest.mark.parametrize("level", range(3))
 def test_interior_normals_opposite(level):
     mesh = build_uniform_mesh(level)
     beta = np.array([math.cos(0.3), math.sin(0.3)])
-    for face in mesh.faces:
+    for face in mesh_faces(mesh):
         if face.boundary:
             assert len(face.cells) == 1
         else:
-            a = beta @ mesh.outward_normal(face, face.cells[0])
-            b = beta @ mesh.outward_normal(face, face.cells[1])
+            a = beta @ outward_normal(mesh, face, face.cells[0])
+            b = beta @ outward_normal(mesh, face, face.cells[1])
             assert abs(a + b) < 1e-14
 
 

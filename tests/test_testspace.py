@@ -54,14 +54,14 @@ def test_defining_relation_random(n, m, seed):
 
 def test_near_optimal_matrix_scalar():
     np.testing.assert_allclose(
-        near_optimal_local_matrix(np.array([[2.0]]), np.array([[2.0]]), np.array([[1.0]])), [[2.0]]
+        near_optimal_local_matrix(np.array([[2.0]]), np.array([[1.0]])), [[2.0]]
     )
 
 
 def test_near_optimal_matrix_zero_g():
     g = np.zeros((4, 3))
     c = compute_coefficients(np.eye(4), g)
-    np.testing.assert_array_equal(near_optimal_local_matrix(np.eye(4), g, c), 0.0)
+    np.testing.assert_array_equal(near_optimal_local_matrix(g, c), 0.0)
 
 
 def test_near_optimal_matrix_against_dense_oracle():
@@ -71,7 +71,7 @@ def test_near_optimal_matrix_against_dense_oracle():
     g = rng.standard_normal((4, 3))
     c = compute_coefficients(b, g)
     oracle = g.T @ np.linalg.solve(b, g)
-    np.testing.assert_allclose(near_optimal_local_matrix(b, g, c), oracle, atol=1e-12)
+    np.testing.assert_allclose(near_optimal_local_matrix(g, c), oracle, atol=1e-12)
 
 
 # ------------------------------------------------------- geometry classes
@@ -141,7 +141,7 @@ def test_energy_identity_and_psd():
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
         c = compute_coefficients(b, g)
-        a = near_optimal_local_matrix(b, g, c)
+        a = near_optimal_local_matrix(g, c)
         # (A_K)_ii is the test-norm energy of the i-th near-optimal function
         energies = np.einsum("ji,jk,ki->i", c, b, c)
         np.testing.assert_allclose(np.diag(a), energies, atol=1e-11)
