@@ -4,6 +4,7 @@ from .assembly import (
     GlobalSystem,
     apply_dirichlet,
     assemble,
+    back_substitute,
     inflow_mask,
     pin_characteristic_dofs,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "a_posteriori_error",
     "apply_dirichlet",
     "assemble",
+    "back_substitute",
     "build_dof_map",
     "build_uniform_mesh",
     "cg_solve",

@@ -1,11 +1,18 @@
-"""Global assembly of the system A x = F and its free-DOF mask.
+"""Global assembly of the condensed trace system S theta = g and its free-DOF mask.
 
 Global unknowns are blocked by trial variable: all phi DOFs first, then all
-theta DOFs.  Every constraint fixes a theta DOF to zero: the inflow trace and
-the ill-posed characteristic trace.  Constraints only clear bits of the
-system's free-DOF mask and leave A and F as assembled; the solve restricts
-them to the free DOFs, where the matrix is an SPD principal submatrix of A,
-and scatters the solution back with zeros on the fixed DOFs.
+theta DOFs.  phi is broken, so the phi block of A is block-diagonal per cell
+and is eliminated cell by cell before any global scatter: with the local
+A_K split as [[P, Q], [Q^T, R]] (phi first) and W_K = P^-1 Q,
+
+    S_K = R - Q^T W_K,    g_K = f_theta - W_K^T f_phi,    phi_K = P^-1 f_phi - W_K theta_K.
+
+P, W_K and S_K depend only on the geometry class.  Every constraint fixes a
+theta DOF to zero: the inflow trace and the ill-posed characteristic trace.
+Constraints only clear bits of the system's free mask over theta and leave
+S and g as assembled; the solve restricts them to the free DOFs, where the
+matrix is an SPD principal submatrix of S, scatters theta back with zeros on
+the fixed DOFs and recovers phi with `back_substitute`.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import scipy.sparse as sp
 from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import TransportForm, local_load
 from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
+from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 from .testspace import cell_blocks, class_members, geometry_classes
 
 CHARACTERISTIC_TOL = 1e-10
@@ -25,11 +33,14 @@ CHARACTERISTIC_TOL = 1e-10
 
 @dataclass
 class GlobalSystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
+    matrix: sp.csr_matrix  # condensed trace matrix S, n_theta x n_theta
+    rhs: np.ndarray  # condensed trace load g
     n_phi: int
     n_theta: int
-    free: np.ndarray  # bool over all DOFs; False where a constraint fixes the DOF to 0
+    free: np.ndarray  # bool over the theta DOFs; False where a constraint fixes the DOF to 0
+    coupling: np.ndarray  # W_K = P^-1 Q per geometry class, (n_classes, phi size, theta size)
+    classes: np.ndarray  # geometry class of each cell
+    phi_load: np.ndarray  # y_K = P^-1 f_phi per cell, (n_cells, phi size)
 
     @property
     def size(self) -> int:
@@ -42,36 +53,66 @@ def assemble(
     dof_maps: tuple[DofMap, DofMap],
     rhs_f,
 ) -> GlobalSystem:
-    """A = sum_K scatter(A_K), F = sum_K scatter(C_K^T l_K), one local solve per geometry class."""
+    """S = sum_K scatter(S_K), g = sum_K scatter(g_K), one local solve and condensation per geometry class."""
     phi_map, theta_map = dof_maps
-    n_phi, n_theta = phi_map.ndofs, theta_map.ndofs
-    n = n_phi + n_theta
-    gdofs = np.hstack([phi_map.cell_dofs, n_phi + theta_map.cell_dofs])  # (n_cells, N)
+    k = phi_map.cell_dofs.shape[1]  # phi DOFs per cell, first in A_K
+    theta_dofs = theta_map.cell_dofs  # (n_cells, theta size)
     representatives, inverse = geometry_classes(mesh_pair.coarse)
     loads = local_load(rhs_f, mesh_pair, form.test_space)
 
-    blocks = []
-    tested_loads = np.empty(gdofs.shape)
+    blocks, couplings = [], []
+    phi_load = np.empty(phi_map.cell_dofs.shape)
+    trace_load = np.empty(theta_dofs.shape)
     for cell, members in zip(representatives, class_members(inverse)):
         coefficients, a_k = cell_blocks(cell, mesh_pair, form)
-        blocks.append(a_k)
-        tested_loads[members] = loads[members] @ coefficients
+        p, q, r = a_k[:k, :k], a_k[:k, k:], a_k[k:, k:]
+        try:
+            factor = cholesky_factor(p)
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(f"phi block indefinite on cell {cell}: {exc}") from exc
+        w = cholesky_solve(factor, q)
+        s_k = r - q.T @ w
+        blocks.append(0.5 * (s_k + s_k.T))
+        couplings.append(w)
+        tested = loads[members] @ coefficients  # C_K^T l_K, one row per member cell
+        phi_load[members] = cholesky_solve(factor, tested[:, :k].T).T
+        trace_load[members] = tested[:, k:] - tested[:, :k] @ w
 
-    size = gdofs.shape[1]
-    rows, cols = np.repeat(gdofs, size, axis=1), np.tile(gdofs, size)
+    n_theta, size = theta_map.ndofs, theta_dofs.shape[1]
+    rows, cols = np.repeat(theta_dofs, size, axis=1), np.tile(theta_dofs, size)
     matrix = sp.coo_matrix(
-        (np.stack(blocks)[inverse].ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
+        (np.stack(blocks)[inverse].ravel(), (rows.ravel(), cols.ravel())), shape=(n_theta, n_theta)
     ).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
-    rhs = np.bincount(gdofs.ravel(), weights=tested_loads.ravel(), minlength=n)
-    return GlobalSystem(matrix, rhs, n_phi, n_theta, np.ones(n, dtype=bool))
+    rhs = np.bincount(theta_dofs.ravel(), weights=trace_load.ravel(), minlength=n_theta)
+    return GlobalSystem(
+        matrix,
+        rhs,
+        phi_map.ndofs,
+        n_theta,
+        free=np.ones(n_theta, dtype=bool),
+        coupling=np.stack(couplings),
+        classes=inverse,
+        phi_load=phi_load,
+    )
+
+
+def back_substitute(system: GlobalSystem, dof_maps: tuple[DofMap, DofMap], theta: np.ndarray) -> np.ndarray:
+    """The full solution (phi, theta), with phi_K = y_K - W_K theta_K on every cell."""
+    phi_map, theta_map = dof_maps
+    x = np.empty(system.size)
+    x[phi_map.cell_dofs] = system.phi_load - np.einsum(
+        "cij,cj->ci", system.coupling[system.classes], theta[theta_map.cell_dofs]
+    )
+    x[system.n_phi :] = theta
+    return x
 
 
 def _fix_theta(system: GlobalSystem, dofs: np.ndarray) -> GlobalSystem:
     """`system` with the theta DOFs `dofs` (a mask or indices) taken off the free mask."""
     free = system.free.copy()
-    free[system.n_phi :][dofs] = False
+    free[dofs] = False
     return replace(system, free=free)
 
 

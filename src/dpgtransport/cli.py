@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import apply_dirichlet, assemble, inflow_mask, pin_characteristic_dofs
+from .assembly import apply_dirichlet, assemble, back_substitute, inflow_mask, pin_characteristic_dofs
 from .estimator import a_posteriori_error, exact_transport_solution, l2_error
 from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis
 from .forms import transport_form
@@ -86,7 +87,7 @@ class LevelSolution:
 
 
 def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow]:
-    """Assemble, constrain, and solve one mesh level of the sweep on its free DOFs."""
+    """Assemble the trace system, constrain it, solve it on its free DOFs and recover phi."""
     start = time.perf_counter()
     beta = config.beta
     m = config.degree
@@ -103,9 +104,10 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
     system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta))
     system = pin_characteristic_dofs(system, theta_map, mesh, beta)
     free = system.free
-    x_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=config.tol)
-    x = np.zeros(system.size)
-    x[free] = x_free
+    theta_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=config.tol)
+    theta = np.zeros(system.n_theta)
+    theta[free] = theta_free
+    x = back_substitute(system, (phi_map, theta_map), theta)
 
     if config.reaction == 0.0 and beta[0] > 1e-12 and beta[1] > 1e-12:
         exact = lambda p: config.rhs_const * exact_transport_solution(p, beta)
@@ -180,28 +182,23 @@ def export_vtk(
     phi_vals = (phi_coefficients[phi_map.cell_dofs] @ phi_basis.eval(corners).T).ravel()
     theta_vals = (theta_coefficients[theta_map.cell_dofs] @ theta_basis.eval(corners).T).ravel()
 
-    lines = [
-        "# vtk DataFile Version 2.0",
-        "dpgtransport solution",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {len(points)} double",
-    ]
-    lines.extend(f"{_fmt(float(p[0]))} {_fmt(float(p[1]))} 0.0" for p in points)
-    lines.append(f"CELLS {mesh.n_cells} {4 * mesh.n_cells}")
-    lines.extend(f"3 {3 * c} {3 * c + 1} {3 * c + 2}" for c in range(mesh.n_cells))
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines.extend("5" for _ in range(mesh.n_cells))
-    lines.append(f"POINT_DATA {len(points)}")
-    lines.append("SCALARS phi double")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(float(v)) for v in phi_vals)
-    lines.append("SCALARS theta double")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(float(v)) for v in theta_vals)
+    n = mesh.n_cells
+    lines = itertools.chain(
+        ["# vtk DataFile Version 2.0", "dpgtransport solution", "ASCII", "DATASET UNSTRUCTURED_GRID"],
+        [f"POINTS {len(points)} double"],
+        (f"{_fmt(float(p[0]))} {_fmt(float(p[1]))} 0.0" for p in points),
+        [f"CELLS {n} {4 * n}"],
+        (f"3 {3 * c} {3 * c + 1} {3 * c + 2}" for c in range(n)),
+        [f"CELL_TYPES {n}"],
+        itertools.repeat("5", n),
+        [f"POINT_DATA {len(points)}", "SCALARS phi double", "LOOKUP_TABLE default"],
+        (_fmt(float(v)) for v in phi_vals),
+        ["SCALARS theta double", "LOOKUP_TABLE default"],
+        (_fmt(float(v)) for v in theta_vals),
+    )
     try:
         with open(path, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(f"{line}\n" for line in lines)  # streamed, not held as one list
     except OSError as exc:
         raise OSError(f"cannot write VTK to {path}: {exc}") from exc
 

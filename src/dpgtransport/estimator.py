@@ -94,7 +94,8 @@ def l2_error(
     jac = mesh.jacobians()
     dets = np.abs(jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0])
     origins = mesh.vertices[mesh.cells[:, :1]]  # (nc, 1, 2)
-    phys = np.einsum("qr,crd->cqd", quad.points, np.swapaxes(jac, 1, 2)) + origins
-    phi_h = phi_coefficients[phi_map.cell_dofs] @ vals.T  # (nc, nq)
-    diff = phi_h - exact(phys)
-    return float(np.sqrt(np.einsum("cq,q,c->", diff**2, quad.weights, dets)))
+    phys = quad.points @ jac.transpose(0, 2, 1)  # (nc, nq, 2)
+    phys += origins
+    diff = phi_coefficients[phi_map.cell_dofs] @ vals.T  # phi_H at the points, (nc, nq)
+    diff -= exact(phys)
+    return float(np.sqrt(np.einsum("cq,cq,q,c->", diff, diff, quad.weights, dets)))

@@ -274,7 +274,8 @@ def local_load(rhs_f, mesh_pair: MeshPair, test_space: SpaceDescriptor) -> np.nd
     jac = mesh.jacobians()
     levels = test_space.levels(mesh_pair)
     points, weights, values = _load_rule(test_space.degree, levels)
-    phys = points @ jac.transpose(0, 2, 1) + mesh.vertices[mesh.cells[:, :1]]
+    phys = points @ jac.transpose(0, 2, 1)
+    phys += mesh.vertices[mesh.cells[:, :1]]
     f = np.asarray(rhs_f(phys.reshape(-1, 2)), dtype=float).reshape(mesh.n_cells, *weights.shape)
     per_piece = np.abs(np.linalg.det(jac))[:, None, None] * (weights * f) @ values
     table, nodes = submesh_dofs(test_space.degree, levels)

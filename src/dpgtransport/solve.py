@@ -1,11 +1,13 @@
-"""Dense Cholesky for the local Gram systems and PCG for the global system."""
+"""Dense Cholesky for the local systems and factor-preconditioned CG for the trace system."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14
 SYMMETRY_TOL = 1e-12
@@ -50,8 +52,7 @@ def cholesky_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != factor.dimension:
         raise ValueError("right-hand side has incompatible size")
-    y = solve_triangular(factor.lower, rhs, lower=True)
-    return solve_triangular(factor.lower.T, y, lower=False)
+    return cho_solve((factor.lower, True), rhs)
 
 
 @dataclass(frozen=True)
@@ -62,13 +63,17 @@ class CgReport:
 
 
 def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None):
-    """Jacobi-preconditioned conjugate gradients for a sparse SPD system.
+    """Conjugate gradients for a sparse SPD system, preconditioned by its sparse LU factor.
 
-    Converged means the true residual ||rhs - A x||_2 <= tol * ||rhs||_2.  When
-    the recursively updated residual meets tol, the true one is recomputed and
-    CG restarts from it unless it meets tol too.  Stops unconverged at
-    `max_iter` iterations, or when a restart fails to lower the true
-    residual.  Deterministic for fixed inputs; raises on NaN breakdown.
+    The factor is SuperLU's with a symmetric minimum-degree ordering and no
+    pivoting off the diagonal, which an SPD matrix never needs.  It is exact
+    up to rounding, so CG takes one step, and the steps after the first are
+    iterative refinement with the same factor.  Converged means the true
+    residual ||rhs - A x||_2 <= tol * ||rhs||_2.  When the recursively updated
+    residual meets tol, the true one is recomputed and CG restarts from it
+    unless it meets tol too.  Stops unconverged at `max_iter` iterations, or
+    when a restart fails to lower the true residual.  Deterministic for fixed
+    inputs; raises on NaN breakdown.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -77,18 +82,23 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
     diag = np.asarray(a.diagonal() if hasattr(a, "diagonal") else np.diag(a), dtype=float)
     if np.any(diag <= 0.0):
         raise ValueError("matrix has non-positive diagonal entries")
-    inv_diag = 1.0 / diag
 
     norm_rhs = np.linalg.norm(rhs)
     if norm_rhs == 0.0:
         return np.zeros(n), CgReport(0, 0.0, True)
+    # A CSR matrix's transpose is its CSC form without a copy; A is symmetric.
+    csc = a.T if sp.issparse(a) and a.format == "csr" else sp.csc_matrix(a)
+    try:
+        factor = splu(csc, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise NotPositiveDefiniteError(f"sparse factorisation failed: {exc}") from exc
 
     x = np.zeros(n)
     r = rhs.copy()
     res = restart_res = norm_rhs
     iterations = 0
     while True:
-        z = inv_diag * r
+        z = factor.solve(r)
         p = z.copy()
         rz = r @ z
         while res > tol * norm_rhs and iterations < max_iter:
@@ -98,7 +108,7 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
                 raise FloatingPointError("conjugate gradient breakdown (non-finite step)")
             x += alpha * p
             r -= alpha * ap
-            z = inv_diag * r
+            z = factor.solve(r)
             rz_new = r @ z
             p = z + (rz_new / rz) * p
             rz = rz_new

@@ -11,6 +11,7 @@ from dpgtransport import (
     a_posteriori_error,
     apply_dirichlet,
     assemble,
+    back_substitute,
     build_dof_map,
     TriMesh,
     build_uniform_mesh,
@@ -90,23 +91,24 @@ def constant_rhs(value=1.0):
 
 
 def solve_transport(
-    level, test_refine, beta, m=2, rhs_f=None, tol=1e-12, mesh_builder=build_uniform_mesh
+    level, test_refine, beta, m=2, rhs_f=None, tol=1e-12, mesh_builder=build_uniform_mesh, reaction=0.0
 ):
-    """Full pipeline for one level, solved on the free DOFs as `cli.solve_level` does."""
+    """Full pipeline for one level: the trace system solved on its free DOFs, then phi, as `cli.solve_level` does."""
     if rhs_f is None:
         rhs_f = constant_rhs()
     mesh = mesh_builder(level)
     mesh_pair = MeshPair(mesh, test_refine)
-    form = transport_form(m, beta, 0.0)
+    form = transport_form(m, beta, reaction)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
     system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
     system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta))
     system = pin_characteristic_dofs(system, theta_map, mesh, beta)
     free = system.free
-    x_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=tol)
-    x = np.zeros(system.size)
-    x[free] = x_free
+    theta_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=tol)
+    theta = np.zeros(system.n_theta)
+    theta[free] = theta_free
+    x = back_substitute(system, (phi_map, theta_map), theta)
     return {
         "mesh_pair": mesh_pair,
         "phi_map": phi_map,

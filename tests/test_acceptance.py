@@ -6,6 +6,7 @@ axis-aligned flow and m >= 3 on a refined test-search mesh.
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from conftest import BENCHMARK_BETA, constant_rhs, solve_transport
 from dpgtransport import (
@@ -21,8 +22,8 @@ from dpgtransport import (
     transport_form,
 )
 from dpgtransport.cli import ErrorReport, RunConfig, export_csv, export_vtk, solve_level
-from dpgtransport.testspace import cell_blocks, compute_coefficients, geometry_classes
-from test_assembly import dense_oracle
+from dpgtransport.testspace import compute_coefficients, geometry_classes
+from test_assembly import dense_oracle, per_cell_matrix, schur_complement
 from test_estimator import _dense_eta_oracle, _estimate
 
 
@@ -137,24 +138,41 @@ def test_higher_degree_converges_on_refined_test_space(m):
 
 
 def test_criterion_4_spd_structure(capsys):
+    """The restricted trace matrix that CG solves is symmetric and SPD.
+
+    Below 2000 DOFs the restricted full system is also checked: it is SPD,
+    and its dense Schur complement onto theta is the trace matrix.  Above,
+    the sparse LU pivots show definiteness: CG converging does not, since
+    with the exact factor as preconditioner it takes one step on any
+    nonsingular matrix.
+    """
     details = []
     ok = True
     for level in range(5):
         run = solve_transport(level, 1, BENCHMARK_BETA)
-        free = run["system"].free
-        a = run["system"].matrix[free][:, free]
+        system = run["system"]
+        free = system.free
+        a = system.matrix[free][:, free]
         diff = a - a.T
         asym = np.abs(diff.data).max() if diff.nnz else 0.0
         rel = asym / np.abs(a.data).max()
         sym_ok = rel <= 1e-11
-        if run["system"].size <= 2000:
+        if system.size <= 2000:
+            full = per_cell_matrix(run["mesh_pair"], run["form"], run["phi_map"], run["theta_map"])
+            keep = np.concatenate([np.ones(system.n_phi, dtype=bool), free])
+            full = full[np.ix_(keep, keep)]
+            schur, _ = schur_complement(full, np.zeros(len(full)), system.n_phi)
+            schur_rel = np.abs(a.toarray() - schur).max() / np.abs(a.data).max()
             try:
                 cholesky_factor(a.toarray())
-                pd_ok, how = True, "Cholesky"
+                cholesky_factor(full)
+                pd_ok, how = schur_rel <= 1e-11, f"Cholesky of S and A, |S - schur(A)| {schur_rel:.1e}"
             except Exception:
                 pd_ok, how = False, "Cholesky FAILED"
-        else:
-            pd_ok, how = run["cg"].converged, "CG@1e-12"
+        else:  # a symmetric matrix is SPD exactly when its LU pivots, taken on the diagonal, are positive
+            lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
+            pivots = lu.U.diagonal()
+            pd_ok, how = run["cg"].converged and pivots.min() > 0.0, f"CG@1e-12, min LU pivot {pivots.min():.1e}"
         ok = ok and sym_ok and pd_ok
         details.append(f"L{level}: sym {rel:.1e}, {how} {'ok' if pd_ok else 'failed'}")
     _verdict(capsys, "criterion 4 (SPD structure, levels 0-4)", ok, "; ".join(details))
@@ -171,8 +189,9 @@ def test_criterion_5_local_solve_oracle(capsys):
         rhs_f = constant_rhs()
         system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
         a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
-        da = np.abs(system.matrix.toarray() - a).max()
-        df = np.abs(system.rhs - f).max()
+        s, g = schur_complement(a, f, phi_map.ndofs)
+        da = np.abs(system.matrix.toarray() - s).max()
+        df = np.abs(system.rhs - g).max()
         ok = ok and da <= 1e-11 and df <= 1e-11
         details.append(f"{mesh_pair.coarse.n_cells} cells: |dA|={da:.1e}, |dF|={df:.1e}")
     _verdict(
@@ -220,17 +239,14 @@ def test_criterion_7_estimator_sanity(benchmark_sweep, capsys):
 
 
 def test_criterion_8_cache_transparency(capsys):
-    """One local solve per geometry class assembles the same A as one per cell."""
+    """One local solve and condensation per geometry class give the trace matrix of one solve per cell."""
     mesh_pair = MeshPair(build_uniform_mesh(3), 1)
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
-    per_cell = np.zeros((system.size, system.size))
-    for cell in range(mesh_pair.coarse.n_cells):
-        _, a_k = cell_blocks(cell, mesh_pair, form)
-        dofs = np.concatenate([phi_map.cell_dofs[cell], phi_map.ndofs + theta_map.cell_dofs[cell]])
-        per_cell[np.ix_(dofs, dofs)] += a_k
+    per_cell = per_cell_matrix(mesh_pair, form, phi_map, theta_map)
+    per_cell, _ = schur_complement(per_cell, np.zeros(system.size), phi_map.ndofs)
     diff = np.abs(system.matrix.toarray() - per_cell).max()
     n = mesh_pair.coarse.n_cells
     shared = (n - len(geometry_classes(mesh_pair.coarse)[0])) / n
@@ -239,7 +255,7 @@ def test_criterion_8_cache_transparency(capsys):
         capsys,
         "criterion 8 (geometry-class transparency)",
         ok,
-        f"max |A_classes - A_per_cell| = {diff:.1e} (tol 1e-13), "
+        f"max |S_classes - S_per_cell| = {diff:.1e} (tol 1e-13), "
         f"share of cells served by another cell's solve {shared:.4f} >= {(n - 2) / n:.4f}",
     )
 

@@ -9,12 +9,14 @@ from conftest import (
     mesh_faces,
     outward_normal,
     perturbed_mesh,
+    solve_transport,
 )
 from dpgtransport.assembly import (
     CHARACTERISTIC_TOL,
     GlobalSystem,
     apply_dirichlet,
     assemble,
+    back_substitute,
     characteristic_theta_dofs,
     inflow_mask,
     pin_characteristic_dofs,
@@ -64,10 +66,29 @@ def dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f):
     return a, f
 
 
+def per_cell_matrix(mesh_pair, form, phi_map, theta_map):
+    """The uncondensed A, one local solve per cell scattered densely."""
+    n_phi = phi_map.ndofs
+    a = np.zeros((n_phi + theta_map.ndofs,) * 2)
+    for cell in range(mesh_pair.coarse.n_cells):
+        _, a_k = cell_blocks(cell, mesh_pair, form)
+        dofs = np.concatenate([phi_map.cell_dofs[cell], n_phi + theta_map.cell_dofs[cell]])
+        a[np.ix_(dofs, dofs)] += a_k
+    return a
+
+
+def schur_complement(a, f, n_phi):
+    """Dense trace system of the full (a, f), phi first: R - Q^T P^-1 Q and f_theta - Q^T P^-1 f_phi."""
+    p, q, r = a[:n_phi, :n_phi], a[:n_phi, n_phi:], a[n_phi:, n_phi:]
+    w = np.linalg.solve(p, np.column_stack([q, f[:n_phi]]))
+    return r - q.T @ w[:, :-1], f[n_phi:] - q.T @ w[:, -1]
+
+
 def test_zero_rhs_gives_zero_load():
     mesh_pair, form, phi_map, theta_map = _setup(1, 1, BENCHMARK_BETA)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs(0.0))
     np.testing.assert_array_equal(system.rhs, 0.0)
+    np.testing.assert_array_equal(system.phi_load, 0.0)
 
 
 def test_single_cell_mesh_matches_local_block():
@@ -78,7 +99,8 @@ def test_single_cell_mesh_matches_local_block():
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
     _, a_k = cell_blocks(0, mesh_pair, form)
-    np.testing.assert_allclose(system.matrix.toarray(), a_k, atol=1e-14)
+    s_k, _ = schur_complement(a_k, np.zeros(len(a_k)), phi_map.ndofs)
+    np.testing.assert_allclose(system.matrix.toarray(), s_k, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -91,8 +113,9 @@ def test_assembly_matches_dense_oracle(level, ell, mesh_builder):
     rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]  # differs between the cells of one class
     system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
     a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
-    assert np.abs(system.matrix.toarray() - a).max() < 1e-11
-    assert np.abs(system.rhs - f).max() < 1e-11
+    s, g = schur_complement(a, f, phi_map.ndofs)
+    assert np.abs(system.matrix.toarray() - s).max() < 1e-11
+    assert np.abs(system.rhs - g).max() < 1e-11
 
 
 @pytest.mark.parametrize("level", range(3))
@@ -124,8 +147,29 @@ def test_scatter_linearity():
 
 
 def _toy_system():
+    """One cell with one phi DOF and two theta DOFs: A = [[1, 1, 0], [1, 3, 1], [0, 1, 2]], F = (1, 2, 1).
+
+    Eliminating phi leaves S = [[2, 1], [1, 2]], g = (1, 1), W = [[1, 0]] and y = 1.
+    """
     matrix = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    return GlobalSystem(matrix, np.array([1.0, 1.0]), n_phi=0, n_theta=2, free=np.ones(2, dtype=bool))
+    return GlobalSystem(
+        matrix,
+        np.array([1.0, 1.0]),
+        n_phi=1,
+        n_theta=2,
+        free=np.ones(2, dtype=bool),
+        coupling=np.array([[[1.0, 0.0]]]),
+        classes=np.array([0]),
+        phi_load=np.array([[1.0]]),
+    )
+
+
+def test_toy_system_is_the_schur_complement():
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    toy = _toy_system()
+    s, g = schur_complement(a, np.array([1.0, 2.0, 1.0]), 1)
+    np.testing.assert_array_equal(toy.matrix.toarray(), s)
+    np.testing.assert_array_equal(toy.rhs, g)
 
 
 def test_dirichlet_zero_value():
@@ -136,6 +180,11 @@ def test_dirichlet_zero_value():
     np.testing.assert_array_equal(before.free, [True, True])  # the input is not modified
     np.testing.assert_allclose(after.matrix[after.free][:, after.free].toarray(), [[2.0]])
     np.testing.assert_allclose(after.rhs[after.free], [1.0])
+    # the full toy system with theta_0 = 0 eliminated: [[1, 0], [0, 2]] (phi, theta_1) = (1, 1)
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    s, g = schur_complement(a[np.ix_([0, 2], [0, 2])], np.array([1.0, 1.0]), 1)
+    np.testing.assert_allclose(after.matrix[after.free][:, after.free].toarray(), s)
+    np.testing.assert_allclose(after.rhs[after.free], g)
 
 
 def test_dirichlet_no_marked_dofs():
@@ -149,6 +198,8 @@ def test_dirichlet_no_marked_dofs():
 def test_dirichlet_mask_size_checked():
     with pytest.raises(ValueError):
         apply_dirichlet(_toy_system(), np.array([True]))
+    with pytest.raises(ValueError):
+        apply_dirichlet(_toy_system(), np.array([True, False, False]))  # sized to all DOFs
 
 
 # ------------------------------------------------------------ inflow masks
@@ -213,45 +264,84 @@ def test_pinning_leaves_phi_block_untouched():
     mesh_pair, form, phi_map, theta_map = _setup(1, 0, beta)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
     pinned = pin_characteristic_dofs(system, theta_map, mesh_pair.coarse, beta)
-    n_phi = phi_map.ndofs
-    assert not pinned.free[n_phi:].all()
-    assert pinned.free[:n_phi].all()
+    assert len(pinned.free) == theta_map.ndofs  # the mask is over theta only; phi is eliminated
+    assert not pinned.free.all()
     assert pinned.matrix is system.matrix and pinned.rhs is system.rhs
+    assert pinned.coupling is system.coupling and pinned.phi_load is system.phi_load
+    # pinning restricts the trace system as symmetric elimination does the full one
+    a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, constant_rhs())
+    keep = np.concatenate([np.ones(phi_map.ndofs, dtype=bool), pinned.free])
+    s, g = schur_complement(a[np.ix_(keep, keep)], f[keep], phi_map.ndofs)
+    free = pinned.free
+    assert np.abs(pinned.matrix[free][:, free].toarray() - s).max() < 1e-11
+    assert np.abs(pinned.rhs[free] - g).max() < 1e-11
 
 
 # ------------------------------------------- restriction to the free DOFs
 
 
-def eliminated_reference(config, level):
-    """Dense solve of the symmetrically eliminated system: P A P + (I - P), P F.
+def eliminated_reference(mesh_pair, form, phi_map, theta_map, rhs_f, beta):
+    """Dense solve of the uncondensed, symmetrically eliminated system: P A P + (I - P), P F.
 
-    P zeroes the inflow and characteristic theta DOFs.  Symmetric elimination
-    is the reference the restriction to the free DOFs is checked against.
+    A and F come from the dense oracle; P zeroes the inflow and characteristic
+    theta DOFs.  Returns the solution and the mask of the DOFs P keeps.
     """
-    beta = config.beta
-    mesh_pair, form, phi_map, theta_map = _setup(level, config.test_refine, beta, m=config.degree)
     mesh = mesh_pair.coarse
-    system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs(config.rhs_const))
+    a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
     fixed = np.concatenate(
         [np.flatnonzero(inflow_mask(theta_map, mesh, beta)), characteristic_theta_dofs(theta_map, mesh, beta)]
     )
-    keep = np.ones(system.size)
+    keep = np.ones(len(f))
     keep[phi_map.ndofs + fixed] = 0.0
-    matrix = keep[:, None] * system.matrix.toarray() * keep + np.diag(1.0 - keep)
-    return np.linalg.solve(matrix, keep * system.rhs), keep == 1.0
+    matrix = keep[:, None] * a * keep + np.diag(1.0 - keep)
+    return np.linalg.solve(matrix, keep * f), keep == 1.0
 
 
 @pytest.mark.parametrize("angle", [np.pi / 8, 0.0], ids=["pi/8", "axis"])
 def test_restricted_solve_matches_symmetric_elimination(angle):
     config = RunConfig(levels=(2,), beta_angle=angle)
     solution, row = solve_level(config, 2)
-    reference, free = eliminated_reference(config, 2)
+    beta = config.beta
+    mesh_pair, form, phi_map, theta_map = _setup(2, config.test_refine, beta, m=config.degree)
+    reference, free = eliminated_reference(mesh_pair, form, phi_map, theta_map, constant_rhs(config.rhs_const), beta)
     x = solution.solution
     assert row.converged and row.ndof == len(x) == len(reference)
     if angle == 0.0:  # beta = (1, 0) makes the horizontal edges characteristic
         assert len(characteristic_theta_dofs(solution.theta_map, solution.mesh_pair.coarse, config.beta)) > 0
     np.testing.assert_array_equal(x[~free], 0.0)
     assert np.abs(x - reference).max() <= 1e-8 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("angle", [np.pi / 8, 0.0], ids=["pi/8", "axis"])
+@pytest.mark.parametrize("reaction", [0.0, 1.0])
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("mesh_builder", [build_uniform_mesh, perturbed_mesh], ids=["uniform", "perturbed"])
+def test_condensed_solve_matches_dense_full_solve(mesh_builder, m, reaction, angle):
+    """phi eliminated per class, the trace solved and phi recovered: the dense full solve."""
+    beta = np.array([np.cos(angle), np.sin(angle)])
+    rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]
+    run = solve_transport(2, 1, beta, m=m, rhs_f=rhs_f, mesh_builder=mesh_builder, reaction=reaction)
+    assert run["cg"].converged
+    reference, free = eliminated_reference(
+        run["mesh_pair"], run["form"], run["phi_map"], run["theta_map"], rhs_f, beta
+    )
+    x = run["x"]
+    np.testing.assert_array_equal(x[~free], 0.0)
+    assert np.abs(x - reference).max() <= 1e-8 * np.abs(reference).max()
+
+
+def test_back_substitution_recovers_phi_per_cell():
+    mesh_pair, form, phi_map, theta_map = _setup(1, 1, BENCHMARK_BETA, mesh_builder=perturbed_mesh)
+    rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]
+    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
+    theta = np.random.default_rng(4).standard_normal(theta_map.ndofs)
+    x = back_substitute(system, (phi_map, theta_map), theta)
+    a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
+    n_phi = phi_map.ndofs
+    # the phi rows of A x = F hold for any theta
+    residual = a[:n_phi] @ x - f[:n_phi]
+    assert np.abs(residual).max() < 1e-10 * np.abs(f[:n_phi]).max()
+    np.testing.assert_array_equal(x[n_phi:], theta)
 
 
 # ------------------------------------- geometric brute-force constraint oracle

@@ -14,6 +14,7 @@ from dpgtransport.solve import (
 )
 
 from conftest import BENCHMARK_BETA, solve_transport
+from dpgtransport.cli import RunConfig, solve_level
 
 
 # ----------------------------------------------------------------- Cholesky
@@ -127,9 +128,14 @@ def test_cg_respects_max_iter():
     rng = np.random.default_rng(2)
     r = rng.standard_normal((20, 20))
     a = sp.csr_matrix(r.T @ r + 0.1 * np.eye(20))
-    _, report = cg_solve(a, rng.standard_normal(20), tol=1e-14, max_iter=2)
+    _, report = cg_solve(a, rng.standard_normal(20), tol=0.0, max_iter=2)  # a tol no solve reaches
     assert report.iterations == 2
     assert not report.converged
+
+
+def test_cg_rejects_singular_matrix():
+    with pytest.raises(NotPositiveDefiniteError):
+        cg_solve(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])), np.array([1.0, 2.0]))
 
 
 def test_cg_matches_dense_oracle_on_transport_system():
@@ -137,7 +143,19 @@ def test_cg_matches_dense_oracle_on_transport_system():
     system = run["system"]
     free = system.free
     dense = np.linalg.solve(system.matrix[free][:, free].toarray(), system.rhs[free])
-    assert np.abs(run["x"][free] - dense).max() < 1e-8
+    theta = run["x"][system.n_phi :]
+    assert np.abs(theta[free] - dense).max() < 1e-8
+    np.testing.assert_array_equal(theta[~free], 0.0)
+
+
+@pytest.mark.parametrize(
+    "angle,reaction", [(math.pi / 8, 0.0), (0.0, 1.0)], ids=["sweep", "axis"]
+)
+def test_factor_preconditioned_cg_takes_at_most_two_steps(angle, reaction):
+    """The sparse LU of the trace system is exact up to rounding: one step and at most one refinement."""
+    _, row = solve_level(RunConfig(levels=(4,), beta_angle=angle, reaction=reaction), 4)
+    assert row.converged
+    assert row.iterations <= 2
 
 
 @pytest.mark.parametrize("level", range(4))
