@@ -20,6 +20,7 @@ from .solve import cg_solve
 
 MAX_TRIAL_DEGREE = 4  # m + 1 <= 5, the basis table bound
 MAX_TEST_REFINE = 3  # cost guard
+VTK_CHUNK = 4096  # scalar values formatted per table by export_vtk
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,21 @@ def export_csv(report: ErrorReport, path: str) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
+def _value_lines(values: np.ndarray):
+    """The `repr` lines of `values`, one joined string per chunk of VTK_CHUNK values.
+
+    Each distinct value of a chunk is formatted once.  Values are keyed on
+    their bit pattern, not compared as floats, so -0.0 and 0.0 keep their
+    own text.  The chunks bound the text held at once: the allocator keeps a
+    whole field's table resident after the export returns.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    for start in range(0, len(values), VTK_CHUNK):
+        bits, inverse = np.unique(values[start : start + VTK_CHUNK].view(np.int64), return_inverse=True)
+        text = [f"{value!r}\n" for value in bits.view(float).tolist()]
+        yield "".join(map(text.__getitem__, inverse.tolist()))
+
+
 def export_vtk(
     phi_coefficients: np.ndarray,
     theta_coefficients: np.ndarray,
@@ -178,27 +194,27 @@ def export_vtk(
     phi_basis = lagrange_basis(phi_map.degree)
     theta_basis = lagrange_basis(theta_map.degree)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    points = mesh.vertices[mesh.cells].reshape(-1, 2)
     phi_vals = (phi_coefficients[phi_map.cell_dofs] @ phi_basis.eval(corners).T).ravel()
     theta_vals = (theta_coefficients[theta_map.cell_dofs] @ theta_basis.eval(corners).T).ravel()
+    vertex_lines = [f"{x!r} {y!r} 0.0\n" for x, y in mesh.vertices.tolist()]
 
     n = mesh.n_cells
-    lines = itertools.chain(
-        ["# vtk DataFile Version 2.0", "dpgtransport solution", "ASCII", "DATASET UNSTRUCTURED_GRID"],
-        [f"POINTS {len(points)} double"],
-        (f"{_fmt(float(p[0]))} {_fmt(float(p[1]))} 0.0" for p in points),
-        [f"CELLS {n} {4 * n}"],
-        (f"3 {3 * c} {3 * c + 1} {3 * c + 2}" for c in range(n)),
-        [f"CELL_TYPES {n}"],
-        itertools.repeat("5", n),
-        [f"POINT_DATA {len(points)}", "SCALARS phi double", "LOOKUP_TABLE default"],
-        (_fmt(float(v)) for v in phi_vals),
-        ["SCALARS theta double", "LOOKUP_TABLE default"],
-        (_fmt(float(v)) for v in theta_vals),
+    blocks = (
+        ["# vtk DataFile Version 2.0\n", "dpgtransport solution\n", "ASCII\n", "DATASET UNSTRUCTURED_GRID\n"],
+        [f"POINTS {3 * n} double\n"],
+        map(vertex_lines.__getitem__, mesh.cells.ravel().tolist()),
+        [f"CELLS {n} {4 * n}\n"],
+        map("3 {} {} {}\n".format, range(0, 3 * n, 3), range(1, 3 * n, 3), range(2, 3 * n, 3)),
+        [f"CELL_TYPES {n}\n"],
+        itertools.repeat("5\n", n),
+        [f"POINT_DATA {3 * n}\n", "SCALARS phi double\n", "LOOKUP_TABLE default\n"],
+        _value_lines(phi_vals),
+        ["SCALARS theta double\n", "LOOKUP_TABLE default\n"],
+        _value_lines(theta_vals),
     )
     try:
         with open(path, "w", newline="") as handle:
-            handle.writelines(f"{line}\n" for line in lines)  # streamed, not held as one list
+            handle.writelines(map("".join, blocks))  # one string per block, not one for the file
     except OSError as exc:
         raise OSError(f"cannot write VTK to {path}: {exc}") from exc
 
@@ -266,18 +282,22 @@ def main(argv: list[str] | None = None) -> int:
             f"efficiency={row.efficiency:.3f} iterations={row.iterations}{flag}"
         )
 
-    if config.csv_path:
-        export_csv(report, config.csv_path)
-    if config.vtk_path and last_solution is not None:
-        n_phi = last_solution.phi_map.ndofs
-        export_vtk(
-            last_solution.solution[:n_phi],
-            last_solution.solution[n_phi:],
-            last_solution.mesh_pair,
-            last_solution.phi_map,
-            last_solution.theta_map,
-            config.vtk_path,
-        )
+    try:
+        if config.csv_path:
+            export_csv(report, config.csv_path)
+        if config.vtk_path and last_solution is not None:
+            n_phi = last_solution.phi_map.ndofs
+            export_vtk(
+                last_solution.solution[:n_phi],
+                last_solution.solution[n_phi:],
+                last_solution.mesh_pair,
+                last_solution.phi_map,
+                last_solution.theta_map,
+                config.vtk_path,
+            )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0 if report.all_converged else 2
 
 

@@ -153,12 +153,38 @@ class DofMap:
     node_coords: np.ndarray | None = field(default=None, repr=False)
 
 
+def row_ids(keys: np.ndarray) -> np.ndarray:
+    """The lexicographic dense rank of each row of `keys`, as `np.unique(keys, axis=0)` numbers them.
+
+    The columns are folded in one at a time with 1-D sorts: the rank of the
+    leading columns times (largest column rank + 1) plus the rank of the next
+    column orders the pairs lexicographically.  Both ranks stay below the row
+    count, so the composite never overflows, whatever the size of the keys.
+    """
+    def rank(values):
+        return np.unique(values, return_inverse=True)[1]
+
+    columns = iter(np.asarray(keys).reshape(len(keys), -1).T)
+    ids = rank(next(columns))
+    for column in columns:
+        ranks = rank(column)
+        ids = rank(ids * (ranks.max() + 1) + ranks)
+    return ids
+
+
+def first_rows(ids: np.ndarray) -> np.ndarray:
+    """The first row holding each id of `row_ids`, in id order."""
+    return np.unique(ids, return_index=True)[1]
+
+
 def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of integer `keys` by first appearance: (numbers, first rows)."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse.ravel()], np.sort(first)
+    """Number the distinct rows of `keys` by first appearance: (numbers, first rows)."""
+    ids = row_ids(keys)
+    first = first_rows(ids)
+    order = np.argsort(first)
+    numbers = np.empty(len(first), dtype=int)
+    numbers[order] = np.arange(len(first))
+    return numbers[ids], first[order]
 
 
 def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:

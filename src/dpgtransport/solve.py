@@ -11,6 +11,9 @@ from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14
 SYMMETRY_TOL = 1e-12
+# Columns per SuperLU panel.  The panels' dense workspace is part of the run's
+# peak memory; a narrower panel than scipy's default leaves the fill as it is.
+PANEL_SIZE = 4
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -89,7 +92,12 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
     # A CSR matrix's transpose is its CSC form without a copy; A is symmetric.
     csc = a.T if sp.issparse(a) and a.format == "csr" else sp.csc_matrix(a)
     try:
-        factor = splu(csc, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
+        factor = splu(
+            csc,
+            permc_spec="MMD_AT_PLUS_A",
+            panel_size=PANEL_SIZE,
+            options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
+        )
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise NotPositiveDefiniteError(f"sparse factorisation failed: {exc}") from exc
 

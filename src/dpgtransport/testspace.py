@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fem import first_rows, row_ids
 from .forms import TransportForm, local_saddle_blocks
 from .mesh import MeshPair, TriMesh
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
@@ -24,9 +25,8 @@ def geometry_classes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     Returns `(representatives, inverse)`: `representatives[k]` is the first
     cell of class k and `inverse[cell]` is the class of `cell`.
     """
-    keys = np.round(mesh.jacobians().reshape(mesh.n_cells, 4), KEY_DIGITS)
-    _, representatives, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return representatives, inverse.ravel()
+    inverse = row_ids(np.round(mesh.jacobians().reshape(mesh.n_cells, 4), KEY_DIGITS))
+    return first_rows(inverse), inverse
 
 
 def class_members(inverse: np.ndarray) -> list[np.ndarray]:

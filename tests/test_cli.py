@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import BENCHMARK_BETA, perturbed_mesh, solve_transport
+from dpgtransport import cli
 from dpgtransport.cli import (
     ErrorReport,
     ReportRow,
     RunConfig,
+    _value_lines,
     build_parser,
     config_from_args,
     export_csv,
@@ -16,6 +19,8 @@ from dpgtransport.cli import (
     run_convergence_study,
     solve_level,
 )
+from dpgtransport.fem import SpaceKind, build_dof_map, lagrange_basis
+from dpgtransport.mesh import MeshPair, build_uniform_mesh
 
 CSV_HEADER = "level,H,ndof,l2_error,eta,efficiency,iterations,seconds"
 
@@ -177,6 +182,62 @@ def test_vtk_constant_field_values(tmp_path):
     assert lines[phi_at + 2 : phi_at + 8] == ["1.0"] * 6
 
 
+def _reference_vtk(phi_coefficients, theta_coefficients, mesh_pair, phi_map, theta_map) -> bytes:
+    """The VTK text with one `repr` call per point, value and line."""
+    mesh = mesh_pair.coarse
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    points = mesh.vertices[mesh.cells].reshape(-1, 2)
+    phi_vals = (phi_coefficients[phi_map.cell_dofs] @ lagrange_basis(phi_map.degree).eval(corners).T).ravel()
+    theta_vals = (theta_coefficients[theta_map.cell_dofs] @ lagrange_basis(theta_map.degree).eval(corners).T).ravel()
+    n = mesh.n_cells
+    lines = ["# vtk DataFile Version 2.0", "dpgtransport solution", "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines.append(f"POINTS {len(points)} double")
+    lines += [f"{float(p[0])!r} {float(p[1])!r} 0.0" for p in points]
+    lines.append(f"CELLS {n} {4 * n}")
+    lines += [f"3 {3 * c} {3 * c + 1} {3 * c + 2}" for c in range(n)]
+    lines.append(f"CELL_TYPES {n}")
+    lines += ["5"] * n
+    lines += [f"POINT_DATA {len(points)}", "SCALARS phi double", "LOOKUP_TABLE default"]
+    lines += [repr(float(v)) for v in phi_vals]
+    lines += ["SCALARS theta double", "LOOKUP_TABLE default"]
+    lines += [repr(float(v)) for v in theta_vals]
+    return ("\n".join(lines) + "\n").encode()
+
+
+SIGNED_ZEROS = np.array([-0.0, 0.0, 1.5, -0.0, 0.1 + 0.2, 1.5, 0.0, -2.5e-300, 0.3])
+
+
+@pytest.mark.parametrize("vectors", ["solver", "random", "signed_zeros"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_vtk_bytes_match_one_repr_per_line(tmp_path, monkeypatch, perturbed, m, vectors):
+    monkeypatch.setattr(cli, "VTK_CHUNK", 7)  # chunk boundaries fall inside each field
+    builder = perturbed_mesh if perturbed else build_uniform_mesh
+    if vectors == "solver":
+        run = solve_transport(2, 1, BENCHMARK_BETA, m=m, mesh_builder=builder)
+        pair, phi_map, theta_map = run["mesh_pair"], run["phi_map"], run["theta_map"]
+        phi, theta = run["x"][: phi_map.ndofs], run["x"][phi_map.ndofs :]
+    else:
+        pair = MeshPair(builder(2), 0)
+        phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, pair, m - 1)
+        theta_map = build_dof_map(SpaceKind.CONTINUOUS, pair, m)
+        if vectors == "random":
+            rng = np.random.default_rng(m)
+            phi, theta = rng.standard_normal(phi_map.ndofs), rng.standard_normal(theta_map.ndofs)
+        else:
+            phi = np.resize(SIGNED_ZEROS, phi_map.ndofs)
+            theta = np.resize(SIGNED_ZEROS[::-1], theta_map.ndofs)
+    path = tmp_path / "out.vtk"
+    export_vtk(phi, theta, pair, phi_map, theta_map, str(path))
+    assert path.read_bytes() == _reference_vtk(phi, theta, pair, phi_map, theta_map)
+
+
+def test_vtk_value_lines_keep_signed_zeros_apart():
+    """The matrix product of the corner values yields no -0.0 here, so the value lines are checked alone."""
+    values = np.resize(np.concatenate([SIGNED_ZEROS, [np.inf, -np.inf, np.nan]]), 2 * cli.VTK_CHUNK + 5)
+    assert "".join(_value_lines(values)).splitlines() == [repr(float(v)) for v in values]
+
+
 # --------------------------------------------------------------------- main
 
 
@@ -190,6 +251,17 @@ def test_main_smoke(tmp_path, capsys):
     assert csv_path.exists() and vtk_path.exists()
     out = capsys.readouterr().out
     assert "level=0" in out and "level=1" in out
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--vtk"])
+def test_main_reports_unwritable_output(flag, tmp_path, capsys):
+    """The levels are solved and printed; the export fails with one error line and exit code 1."""
+    path = tmp_path / "missing" / "out"
+    assert main(["--levels", "1", "--test-refine", "0", flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "level=1" in captured.out
+    assert captured.err.count("error:") == 1 and captured.err.startswith("error:")
+    assert str(path) in captured.err
 
 
 def test_main_reports_solver_failure(capsys):

@@ -10,8 +10,11 @@ from dpgtransport.fem import (
     build_dof_map,
     edge_nodes,
     edge_quadrature,
+    first_appearance,
+    first_rows,
     lagrange_basis,
     make_quadrature,
+    row_ids,
 )
 from dpgtransport.forms import SpaceDescriptor
 from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh
@@ -217,6 +220,57 @@ def test_continuous_numbering_matches_first_appearance_reference(level, perturbe
         np.testing.assert_array_equal(dof_map.cell_dofs, cell_dofs)
         assert dof_map.ndofs == len(coords)
         np.testing.assert_allclose(dof_map.node_coords, coords, rtol=0.0, atol=1e-15)
+
+
+def _unique_rows_reference(keys):
+    """(first row of each distinct row, lexicographic id of each row), by `np.unique(axis=0)`."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _first_appearance_reference(keys):
+    first, inverse = _unique_rows_reference(keys)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], np.sort(first)
+
+
+def _row_keys(case):
+    rng = np.random.default_rng(5)
+    if case == "wide":  # a naive x * span + y composite overflows int64
+        keys = rng.integers(-10**10, 10**10, size=(400, 2))
+        assert float(np.ptp(keys[:, 0]) + 1) * float(np.ptp(keys[:, 1]) + 1) > 2.0**63
+        return keys
+    if case == "duplicates":
+        pool = rng.integers(-10**10, 10**10, size=(30, 2))
+        pool[:10, 0] = pool[10:20, 0]  # rows that share their first column
+        return pool[rng.integers(0, len(pool), size=500)]
+    if case == "single":
+        return np.array([[-(10**10), 10**10]])
+    if case == "four_columns":
+        return rng.integers(-2, 3, size=(300, 4))
+    if case == "signed_zeros":  # float keys compare by value, as in np.unique
+        return rng.choice([-0.0, 0.0, 0.5, -1e-12, 1e-12], size=(200, 4))
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["wide", "duplicates", "single", "four_columns", "signed_zeros"])
+def test_row_ids_match_unique_rows(case):
+    keys = _row_keys(case)
+    first, inverse = _unique_rows_reference(keys)
+    ids = row_ids(keys)
+    np.testing.assert_array_equal(ids, inverse)
+    np.testing.assert_array_equal(first_rows(ids), first)
+    for got, want in zip(first_appearance(keys), _first_appearance_reference(keys)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("level", range(1, 6))
+def test_first_appearance_matches_unique_rows_on_jittered_mesh(level):
+    mesh = perturbed_mesh(level)
+    keys = np.round(mesh.vertices[mesh.cells].reshape(-1, 2) * 1e10).astype(np.int64)
+    for got, want in zip(first_appearance(keys), _first_appearance_reference(keys)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_continuous_space_edge_agreement():

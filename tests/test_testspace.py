@@ -115,6 +115,17 @@ def test_uniform_mesh_has_two_congruence_classes(level):
         assert np.all(np.diff(cells) > 0)
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("level", range(1, 6))
+def test_geometry_classes_match_unique_rows(level, perturbed):
+    mesh = perturbed_mesh(level) if perturbed else build_uniform_mesh(level)
+    keys = np.round(mesh.jacobians().reshape(mesh.n_cells, 4), testspace.KEY_DIGITS)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    representatives, classes = geometry_classes(mesh)
+    np.testing.assert_array_equal(representatives, first)
+    np.testing.assert_array_equal(classes, inverse.ravel())
+
+
 def test_perturbed_mesh_has_one_class_per_cell():
     mesh = perturbed_mesh(2)
     representatives, classes = geometry_classes(mesh)
