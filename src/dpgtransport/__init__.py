@@ -12,12 +12,10 @@ from .estimator import ErrorBreakdown, a_posteriori_error, exact_transport_solut
 from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis, make_quadrature
 from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks, transport_form
 from .mesh import MeshPair, TriMesh, build_uniform_mesh, refine_cell
-from .solve import CgReport, CholeskyFactor, cg_solve, cholesky_factor, cholesky_solve
-from .testspace import compute_coefficients, near_optimal_local_matrix
+from .solve import CgReport, cg_solve, cholesky_factor, cholesky_solve
 
 __all__ = [
     "CgReport",
-    "CholeskyFactor",
     "DofMap",
     "ErrorBreakdown",
     "GlobalSystem",
@@ -35,7 +33,6 @@ __all__ = [
     "cg_solve",
     "cholesky_factor",
     "cholesky_solve",
-    "compute_coefficients",
     "exact_transport_solution",
     "inflow_mask",
     "l2_error",
@@ -43,7 +40,6 @@ __all__ = [
     "local_load",
     "local_saddle_blocks",
     "make_quadrature",
-    "near_optimal_local_matrix",
     "pin_characteristic_dofs",
     "refine_cell",
     "transport_form",

@@ -23,10 +23,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import DofMap, SpaceKind, edge_nodes
-from .forms import TransportForm, local_load
+from .forms import TransportForm, local_load, local_saddle_blocks
 from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
-from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
-from .testspace import cell_blocks, class_members, geometry_classes
+from .solve import cholesky_solve
+from .testspace import class_chunks, factor_on_cells, geometry_classes, near_optimal_blocks
 
 CHARACTERISTIC_TOL = 1e-10
 
@@ -41,6 +41,7 @@ class GlobalSystem:
     coupling: np.ndarray  # W_K = P^-1 Q per geometry class, (n_classes, phi size, theta size)
     classes: np.ndarray  # geometry class of each cell
     phi_load: np.ndarray  # y_K = P^-1 f_phi per cell, (n_cells, phi size)
+    gram_cond: float  # largest (max diag L / min diag L)^2 over the test-search Gram factors
 
     @property
     def size(self) -> int:
@@ -53,48 +54,55 @@ def assemble(
     dof_maps: tuple[DofMap, DofMap],
     rhs_f,
 ) -> GlobalSystem:
-    """S = sum_K scatter(S_K), g = sum_K scatter(g_K), one local solve and condensation per geometry class."""
+    """S = sum_K scatter(S_K), g = sum_K scatter(g_K), one local solve and condensation per geometry class.
+
+    The classes' local algebra is stacked per chunk of `class_chunks`.  The
+    loads of a class's cells are (y_K | g_K) = l_K [C_phi P^-1 | C_theta - C_phi W_K],
+    with C_K split into its phi and theta columns: one matrix product per class.
+    """
     phi_map, theta_map = dof_maps
     k = phi_map.cell_dofs.shape[1]  # phi DOFs per cell, first in A_K
     theta_dofs = theta_map.cell_dofs  # (n_cells, theta size)
+    n_theta, size = theta_map.ndofs, theta_dofs.shape[1]
     representatives, inverse = geometry_classes(mesh_pair.coarse)
     loads = local_load(rhs_f, mesh_pair, form.test_space)
 
-    blocks, couplings = [], []
-    phi_load = np.empty(phi_map.cell_dofs.shape)
-    trace_load = np.empty(theta_dofs.shape)
-    for cell, members in zip(representatives, class_members(inverse)):
-        coefficients, a_k = cell_blocks(cell, mesh_pair, form)
-        p, q, r = a_k[:k, :k], a_k[:k, k:], a_k[k:, k:]
-        try:
-            factor = cholesky_factor(p)
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(f"phi block indefinite on cell {cell}: {exc}") from exc
-        w = cholesky_solve(factor, q)
-        s_k = r - q.T @ w
-        blocks.append(0.5 * (s_k + s_k.T))
-        couplings.append(w)
-        tested = loads[members] @ coefficients  # C_K^T l_K, one row per member cell
-        phi_load[members] = cholesky_solve(factor, tested[:, :k].T).T
-        trace_load[members] = tested[:, k:] - tested[:, :k] @ w
+    blocks = np.empty((len(representatives), size, size))
+    coupling = np.empty((len(representatives), k, size))
+    cell_loads = np.empty((mesh_pair.coarse.n_cells, k + size))  # (y_K | g_K) per cell
+    gram_cond = 1.0
+    for classes, cells, members in class_chunks(representatives, inverse, loads.shape[1], k + size):
+        lower, coefficients, a = near_optimal_blocks(*local_saddle_blocks(form, cells, mesh_pair), cells)
+        p, q, r = a[:, :k, :k], a[:, :k, k:], a[:, k:, k:]
+        p_lower = factor_on_cells(p, cells, "phi block")
+        w = cholesky_solve(p_lower, q)
+        s_k = r - q.mT @ w
+        blocks[classes] = 0.5 * (s_k + s_k.mT)
+        coupling[classes] = w
+        c_phi, c_theta = coefficients[:, :, :k], coefficients[:, :, k:]
+        load_maps = np.concatenate([cholesky_solve(p_lower, c_phi.mT).mT, c_theta - c_phi @ w], axis=2)
+        for load_map, cells_k in zip(load_maps, members):
+            cell_loads[cells_k] = loads[cells_k] @ load_map
+        diagonal = np.diagonal(lower, axis1=1, axis2=2)
+        gram_cond = max(gram_cond, float(((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()))
 
-    n_theta, size = theta_map.ndofs, theta_dofs.shape[1]
     rows, cols = np.repeat(theta_dofs, size, axis=1), np.tile(theta_dofs, size)
     matrix = sp.coo_matrix(
-        (np.stack(blocks)[inverse].ravel(), (rows.ravel(), cols.ravel())), shape=(n_theta, n_theta)
+        (blocks[inverse].ravel(), (rows.ravel(), cols.ravel())), shape=(n_theta, n_theta)
     ).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
-    rhs = np.bincount(theta_dofs.ravel(), weights=trace_load.ravel(), minlength=n_theta)
+    rhs = np.bincount(theta_dofs.ravel(), weights=cell_loads[:, k:].ravel(), minlength=n_theta)
     return GlobalSystem(
         matrix,
         rhs,
         phi_map.ndofs,
         n_theta,
         free=np.ones(n_theta, dtype=bool),
-        coupling=np.stack(couplings),
+        coupling=coupling,
         classes=inverse,
-        phi_load=phi_load,
+        phi_load=cell_loads[:, :k],
+        gram_cond=gram_cond,
     )
 
 

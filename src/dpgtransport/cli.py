@@ -68,6 +68,8 @@ class ReportRow:
     iterations: int
     seconds: float
     converged: bool = True
+    classes: int = 0  # geometry classes of the level's mesh
+    gram_cond: float = math.nan  # largest (max diag L / min diag L)^2 over the test-search Gram factors
 
 
 @dataclass
@@ -130,6 +132,8 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
         report.iterations,
         seconds,
         report.converged,
+        len(system.coupling),
+        system.gram_cond,
     )
     return LevelSolution(mesh_pair, phi_map, theta_map, x), row
 

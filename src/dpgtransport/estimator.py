@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem import DofMap, lagrange_basis, make_quadrature
-from .forms import BilinearForm, InnerProduct, SpaceDescriptor, TransportForm, local_load
+from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks
 from .mesh import MeshPair
-from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
-from .testspace import class_members, geometry_classes
+from .testspace import class_chunks, factor_on_cells, geometry_classes
 
 DEFAULT_ENRICHMENT_DEGREE = 5
 
@@ -38,28 +37,33 @@ def a_posteriori_error(
 ) -> ErrorBreakdown:
     """Per-cell indicators eta_K^2 = rho_K^T Bbar_K^{-1} rho_K and their total.
 
-    Gbar_K and the Cholesky factor of Bbar_K are formed once per geometry class.
+    With Bbar_K = L L^T and rho_K = Gbar_K u_K - l_K, eta_K^2 = |L^-1 rho_K|^2.
+    The lifts L^-1 [Gbar_K | -I] are stacked per chunk of geometry classes;
+    each class applies its lift to the rows (u_K | l_K) of its cells with one
+    matrix product.
     """
     phi_map, theta_map = dof_maps
     n_phi = phi_map.ndofs
     if len(solution) != n_phi + theta_map.ndofs:
         raise ValueError("solution vector does not match the DOF maps")
+    if not np.isfinite(solution).all():
+        raise ValueError("solution vector is not finite")
     enriched = replace(form, test_space=SpaceDescriptor(enrichment_degree))
     u = solution[np.hstack([phi_map.cell_dofs, n_phi + theta_map.cell_dofs])]  # (n_cells, N)
     loads = local_load(rhs_f, mesh_pair, enriched.test_space)
+    cell_rows = np.hstack([u, loads])
 
     representatives, inverse = geometry_classes(mesh_pair.coarse)
     indicators = np.empty(mesh_pair.coarse.n_cells)
-    for cell, members in zip(representatives, class_members(inverse)):
-        g_bar = BilinearForm(enriched).local_matrix(cell, mesh_pair)
-        try:
-            factor = cholesky_factor(InnerProduct(enriched).local_gram(cell, mesh_pair))
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(
-                f"enriched Gram matrix indefinite on cell {cell}: {exc}"
-            ) from exc
-        rho = (u[members] @ g_bar.T - loads[members]).T  # one column per member cell
-        indicators[members] = np.einsum("mc,mc->c", rho, cholesky_solve(factor, rho))
+    n_test = loads.shape[1]
+    for _, cells, members in class_chunks(representatives, inverse, n_test, u.shape[1]):
+        b_bar, g_bar = local_saddle_blocks(enriched, cells, mesh_pair)
+        lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")
+        residual_maps = np.concatenate([g_bar, np.broadcast_to(-np.eye(n_test), b_bar.shape)], axis=2)
+        lifts = np.linalg.solve(lower, residual_maps).mT
+        for lift, cells_k in zip(lifts, members):
+            lifted = cell_rows[cells_k] @ lift  # (L^-1 rho_K)^T, one row per member cell
+            indicators[cells_k] = np.einsum("ci,ci->c", lifted, lifted)
     return ErrorBreakdown(indicators, float(np.sqrt(indicators.sum())))
 
 

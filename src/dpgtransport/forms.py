@@ -1,9 +1,8 @@
 """The ultra-weak transport form and its broken graph-norm inner product.
 
 On a coarse cell K, with test functions v, w and the trial pair (phi, theta),
-`local_saddle_blocks` returns the Gram matrix of the inner product
-(`InnerProduct.local_gram`) and the matrix of the form
-(`BilinearForm.local_matrix`):
+`local_saddle_blocks` returns the Gram matrix of the inner product and the
+matrix of the form, for a whole stack of cells at once:
 
     B_K = (v, w)_K + (beta . grad v, beta . grad w)_K,
     G_K = [ (phi, c v - beta . grad v)_K  |  <theta, (beta . n) v>_dK ].
@@ -200,50 +199,39 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     return gram_terms, form_terms
 
 
-def _reference_beta(form: TransportForm, cell: int, mesh_pair: MeshPair):
-    """(|det J|, b = J^-1 beta): the cell's area ratio and beta in reference coordinates."""
-    jac = mesh_pair.coarse.jacobian(cell)
-    return abs(np.linalg.det(jac)), np.linalg.solve(jac, form.beta)
+def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_t weights[..., t] terms[t], added term by term in a fixed order.
+
+    Every cell's sum is the same floating-point sequence whether it is
+    computed alone or in a stack of any size; a contraction over t (a GEMM)
+    would not promise that.
+    """
+    total = weights[..., 0, None, None] * terms[0]
+    for t in range(1, len(terms)):
+        total += weights[..., t, None, None] * terms[t]
+    return total
 
 
-def _cell_moments(form: TransportForm, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
-    return _moments(form.test_space.degree, form.test_space.levels(mesh_pair), form.degree)
+def local_saddle_blocks(form: TransportForm, cells, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
+    """(B_K, G_K) of the coarse cells `cells`, over the cell-local test DOFs.
 
-
-@dataclass(frozen=True)
-class InnerProduct:
-    """The broken graph-norm inner product on the test space of `form`."""
-
-    form: TransportForm
-
-    def local_gram(self, cell: int, mesh_pair: MeshPair) -> np.ndarray:
-        """B_K over the cell-local test DOFs, in the order of `SpaceDescriptor.local_nodes`."""
-        det, b = _reference_beta(self.form, cell, mesh_pair)
-        weights = det * np.array([1.0, b[0] ** 2, b[1] ** 2, b[0] * b[1]])
-        return np.tensordot(weights, _cell_moments(self.form, mesh_pair)[0], 1)
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """The ultra-weak transport form tested against the test space of `form`."""
-
-    form: TransportForm
-
-    def local_matrix(self, cell: int, mesh_pair: MeshPair) -> np.ndarray:
-        """G_K: rows as in `InnerProduct.local_gram`; columns the phi DOFs, then the theta DOFs."""
-        det, b = _reference_beta(self.form, cell, mesh_pair)
-        corners = mesh_pair.coarse.cell_coords(cell)
-        flux = edge_flux(corners[NEXT_VERTEX] - corners, self.form.beta)
-        weights = np.concatenate([det * np.array([self.form.reaction, -b[0], -b[1]]), flux])
-        return np.tensordot(weights, _cell_moments(self.form, mesh_pair)[1], 1)
-
-
-def local_saddle_blocks(
-    form: TransportForm, cell: int, mesh_pair: MeshPair
-) -> tuple[np.ndarray, np.ndarray]:
-    """(B_K, G_K) for one coarse cell."""
-    gram = InnerProduct(form).local_gram(cell, mesh_pair)
-    return gram, BilinearForm(form).local_matrix(cell, mesh_pair)
+    For an array of n cells the blocks are stacked, shapes (n, N, N) and
+    (n, N, n_phi + n_theta); a single cell gives the two matrices.  Rows are
+    in the order of `SpaceDescriptor.local_nodes`; the columns of G_K are the
+    phi DOFs, then the theta DOFs.
+    """
+    mesh = mesh_pair.coarse
+    corners = mesh.vertices[mesh.cells[cells]]  # (..., 3, 2)
+    jac = np.stack([corners[..., 1, :] - corners[..., 0, :], corners[..., 2, :] - corners[..., 0, :]], axis=-1)
+    det = np.abs(np.linalg.det(jac))[..., None]
+    b = np.linalg.solve(jac, np.asarray(form.beta))  # beta in reference coordinates, (..., 2)
+    b0, b1 = b[..., :1], b[..., 1:]
+    flux = edge_flux(corners[..., NEXT_VERTEX, :] - corners, form.beta)  # f_k, (..., 3)
+    one = np.ones_like(b0)
+    gram_weights = det * np.concatenate([one, b0 * b0, b1 * b1, b0 * b1], axis=-1)
+    form_weights = np.concatenate([det * np.concatenate([form.reaction * one, -b0, -b1], axis=-1), flux], axis=-1)
+    gram_terms, form_terms = _moments(form.test_space.degree, form.test_space.levels(mesh_pair), form.degree)
+    return _weighted_sum(gram_weights, gram_terms), _weighted_sum(form_weights, form_terms)
 
 
 @lru_cache(maxsize=None)

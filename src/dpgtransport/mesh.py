@@ -48,15 +48,6 @@ class TriMesh:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def cell_coords(self, cell: int) -> np.ndarray:
-        """Vertex coordinates of a cell, shape (3, 2)."""
-        return self.vertices[self.cells[cell]]
-
-    def jacobian(self, cell: int) -> np.ndarray:
-        """Jacobian of the affine map from the reference triangle, shape (2, 2)."""
-        v = self.cell_coords(cell)
-        return np.column_stack([v[1] - v[0], v[2] - v[0]])
-
     def jacobians(self) -> np.ndarray:
         """Jacobians of every cell's reference map, shape (n_cells, 2, 2)."""
         v = self.vertices[self.cells]

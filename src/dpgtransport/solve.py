@@ -1,4 +1,4 @@
-"""Dense Cholesky for the local systems and factor-preconditioned CG for the trace system."""
+"""Stacked dense Cholesky for the local systems and factor-preconditioned CG for the trace system."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from numpy.linalg import _umath_linalg
 from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14
@@ -17,45 +17,47 @@ PANEL_SIZE = 4
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a matrix expected to be SPD has a non-positive pivot."""
+    """Raised when a matrix expected to be SPD has a non-positive pivot.
 
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    lower: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lower)
-
-
-def cholesky_factor(matrix: np.ndarray) -> CholeskyFactor:
-    """Lower-triangular Cholesky factor of a dense SPD matrix.
-
-    Every pivot, diag(L)^2, must exceed PIVOT_TOL times the largest diagonal
-    entry (at least 1), so near-singular matrices are rejected too.
+    `index` is the position of the first failing matrix in its stack.
     """
-    a = np.asarray(matrix, dtype=float)
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    try:
-        lower = cholesky(a, lower=True)
-    except LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    threshold = PIVOT_TOL * max(np.abs(np.diag(a)).max(), 1.0)
-    small = np.flatnonzero(np.diag(lower) ** 2 <= threshold)
-    if small.size:
-        raise NotPositiveDefiniteError(f"non-positive pivot at index {small[0]}")
-    return CholeskyFactor(lower)
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
-def cholesky_solve(factor: CholeskyFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = rhs for a vector or a matrix of columns."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != factor.dimension:
-        raise ValueError("right-hand side has incompatible size")
-    return cho_solve((factor.lower, True), rhs)
+def cholesky_factor(matrices: np.ndarray) -> np.ndarray:
+    """Lower-triangular Cholesky factors of a stack of dense SPD matrices, shape (..., N, N).
+
+    A single matrix is a stack of one.  Each matrix must be symmetric to
+    SYMMETRY_TOL relative to its largest entry (at least 1), and each of its
+    pivots, diag(L)^2, must exceed PIVOT_TOL times its largest diagonal entry
+    (at least 1), so near-singular matrices are rejected too.  Errors name
+    the first failing matrix of the stack, counted in C order.
+    """
+    a = np.asarray(matrices, dtype=float)
+    stack = a.reshape(-1, *a.shape[-2:])
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+    asymmetric = np.abs(stack - stack.mT).max(axis=(1, 2)) > SYMMETRY_TOL * scale
+    if asymmetric.any():
+        raise ValueError(f"matrix {np.argmax(asymmetric)} is not symmetric")
+    # The gufunc behind np.linalg.cholesky: it fills the factor of a matrix
+    # LAPACK rejects with NaN instead of raising for the whole stack.
+    with np.errstate(invalid="ignore"):
+        lower = _umath_linalg.cholesky_lo(stack, signature="d->d")
+    diagonal = np.diagonal(stack, axis1=1, axis2=2)
+    threshold = PIVOT_TOL * np.maximum(np.abs(diagonal).max(axis=1), 1.0)
+    failed = ~(np.diagonal(lower, axis1=1, axis2=2) ** 2 > threshold[:, None]).all(axis=1)  # NaN fails too
+    if failed.any():
+        matrix = int(np.argmax(failed))
+        raise NotPositiveDefiniteError(f"matrix {matrix} is not positive definite", matrix)
+    return lower.reshape(a.shape)
+
+
+def cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T X = rhs for factors L of `cholesky_factor`; rhs has shape (N,) or (..., N, K)."""
+    return np.linalg.solve(lower.mT, np.linalg.solve(lower, np.asarray(rhs, dtype=float)))
 
 
 @dataclass(frozen=True)

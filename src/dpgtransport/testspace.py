@@ -1,10 +1,11 @@
-"""Near-optimal test-function coefficients and the geometry-class index.
+"""Near-optimal test-function coefficients, stacked over geometry classes.
 
 For each coarse cell the columns of C_K express the near-optimal test
 functions in the test-search basis: B_K C_K = G_K.  With constant
 coefficients the blocks depend on the cell only through the Jacobian of its
 reference map, so congruent-up-to-translation cells form one geometry class
-and share one solve.
+and share one solve.  The classes are processed in chunks whose local blocks
+take at most CHUNK_BYTES, and each chunk's solves are one stacked call.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import first_rows, row_ids
-from .forms import TransportForm, local_saddle_blocks
-from .mesh import MeshPair, TriMesh
+from .mesh import TriMesh
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 
 KEY_DIGITS = 12
+# Bytes of the stacked B_K and G_K of one chunk of geometry classes; a class
+# whose blocks are larger forms a chunk of its own.
+CHUNK_BYTES = 2**18
 
 
 def geometry_classes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
@@ -35,22 +38,36 @@ def class_members(inverse: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
 
 
-def compute_coefficients(b_k: np.ndarray, g_k: np.ndarray) -> np.ndarray:
-    """C_K, (M test-search DOFs) x (N trial DOFs): solve B_K C_K = G_K by Cholesky."""
-    return cholesky_solve(cholesky_factor(b_k), g_k)
+def class_chunks(representatives: np.ndarray, inverse: np.ndarray, test_size: int, trial_size: int):
+    """The geometry classes in chunks whose B_K and G_K take at most CHUNK_BYTES.
+
+    Yields `(classes, cells, members)` per chunk: a slice of class numbers,
+    the classes' representative cells and the list of their member cells.
+    """
+    members = class_members(inverse)
+    step = max(1, CHUNK_BYTES // (8 * test_size * (test_size + trial_size)))
+    for start in range(0, len(representatives), step):
+        classes = slice(start, start + step)
+        yield classes, representatives[classes], members[classes]
 
 
-def near_optimal_local_matrix(g_k, coefficients: np.ndarray) -> np.ndarray:
-    """A_K = G_K^T C_K = G_K^T B_K^{-1} G_K; symmetrized against roundoff."""
-    a_k = np.asarray(g_k).T @ coefficients
-    return 0.5 * (a_k + a_k.T)
-
-
-def cell_blocks(cell: int, mesh_pair: MeshPair, form: TransportForm) -> tuple[np.ndarray, np.ndarray]:
-    """(C_K, A_K) for one coarse cell; the same for every cell of its geometry class."""
-    b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
+def factor_on_cells(matrices: np.ndarray, cells, what: str) -> np.ndarray:
+    """`cholesky_factor` of one matrix per cell; a failure names the failing matrix's cell."""
     try:
-        coefficients = compute_coefficients(b_k, g_k)
+        return cholesky_factor(matrices)
     except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"Gram matrix indefinite on cell {cell}: {exc}") from exc
-    return coefficients, near_optimal_local_matrix(g_k, coefficients)
+        cell = np.ravel(cells)[exc.index]
+        raise NotPositiveDefiniteError(f"{what} indefinite on cell {cell}: {exc}", exc.index) from exc
+
+
+def near_optimal_blocks(b: np.ndarray, g: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L_K, C_K, A_K) from the stacked blocks (B_K, G_K) of `cells`.
+
+    L_K is the Cholesky factor of B_K, C_K solves B_K C_K = G_K, and
+    A_K = G_K^T C_K = G_K^T B_K^-1 G_K is symmetrized against roundoff.  Each
+    cell's result is the same whether it is computed alone or in a stack.
+    """
+    lower = factor_on_cells(b, cells, "Gram matrix")
+    coefficients = cholesky_solve(lower, g)
+    a = g.mT @ coefficients
+    return lower, coefficients, 0.5 * (a + a.mT)

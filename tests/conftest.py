@@ -66,7 +66,7 @@ def outward_normal(mesh, face: Face, owner: int) -> np.ndarray:
     a, b = mesh.vertices[list(face.vertex_ids)]
     t = b - a
     n = np.array([t[1], -t[0]]) / np.hypot(*t)
-    centroid = mesh.cell_coords(owner).mean(axis=0)
+    centroid = mesh.vertices[mesh.cells[owner]].mean(axis=0)
     if np.dot(n, 0.5 * (a + b) - centroid) < 0.0:
         n = -n
     return n

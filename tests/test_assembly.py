@@ -21,11 +21,13 @@ from dpgtransport.assembly import (
     inflow_mask,
     pin_characteristic_dofs,
 )
+from dpgtransport import assembly, estimator, testspace
 from dpgtransport.cli import RunConfig, solve_level
+from dpgtransport.estimator import a_posteriori_error
 from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import local_load, local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
-from dpgtransport.testspace import cell_blocks
+from dpgtransport.testspace import near_optimal_blocks
 
 
 def _setup(level, ell, beta, m=2, mesh_builder=build_uniform_mesh):
@@ -67,11 +69,11 @@ def dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f):
 
 
 def per_cell_matrix(mesh_pair, form, phi_map, theta_map):
-    """The uncondensed A, one local solve per cell scattered densely."""
+    """The uncondensed A, one local solve per cell, each through the stacked kernel alone, scattered densely."""
     n_phi = phi_map.ndofs
     a = np.zeros((n_phi + theta_map.ndofs,) * 2)
     for cell in range(mesh_pair.coarse.n_cells):
-        _, a_k = cell_blocks(cell, mesh_pair, form)
+        _, _, a_k = near_optimal_blocks(*local_saddle_blocks(form, cell, mesh_pair), cell)
         dofs = np.concatenate([phi_map.cell_dofs[cell], n_phi + theta_map.cell_dofs[cell]])
         a[np.ix_(dofs, dofs)] += a_k
     return a
@@ -98,7 +100,7 @@ def test_single_cell_mesh_matches_local_block():
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
-    _, a_k = cell_blocks(0, mesh_pair, form)
+    _, _, a_k = near_optimal_blocks(*local_saddle_blocks(form, 0, mesh_pair), 0)
     s_k, _ = schur_complement(a_k, np.zeros(len(a_k)), phi_map.ndofs)
     np.testing.assert_allclose(system.matrix.toarray(), s_k, atol=1e-14)
 
@@ -161,6 +163,7 @@ def _toy_system():
         coupling=np.array([[[1.0, 0.0]]]),
         classes=np.array([0]),
         phi_load=np.array([[1.0]]),
+        gram_cond=1.0,
     )
 
 
@@ -342,6 +345,45 @@ def test_back_substitution_recovers_phi_per_cell():
     residual = a[:n_phi] @ x - f[:n_phi]
     assert np.abs(residual).max() < 1e-10 * np.abs(f[:n_phi]).max()
     np.testing.assert_array_equal(x[n_phi:], theta)
+
+
+@pytest.mark.parametrize(
+    "mesh_builder,m,chunk_bytes",
+    [(build_uniform_mesh, 2, 1), (perturbed_mesh, 3, 1), (perturbed_mesh, 3, 70000)],
+    ids=["uniform-one-class", "perturbed-one-class", "perturbed-uneven"],
+)
+def test_chunks_do_not_change_the_system(monkeypatch, mesh_builder, m, chunk_bytes):
+    """Trace system, couplings, phi loads and every eta_K are the one-chunk ones, bit for bit."""
+    mesh_pair, form, phi_map, theta_map = _setup(2, 1, BENCHMARK_BETA, m=m, mesh_builder=mesh_builder)
+    dof_maps = (phi_map, theta_map)
+    rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]
+
+    def run():
+        system = assemble(form, mesh_pair, dof_maps, rhs_f)
+        x = np.random.default_rng(8).standard_normal(system.size)
+        return system, a_posteriori_error(form, mesh_pair, dof_maps, x, rhs_f).cell_indicators_sq
+
+    monkeypatch.setattr(testspace, "CHUNK_BYTES", 2**40)
+    whole, whole_eta = run()
+    sizes = []
+
+    def spy(*args):
+        for chunk in testspace.class_chunks(*args):
+            sizes.append(len(chunk[1]))
+            yield chunk
+
+    monkeypatch.setattr(testspace, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(assembly, "class_chunks", spy)
+    monkeypatch.setattr(estimator, "class_chunks", spy)
+    chunked, chunked_eta = run()
+    classes = len(whole.coupling)
+    assert sum(sizes) == 2 * classes and len(sizes) > 2  # assembly's chunks, then the estimator's
+    if chunk_bytes > 1:
+        assert len(set(sizes)) > 2  # chunks of two sizes, and a shorter last one
+    assert (chunked.matrix != whole.matrix).nnz == 0
+    for name in ("rhs", "coupling", "phi_load"):
+        np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+    np.testing.assert_array_equal(chunked_eta, whole_eta)
 
 
 # ------------------------------------- geometric brute-force constraint oracle

@@ -20,7 +20,9 @@ from dpgtransport.cli import (
     solve_level,
 )
 from dpgtransport.fem import SpaceKind, build_dof_map, lagrange_basis
+from dpgtransport.forms import local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, build_uniform_mesh
+from dpgtransport.testspace import geometry_classes, near_optimal_blocks
 
 CSV_HEADER = "level,H,ndof,l2_error,eta,efficiency,iterations,seconds"
 
@@ -115,6 +117,25 @@ def test_solve_level_reports_nan_without_reference():
     _, row = solve_level(config, 1)
     assert math.isnan(row.l2_error)
     assert row.eta > 0.0
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_report_row_counts_classes_and_bounds_gram_conditioning(monkeypatch, perturbed):
+    if perturbed:
+        monkeypatch.setattr(cli, "build_uniform_mesh", perturbed_mesh)
+    for level in (1, 2, 3):
+        config = RunConfig(levels=(level,))
+        solution, row = solve_level(config, level)
+        n_cells = 2 * 4**level
+        assert row.classes == (n_cells if perturbed else 2)
+        assert math.isfinite(row.gram_cond) and row.gram_cond >= 1.0
+        # the largest (max diag L / min diag L)^2 over the classes, a lower bound on cond(B_K)
+        pair = solution.mesh_pair
+        cells = geometry_classes(pair.coarse)[0]
+        b, g = local_saddle_blocks(transport_form(config.degree, config.beta, config.reaction), cells, pair)
+        diagonal = np.diagonal(near_optimal_blocks(b, g, cells)[0], axis1=1, axis2=2)
+        assert row.gram_cond == ((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()
+        assert row.gram_cond <= np.linalg.cond(b).max()
 
 
 # ---------------------------------------------------------------------- CSV

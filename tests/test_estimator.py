@@ -87,6 +87,15 @@ def test_eta_scales_linearly_with_data():
     assert abs(eta_s - s * eta) <= 1e-10 * eta_s
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_solution_rejected(bad):
+    run = solve_transport(1, 1, BENCHMARK_BETA)
+    x = run["x"].copy()
+    x[-1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        a_posteriori_error(run["form"], run["mesh_pair"], (run["phi_map"], run["theta_map"]), x, run["rhs_f"])
+
+
 def test_solution_size_checked():
     run = solve_transport(1, 1, BENCHMARK_BETA)
     with pytest.raises(ValueError):
@@ -136,7 +145,7 @@ def test_l2_error_exact_for_representable_solution():
     basis = lagrange_basis(1)
     coeffs = np.empty(phi_map.ndofs)
     for cell in range(mesh_pair.coarse.n_cells):
-        v = mesh_pair.coarse.cell_coords(cell)
+        v = mesh_pair.coarse.vertices[mesh_pair.coarse.cells[cell]]
         jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
         coeffs[phi_map.cell_dofs[cell]] = exact(basis.nodes @ jac.T + v[0])
     assert l2_error(coeffs, exact, mesh_pair, phi_map) <= 1e-11

@@ -198,7 +198,7 @@ def _dict_numbering(mesh, degree):
     coords = []
     cell_dofs = np.empty((mesh.n_cells, basis.size), dtype=int)
     for c in range(mesh.n_cells):
-        v = mesh.cell_coords(c)
+        v = mesh.vertices[mesh.cells[c]]
         jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
         for i, p in enumerate(basis.nodes @ jac.T + v[0]):
             key = (round(p[0] * 1e10), round(p[1] * 1e10))
@@ -283,7 +283,7 @@ def test_continuous_space_edge_agreement():
     basis = lagrange_basis(2)
 
     def eval_on_cell(cell, phys_points):
-        v = mesh.cell_coords(cell)
+        v = mesh.vertices[mesh.cells[cell]]
         jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
         ref = (phys_points - v[0]) @ np.linalg.inv(jac).T
         return basis.eval(ref) @ coeffs[dof_map.cell_dofs[cell]]

@@ -62,7 +62,7 @@ def _broken_coefficients_of_polynomial(poly, space, mesh_pair, cell):
     The space is nodal, so the coefficients are the polynomial's values at the
     space's cell-local nodes, in the space's own DOF order.
     """
-    v = mesh_pair.coarse.cell_coords(cell)
+    v = mesh_pair.coarse.vertices[mesh_pair.coarse.cells[cell]]
     jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
     return poly(space.local_nodes(mesh_pair) @ jac.T + v[0])
 
@@ -162,7 +162,7 @@ def test_load_matches_per_cell_quadrature(m, ell):
     values = basis.eval(quad.points)
     expected = np.zeros((pair.coarse.n_cells, len(nodes)))
     for cell in range(pair.coarse.n_cells):
-        for t, sub in enumerate(refine_cell(pair.coarse.cell_coords(cell), ell)):
+        for t, sub in enumerate(refine_cell(pair.coarse.vertices[pair.coarse.cells[cell]], ell)):
             jac = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
             f = _quartic(quad.points @ jac.T + sub[0])
             np.add.at(expected[cell], table[t], abs(np.linalg.det(jac)) * (quad.weights * f) @ values)
@@ -199,7 +199,7 @@ def _brute_force_blocks(form, cell, mesh_pair):
     two sides cancel for continuous test functions.
     """
     mesh = mesh_pair.coarse
-    jac, v0 = mesh.jacobian(cell), mesh.cell_coords(cell)[0]
+    jac, v0 = mesh.jacobians()[cell], mesh.vertices[mesh.cells[cell]][0]
     beta = np.array(form.beta)
     levels = form.test_space.levels(mesh_pair)
     table, nodes = submesh_dofs(form.test_space.degree, levels)

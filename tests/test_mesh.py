@@ -111,6 +111,6 @@ def test_interior_normals_opposite(level):
 def test_fine_cells_tile_coarse_cell():
     mesh = build_uniform_mesh(1)
     for cell in range(mesh.n_cells):
-        tris = reference_subcells(2) @ mesh.jacobian(cell).T + mesh.cell_coords(cell)[0]
-        coarse_area = _areas(mesh.cell_coords(cell)[None])[0]
+        tris = reference_subcells(2) @ mesh.jacobians()[cell].T + mesh.vertices[mesh.cells[cell]][0]
+        coarse_area = _areas(mesh.vertices[mesh.cells[cell]][None])[0]
         assert abs(_areas(tris).sum() - coarse_area) < 1e-14

@@ -21,16 +21,16 @@ from dpgtransport.cli import RunConfig, solve_level
 
 
 def test_factor_scalar():
-    np.testing.assert_allclose(cholesky_factor(np.array([[4.0]])).lower, [[2.0]])
+    np.testing.assert_allclose(cholesky_factor(np.array([[4.0]])), [[2.0]])
 
 
 def test_factor_identity():
-    np.testing.assert_allclose(cholesky_factor(np.eye(3)).lower, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(cholesky_factor(np.eye(3)), np.eye(3), atol=1e-15)
 
 
 def test_factor_two_by_two():
     factor = cholesky_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    np.testing.assert_allclose(factor.lower, [[2.0, 0.0], [1.0, math.sqrt(2.0)]], atol=1e-14)
+    np.testing.assert_allclose(factor, [[2.0, 0.0], [1.0, math.sqrt(2.0)]], atol=1e-14)
 
 
 def test_factor_rejects_indefinite():
@@ -49,9 +49,59 @@ def test_factor_reconstructs_random_spd(n, seed):
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((n, n))
     a = r.T @ r + n * np.eye(n)
-    lower = cholesky_factor(a).lower
+    lower = cholesky_factor(a)
     assert np.abs(lower @ lower.T - a).max() < 1e-11 * np.abs(a).max()
     assert np.diag(lower).min() > 0.0
+
+
+def _random_spd(rng, n):
+    r = rng.standard_normal((n, n))
+    return r.T @ r + n * np.eye(n)
+
+
+def test_stacked_factor_matches_each_matrix_alone():
+    rng = np.random.default_rng(5)
+    stack = np.stack([_random_spd(rng, 6) for _ in range(7)])
+    lower = cholesky_factor(stack)
+    assert lower.shape == stack.shape
+    for matrix, factor in zip(stack, lower):
+        np.testing.assert_array_equal(cholesky_factor(matrix), factor)
+        np.testing.assert_array_equal(cholesky_factor(matrix[None])[0], factor)
+    np.testing.assert_array_equal(cholesky_factor(stack.reshape(7, 1, 6, 6)), lower.reshape(7, 1, 6, 6))
+
+
+def test_stacked_solve_matches_each_matrix_alone():
+    rng = np.random.default_rng(6)
+    stack = np.stack([_random_spd(rng, 5) for _ in range(4)])
+    rhs = rng.standard_normal((4, 5, 3))
+    x = cholesky_solve(cholesky_factor(stack), rhs)
+    assert np.abs(stack @ x - rhs).max() < 1e-12
+    for matrix, b, xk in zip(stack, rhs, x):
+        np.testing.assert_array_equal(cholesky_solve(cholesky_factor(matrix), b), xk)
+
+
+def test_stacked_factor_names_first_asymmetric_matrix():
+    stack = np.stack([np.eye(3)] * 5)
+    stack[2, 0, 1] = stack[4, 1, 2] = 0.5
+    with pytest.raises(ValueError, match=r"^matrix 2 is not symmetric"):
+        cholesky_factor(stack)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # LAPACK rejects it
+        np.diag([1.0, 1e-16, 1.0]),  # LAPACK factors it, but pivot 1 is below the floor
+        np.diag([1.0, 1.0, np.nan]),
+    ],
+    ids=["indefinite", "pivot-floor", "nan"],
+)
+def test_stacked_factor_names_first_failing_matrix(broken):
+    stack = np.stack([2.0 * np.eye(3)] * 6)
+    stack[3] = stack[5] = broken
+    with pytest.raises(NotPositiveDefiniteError, match="^matrix 3 is not positive definite") as failure:
+        cholesky_factor(stack)
+    assert failure.value.index == 3
 
 
 def test_solve_identity_factor():

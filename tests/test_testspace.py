@@ -3,65 +3,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgtransport import testspace
+from dpgtransport import assembly, estimator, testspace
+from dpgtransport.assembly import assemble
+from dpgtransport.estimator import a_posteriori_error
+from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
-from dpgtransport.testspace import (
-    cell_blocks,
-    class_members,
-    compute_coefficients,
-    geometry_classes,
-    near_optimal_local_matrix,
-)
+from dpgtransport.testspace import class_members, geometry_classes, near_optimal_blocks
 
-from conftest import BENCHMARK_BETA, perturbed_mesh
+from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh
+
+
+def _coefficients(b, g):
+    return near_optimal_blocks(b, g, 0)[1]
 
 
 def test_scalar_coefficients():
-    c = compute_coefficients(np.array([[2.0]]), np.array([[3.0]]))
+    c = _coefficients(np.array([[2.0]]), np.array([[3.0]]))
     np.testing.assert_allclose(c, [[1.5]], atol=1e-14)
 
 
 def test_identity_gram_returns_g():
     g = np.arange(6.0).reshape(3, 2)
-    c = compute_coefficients(np.eye(3), g)
+    c = _coefficients(np.eye(3), g)
     np.testing.assert_allclose(c, g, atol=1e-14)
 
 
 def test_two_by_two_hand_solve():
     b = np.array([[4.0, 2.0], [2.0, 3.0]])
     g = np.array([[2.0], [1.0]])
-    c = compute_coefficients(b, g)
+    c = _coefficients(b, g)
     np.testing.assert_allclose(c, [[0.5], [0.0]], atol=1e-14)
 
 
 def test_indefinite_gram_rejected():
     with pytest.raises(NotPositiveDefiniteError):
-        compute_coefficients(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0], [1.0]]))
+        _coefficients(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0], [1.0]]))
 
 
 @given(n=st.integers(1, 12), m=st.integers(1, 6), seed=st.integers(0, 500))
 @settings(max_examples=30, deadline=None)
 def test_defining_relation_random(n, m, seed):
+    """B_K C_K = G_K on a stack of three random SPD blocks."""
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal((n, n))
-    b = r.T @ r + n * np.eye(n)
-    g = rng.standard_normal((n, m))
-    c = compute_coefficients(b, g)
+    r = rng.standard_normal((3, n, n))
+    b = r.transpose(0, 2, 1) @ r + n * np.eye(n)
+    g = rng.standard_normal((3, n, m))
+    c = near_optimal_blocks(b, g, np.arange(3))[1]
     assert np.abs(b @ c - g).max() < 1e-10
 
 
 def test_near_optimal_matrix_scalar():
-    np.testing.assert_allclose(
-        near_optimal_local_matrix(np.array([[2.0]]), np.array([[1.0]])), [[2.0]]
-    )
+    np.testing.assert_allclose(near_optimal_blocks(np.array([[2.0]]), np.array([[2.0]]), 0)[2], [[2.0]])
 
 
 def test_near_optimal_matrix_zero_g():
-    g = np.zeros((4, 3))
-    c = compute_coefficients(np.eye(4), g)
-    np.testing.assert_array_equal(near_optimal_local_matrix(g, c), 0.0)
+    np.testing.assert_array_equal(near_optimal_blocks(np.eye(4), np.zeros((4, 3)), 0)[2], 0.0)
 
 
 def test_near_optimal_matrix_against_dense_oracle():
@@ -69,9 +67,8 @@ def test_near_optimal_matrix_against_dense_oracle():
     r = rng.standard_normal((4, 4))
     b = r.T @ r + 4 * np.eye(4)
     g = rng.standard_normal((4, 3))
-    c = compute_coefficients(b, g)
     oracle = g.T @ np.linalg.solve(b, g)
-    np.testing.assert_allclose(near_optimal_local_matrix(g, c), oracle, atol=1e-12)
+    np.testing.assert_allclose(near_optimal_blocks(b, g, 0)[2], oracle, atol=1e-12)
 
 
 # ------------------------------------------------------- geometry classes
@@ -95,8 +92,8 @@ def test_reflected_cell_gets_fresh_key():
 def test_translated_cells_get_identical_blocks():
     pair = MeshPair(build_uniform_mesh(1), 1)
     form = transport_form(2, BENCHMARK_BETA, 0.0)
-    c0, a0 = cell_blocks(0, pair, form)
-    c2, a2 = cell_blocks(2, pair, form)
+    _, c0, a0 = near_optimal_blocks(*local_saddle_blocks(form, 0, pair), 0)
+    _, c2, a2 = near_optimal_blocks(*local_saddle_blocks(form, 2, pair), 2)
     np.testing.assert_array_equal(c0, c2)
     np.testing.assert_array_equal(a0, a2)
 
@@ -142,7 +139,7 @@ def test_defining_relation_on_mesh():
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
-        c = compute_coefficients(b, g)
+        _, c, _ = near_optimal_blocks(b, g, cell)
         assert np.abs(b @ c - g).max() < 1e-10
 
 
@@ -151,22 +148,68 @@ def test_energy_identity_and_psd():
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
-        c = compute_coefficients(b, g)
-        a = near_optimal_local_matrix(g, c)
+        _, c, a = near_optimal_blocks(b, g, cell)
         # (A_K)_ii is the test-norm energy of the i-th near-optimal function
         energies = np.einsum("ji,jk,ki->i", c, b, c)
         np.testing.assert_allclose(np.diag(a), energies, atol=1e-11)
         assert np.linalg.eigvalsh(a).min() > -1e-10
 
 
-def test_cell_id_reported_on_failure(monkeypatch):
-    pair = MeshPair(build_uniform_mesh(0), 0)
-    form = transport_form(2, BENCHMARK_BETA, 0.0)
-    b, g = local_saddle_blocks(form, 0, pair)
-    singular = b.copy()
-    singular[:, 0] = singular[0, :] = 0.0  # first test DOF has zero energy
+def _class_blocks(form, cells, pair):
+    b, g = local_saddle_blocks(form, cells, pair)
+    return (b, g, *near_optimal_blocks(b, g, cells)[1:])
 
-    # the local solve must fail and the error must say which cell
-    monkeypatch.setattr(testspace, "local_saddle_blocks", lambda *args: (singular, g))
-    with pytest.raises(NotPositiveDefiniteError, match="cell 0"):
-        cell_blocks(0, pair, form)
+
+@pytest.mark.parametrize("ell", range(3))
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_class_blocks_do_not_depend_on_the_stack(perturbed, m, ell):
+    """B, G, C and A of a class are bit-identical alone, in the full stack and in a shuffled stack."""
+    pair = MeshPair(perturbed_mesh(1) if perturbed else build_uniform_mesh(1), ell)
+    form = transport_form(m, BENCHMARK_BETA, 0.5)
+    representatives = geometry_classes(pair.coarse)[0]
+    stacked = _class_blocks(form, representatives, pair)
+    order = np.random.default_rng(m + 10 * ell).permutation(len(representatives))
+    shuffled = _class_blocks(form, representatives[order], pair)
+    for k, cell in enumerate(representatives):
+        single = _class_blocks(form, [cell], pair)
+        scalar = _class_blocks(form, cell, pair)
+        for full, mixed, one, alone in zip(stacked, shuffled, single, scalar):
+            np.testing.assert_array_equal(one[0], full[k])
+            np.testing.assert_array_equal(alone, full[k])
+            np.testing.assert_array_equal(mixed[np.flatnonzero(order == k)[0]], full[k])
+
+
+def _corrupt(blocks, target, part):
+    """`blocks` (a local_saddle_blocks) with B or G of the cell `target` made singular."""
+
+    def corrupted(form, cells, pair):
+        b, g = blocks(form, cells, pair)
+        hit = np.ravel(cells) == target
+        if part == "b":  # the first test DOF has zero energy
+            b[hit, 0, :] = b[hit, :, 0] = 0.0
+        else:  # the first phi DOF tests to zero, so row and column 0 of A vanish
+            g[hit, :, 0] = 0.0
+        return b, g
+
+    return corrupted
+
+
+def test_cell_id_reported_on_failure(monkeypatch):
+    """A singular Gram matrix, phi block or enriched Gram matrix names its class's representative cell.
+
+    The failing class is neither the first class nor in the first chunk,
+    nor first in its own chunk.
+    """
+    pair = MeshPair(perturbed_mesh(2), 1)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
+    dof_maps = build_dof_map(SpaceKind.BROKEN_COARSE, pair, 1), build_dof_map(SpaceKind.CONTINUOUS, pair, 2)
+    target = geometry_classes(pair.coarse)[0][7]
+    monkeypatch.setattr(testspace, "CHUNK_BYTES", 30000)  # 3 classes per chunk in assembly, 5 in the estimator
+    cases = [(assembly, "b", "Gram matrix"), (assembly, "g", "phi block"), (estimator, "b", "enriched Gram matrix")]
+    for module, part, what in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "local_saddle_blocks", _corrupt(local_saddle_blocks, target, part))
+            with pytest.raises(NotPositiveDefiniteError, match=rf"^{what} indefinite on cell {target}: matrix [1-9]"):
+                system = assemble(form, pair, dof_maps, constant_rhs())
+                a_posteriori_error(form, pair, dof_maps, np.zeros(system.size), constant_rhs())
