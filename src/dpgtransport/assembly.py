@@ -23,10 +23,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import DofMap, SpaceKind, edge_nodes
-from .forms import TransportForm, local_load, local_saddle_blocks
+from .forms import TransportForm, local_load
 from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
 from .solve import cholesky_solve
-from .testspace import class_chunks, factor_on_cells, geometry_classes, near_optimal_blocks
+from .testspace import cell_blocks, class_chunks, factor_on_cells, geometry_classes
 
 CHARACTERISTIC_TOL = 1e-10
 
@@ -72,7 +72,7 @@ def assemble(
     cell_loads = np.empty((mesh_pair.coarse.n_cells, k + size))  # (y_K | g_K) per cell
     gram_cond = 1.0
     for classes, cells, members in class_chunks(representatives, inverse, loads.shape[1], k + size):
-        lower, coefficients, a = near_optimal_blocks(*local_saddle_blocks(form, cells, mesh_pair), cells)
+        lower, coefficients, a = cell_blocks(cells, mesh_pair, form)
         p, q, r = a[:, :k, :k], a[:, :k, k:], a[:, k:, k:]
         p_lower = factor_on_cells(p, cells, "phi block")
         w = cholesky_solve(p_lower, q)

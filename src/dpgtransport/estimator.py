@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem import DofMap, lagrange_basis, make_quadrature
-from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks
+from .forms import BilinearForm, InnerProduct, SpaceDescriptor, TransportForm, local_load
 from .mesh import MeshPair
 from .testspace import class_chunks, factor_on_cells, geometry_classes
 
@@ -57,7 +57,8 @@ def a_posteriori_error(
     indicators = np.empty(mesh_pair.coarse.n_cells)
     n_test = loads.shape[1]
     for _, cells, members in class_chunks(representatives, inverse, n_test, u.shape[1]):
-        b_bar, g_bar = local_saddle_blocks(enriched, cells, mesh_pair)
+        b_bar = InnerProduct(enriched).local_gram(cells, mesh_pair)
+        g_bar = BilinearForm(enriched).local_matrix(cells, mesh_pair)
         lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")
         residual_maps = np.concatenate([g_bar, np.broadcast_to(-np.eye(n_test), b_bar.shape)], axis=2)
         lifts = np.linalg.solve(lower, residual_maps).mT

@@ -1,8 +1,9 @@
 """The ultra-weak transport form and its broken graph-norm inner product.
 
 On a coarse cell K, with test functions v, w and the trial pair (phi, theta),
-`local_saddle_blocks` returns the Gram matrix of the inner product and the
-matrix of the form, for a whole stack of cells at once:
+`InnerProduct.local_gram` returns the Gram matrix of the inner product and
+`BilinearForm.local_matrix` the matrix of the form, for a whole stack of
+cells at once; `local_saddle_blocks` returns both:
 
     B_K = (v, w)_K + (beta . grad v, beta . grad w)_K,
     G_K = [ (phi, c v - beta . grad v)_K  |  <theta, (beta . n) v>_dK ].
@@ -212,26 +213,58 @@ def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return total
 
 
+def _cell_geometry(form: TransportForm, cells, mesh_pair: MeshPair):
+    """(|det J|, b = J^-1 beta, corners) of the coarse cells `cells`, shapes (..., 1), (..., 2), (..., 3, 2)."""
+    mesh = mesh_pair.coarse
+    corners = mesh.vertices[mesh.cells[cells]]
+    jac = np.stack([corners[..., 1, :] - corners[..., 0, :], corners[..., 2, :] - corners[..., 0, :]], axis=-1)
+    det = np.abs(np.linalg.det(jac))[..., None]
+    return det, np.linalg.solve(jac, np.asarray(form.beta)), corners
+
+
+def _cell_moments(form: TransportForm, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
+    return _moments(form.test_space.degree, form.test_space.levels(mesh_pair), form.degree)
+
+
+@dataclass(frozen=True)
+class InnerProduct:
+    """The broken graph-norm inner product on the test space of `form`."""
+
+    form: TransportForm
+
+    def local_gram(self, cells, mesh_pair: MeshPair) -> np.ndarray:
+        """B_K of the coarse cells `cells`, stacked; rows and columns in the order of `SpaceDescriptor.local_nodes`."""
+        det, b, _ = _cell_geometry(self.form, cells, mesh_pair)
+        b0, b1 = b[..., :1], b[..., 1:]
+        weights = det * np.concatenate([np.ones_like(b0), b0 * b0, b1 * b1, b0 * b1], axis=-1)
+        return _weighted_sum(weights, _cell_moments(self.form, mesh_pair)[0])
+
+
+@dataclass(frozen=True)
+class BilinearForm:
+    """The ultra-weak transport form tested against the test space of `form`."""
+
+    form: TransportForm
+
+    def local_matrix(self, cells, mesh_pair: MeshPair) -> np.ndarray:
+        """G_K of the coarse cells `cells`, stacked.
+
+        Rows as in `InnerProduct.local_gram`; columns the phi DOFs, then the theta DOFs.
+        """
+        det, b, corners = _cell_geometry(self.form, cells, mesh_pair)
+        flux = edge_flux(corners[..., NEXT_VERTEX, :] - corners, self.form.beta)  # f_k, (..., 3)
+        volume = det * np.concatenate([self.form.reaction * np.ones_like(det), -b], axis=-1)
+        weights = np.concatenate([volume, flux], axis=-1)
+        return _weighted_sum(weights, _cell_moments(self.form, mesh_pair)[1])
+
+
 def local_saddle_blocks(form: TransportForm, cells, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
     """(B_K, G_K) of the coarse cells `cells`, over the cell-local test DOFs.
 
     For an array of n cells the blocks are stacked, shapes (n, N, N) and
-    (n, N, n_phi + n_theta); a single cell gives the two matrices.  Rows are
-    in the order of `SpaceDescriptor.local_nodes`; the columns of G_K are the
-    phi DOFs, then the theta DOFs.
+    (n, N, n_phi + n_theta); a single cell gives the two matrices.
     """
-    mesh = mesh_pair.coarse
-    corners = mesh.vertices[mesh.cells[cells]]  # (..., 3, 2)
-    jac = np.stack([corners[..., 1, :] - corners[..., 0, :], corners[..., 2, :] - corners[..., 0, :]], axis=-1)
-    det = np.abs(np.linalg.det(jac))[..., None]
-    b = np.linalg.solve(jac, np.asarray(form.beta))  # beta in reference coordinates, (..., 2)
-    b0, b1 = b[..., :1], b[..., 1:]
-    flux = edge_flux(corners[..., NEXT_VERTEX, :] - corners, form.beta)  # f_k, (..., 3)
-    one = np.ones_like(b0)
-    gram_weights = det * np.concatenate([one, b0 * b0, b1 * b1, b0 * b1], axis=-1)
-    form_weights = np.concatenate([det * np.concatenate([form.reaction * one, -b0, -b1], axis=-1), flux], axis=-1)
-    gram_terms, form_terms = _moments(form.test_space.degree, form.test_space.levels(mesh_pair), form.degree)
-    return _weighted_sum(gram_weights, gram_terms), _weighted_sum(form_weights, form_terms)
+    return InnerProduct(form).local_gram(cells, mesh_pair), BilinearForm(form).local_matrix(cells, mesh_pair)
 
 
 @lru_cache(maxsize=None)

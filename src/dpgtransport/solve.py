@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.linalg import _umath_linalg
 from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14
@@ -42,10 +41,10 @@ def cholesky_factor(matrices: np.ndarray) -> np.ndarray:
     asymmetric = np.abs(stack - stack.mT).max(axis=(1, 2)) > SYMMETRY_TOL * scale
     if asymmetric.any():
         raise ValueError(f"matrix {np.argmax(asymmetric)} is not symmetric")
-    # The gufunc behind np.linalg.cholesky: it fills the factor of a matrix
-    # LAPACK rejects with NaN instead of raising for the whole stack.
-    with np.errstate(invalid="ignore"):
-        lower = _umath_linalg.cholesky_lo(stack, signature="d->d")
+    try:
+        lower = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:  # some matrix has no factor; factor one by one to find it
+        lower = np.stack([_factor_or_nan(matrix) for matrix in stack])
     diagonal = np.diagonal(stack, axis1=1, axis2=2)
     threshold = PIVOT_TOL * np.maximum(np.abs(diagonal).max(axis=1), 1.0)
     failed = ~(np.diagonal(lower, axis1=1, axis2=2) ** 2 > threshold[:, None]).all(axis=1)  # NaN fails too
@@ -55,9 +54,24 @@ def cholesky_factor(matrices: np.ndarray) -> np.ndarray:
     return lower.reshape(a.shape)
 
 
+def _factor_or_nan(matrix: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of one matrix, or NaN where it has none."""
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return np.full_like(matrix, np.nan)
+
+
 def cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T X = rhs for factors L of `cholesky_factor`; rhs has shape (N,) or (..., N, K)."""
-    return np.linalg.solve(lower.mT, np.linalg.solve(lower, np.asarray(rhs, dtype=float)))
+    """Solve L L^T X = rhs for factors L of `cholesky_factor`.
+
+    rhs has shape (..., N, K), stacked like `lower`; a vector rhs of shape
+    (N,) needs a single factor of shape (N, N).
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim == 1 and lower.ndim != 2:
+        raise ValueError("a vector right-hand side needs a single factor; give a stack of (N, K) matrices")
+    return np.linalg.solve(lower.mT, np.linalg.solve(lower, rhs))
 
 
 @dataclass(frozen=True)

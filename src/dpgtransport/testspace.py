@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fem import first_rows, row_ids
-from .mesh import TriMesh
+from .forms import TransportForm, local_saddle_blocks
+from .mesh import MeshPair, TriMesh
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 
 KEY_DIGITS = 12
@@ -60,14 +61,24 @@ def factor_on_cells(matrices: np.ndarray, cells, what: str) -> np.ndarray:
         raise NotPositiveDefiniteError(f"{what} indefinite on cell {cell}: {exc}", exc.index) from exc
 
 
+def compute_coefficients(b: np.ndarray, g: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+    """(L_K, C_K) from the stacked blocks of `cells`: L_K L_K^T = B_K, and C_K solves B_K C_K = G_K."""
+    lower = factor_on_cells(b, cells, "Gram matrix")
+    return lower, cholesky_solve(lower, g)
+
+
 def near_optimal_blocks(b: np.ndarray, g: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(L_K, C_K, A_K) from the stacked blocks (B_K, G_K) of `cells`.
 
-    L_K is the Cholesky factor of B_K, C_K solves B_K C_K = G_K, and
-    A_K = G_K^T C_K = G_K^T B_K^-1 G_K is symmetrized against roundoff.  Each
-    cell's result is the same whether it is computed alone or in a stack.
+    L_K and C_K are those of `compute_coefficients`, and A_K = G_K^T C_K =
+    G_K^T B_K^-1 G_K is symmetrized against roundoff.  Each cell's result is
+    the same whether it is computed alone or in a stack.
     """
-    lower = factor_on_cells(b, cells, "Gram matrix")
-    coefficients = cholesky_solve(lower, g)
+    lower, coefficients = compute_coefficients(b, g, cells)
     a = g.mT @ coefficients
     return lower, coefficients, 0.5 * (a + a.mT)
+
+
+def cell_blocks(cells, mesh_pair: MeshPair, form: TransportForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`near_optimal_blocks` of the coarse cells `cells`, one per geometry class they represent."""
+    return near_optimal_blocks(*local_saddle_blocks(form, cells, mesh_pair), cells)

@@ -104,6 +104,16 @@ def test_stacked_factor_names_first_failing_matrix(broken):
     assert failure.value.index == 3
 
 
+def test_stacked_factor_names_first_failure_of_either_kind():
+    """A pivot-floor failure before a matrix LAPACK rejects is still the one named."""
+    stack = np.stack([2.0 * np.eye(3)] * 6)
+    stack[3] = np.diag([1.0, 1e-16, 1.0])
+    stack[5] = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(NotPositiveDefiniteError, match="^matrix 3 is not positive definite") as failure:
+        cholesky_factor(stack)
+    assert failure.value.index == 3
+
+
 def test_solve_identity_factor():
     factor = cholesky_factor(np.eye(3))
     rhs = np.array([1.0, -2.0, 5.0])
@@ -124,6 +134,14 @@ def test_solve_rejects_wrong_size():
     factor = cholesky_factor(np.eye(2))
     with pytest.raises(ValueError):
         cholesky_solve(factor, np.ones(3))
+
+
+def test_solve_rejects_vector_rhs_for_a_stack():
+    """A vector rhs is read as one matrix by a stacked solve, so it is refused."""
+    factors = cholesky_factor(np.stack([np.eye(3)] * 3))
+    with pytest.raises(ValueError, match="single factor"):
+        cholesky_solve(factors, np.ones(3))
+    np.testing.assert_array_equal(cholesky_solve(factors, np.ones((3, 3, 1))), np.ones((3, 3, 1)))
 
 
 def test_solve_matrix_rhs():

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgtransport import assembly, estimator, testspace
+from dpgtransport import testspace
 from dpgtransport.assembly import assemble
 from dpgtransport.estimator import a_posteriori_error
 from dpgtransport.fem import SpaceKind, build_dof_map
-from dpgtransport.forms import local_saddle_blocks, transport_form
+from dpgtransport.forms import BilinearForm, InnerProduct, local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
 from dpgtransport.testspace import class_members, geometry_classes, near_optimal_blocks
@@ -180,17 +180,22 @@ def test_class_blocks_do_not_depend_on_the_stack(perturbed, m, ell):
             np.testing.assert_array_equal(mixed[np.flatnonzero(order == k)[0]], full[k])
 
 
-def _corrupt(blocks, target, part):
-    """`blocks` (a local_saddle_blocks) with B or G of the cell `target` made singular."""
+def _corrupt(method, target, broken):
+    """`method` (a block kernel of forms) with the block of the cell `target` made singular.
 
-    def corrupted(form, cells, pair):
-        b, g = blocks(form, cells, pair)
-        hit = np.ravel(cells) == target
-        if part == "b":  # the first test DOF has zero energy
-            b[hit, 0, :] = b[hit, :, 0] = 0.0
-        else:  # the first phi DOF tests to zero, so row and column 0 of A vanish
-            g[hit, :, 0] = 0.0
-        return b, g
+    Only blocks over the test-search space (`broken`) or only those over the
+    enriched space are changed.  A Gram matrix loses the energy of its first
+    test DOF; G loses the first phi DOF, so row and column 0 of A vanish.
+    """
+
+    def corrupted(self, cells, pair):
+        matrix = method(self, cells, pair)
+        if self.form.test_space.broken == broken:
+            hit = np.ravel(cells) == target
+            matrix[hit, :, 0] = 0.0
+            if isinstance(self, InnerProduct):
+                matrix[hit, 0, :] = 0.0
+        return matrix
 
     return corrupted
 
@@ -206,10 +211,14 @@ def test_cell_id_reported_on_failure(monkeypatch):
     dof_maps = build_dof_map(SpaceKind.BROKEN_COARSE, pair, 1), build_dof_map(SpaceKind.CONTINUOUS, pair, 2)
     target = geometry_classes(pair.coarse)[0][7]
     monkeypatch.setattr(testspace, "CHUNK_BYTES", 30000)  # 3 classes per chunk in assembly, 5 in the estimator
-    cases = [(assembly, "b", "Gram matrix"), (assembly, "g", "phi block"), (estimator, "b", "enriched Gram matrix")]
-    for module, part, what in cases:
+    cases = [
+        (InnerProduct, "local_gram", True, "Gram matrix"),
+        (BilinearForm, "local_matrix", True, "phi block"),
+        (InnerProduct, "local_gram", False, "enriched Gram matrix"),
+    ]
+    for kernel, name, broken, what in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(module, "local_saddle_blocks", _corrupt(local_saddle_blocks, target, part))
+            patch.setattr(kernel, name, _corrupt(getattr(kernel, name), target, broken))
             with pytest.raises(NotPositiveDefiniteError, match=rf"^{what} indefinite on cell {target}: matrix [1-9]"):
                 system = assemble(form, pair, dof_maps, constant_rhs())
                 a_posteriori_error(form, pair, dof_maps, np.zeros(system.size), constant_rhs())
