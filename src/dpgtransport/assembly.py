@@ -26,7 +26,7 @@ from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import TransportForm, local_load
 from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
 from .solve import cholesky_solve
-from .testspace import cell_blocks, class_chunks, factor_on_cells, geometry_classes
+from .testspace import cell_blocks, class_chunks, factor_on_cells
 
 CHARACTERISTIC_TOL = 1e-10
 
@@ -64,7 +64,7 @@ def assemble(
     k = phi_map.cell_dofs.shape[1]  # phi DOFs per cell, first in A_K
     theta_dofs = theta_map.cell_dofs  # (n_cells, theta size)
     n_theta, size = theta_map.ndofs, theta_dofs.shape[1]
-    representatives, inverse = geometry_classes(mesh_pair.coarse)
+    representatives, inverse = mesh_pair.coarse.geometry_classes
     loads = local_load(rhs_f, mesh_pair, form.test_space)
 
     blocks = np.empty((len(representatives), size, size))
@@ -74,13 +74,14 @@ def assemble(
     for classes, cells, members in class_chunks(representatives, inverse, loads.shape[1], k + size):
         lower, coefficients, a = cell_blocks(cells, mesh_pair, form)
         p, q, r = a[:, :k, :k], a[:, :k, k:], a[:, k:, k:]
+        c_phi, c_theta = coefficients[:, :, :k], coefficients[:, :, k:]
         p_lower = factor_on_cells(p, cells, "phi block")
-        w = cholesky_solve(p_lower, q)
+        solved = cholesky_solve(p_lower, np.concatenate([q, c_phi.mT], axis=2))  # P^-1 [Q | C_phi^T]
+        w = solved[:, :, :size]
         s_k = r - q.mT @ w
         blocks[classes] = 0.5 * (s_k + s_k.mT)
         coupling[classes] = w
-        c_phi, c_theta = coefficients[:, :, :k], coefficients[:, :, k:]
-        load_maps = np.concatenate([cholesky_solve(p_lower, c_phi.mT).mT, c_theta - c_phi @ w], axis=2)
+        load_maps = np.concatenate([solved[:, :, size:].mT, c_theta - c_phi @ w], axis=2)
         for load_map, cells_k in zip(load_maps, members):
             cell_loads[cells_k] = loads[cells_k] @ load_map
         diagonal = np.diagonal(lower, axis1=1, axis2=2)

@@ -16,7 +16,8 @@ import numpy as np
 from .fem import DofMap, lagrange_basis, make_quadrature
 from .forms import BilinearForm, InnerProduct, SpaceDescriptor, TransportForm, local_load
 from .mesh import MeshPair
-from .testspace import class_chunks, factor_on_cells, geometry_classes
+from .solve import triangular_solve
+from .testspace import class_chunks, factor_on_cells
 
 DEFAULT_ENRICHMENT_DEGREE = 5
 
@@ -53,7 +54,7 @@ def a_posteriori_error(
     loads = local_load(rhs_f, mesh_pair, enriched.test_space)
     cell_rows = np.hstack([u, loads])
 
-    representatives, inverse = geometry_classes(mesh_pair.coarse)
+    representatives, inverse = mesh_pair.coarse.geometry_classes
     indicators = np.empty(mesh_pair.coarse.n_cells)
     n_test = loads.shape[1]
     for _, cells, members in class_chunks(representatives, inverse, n_test, u.shape[1]):
@@ -61,7 +62,7 @@ def a_posteriori_error(
         g_bar = BilinearForm(enriched).local_matrix(cells, mesh_pair)
         lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")
         residual_maps = np.concatenate([g_bar, np.broadcast_to(-np.eye(n_test), b_bar.shape)], axis=2)
-        lifts = np.linalg.solve(lower, residual_maps).mT
+        lifts = triangular_solve(lower, residual_maps).mT
         for lift, cells_k in zip(lifts, members):
             lifted = cell_rows[cells_k] @ lift  # (L^-1 rho_K)^T, one row per member cell
             indicators[cells_k] = np.einsum("ci,ci->c", lifted, lifted)

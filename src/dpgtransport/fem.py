@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import MeshPair
+from .mesh import MeshPair, first_rows, row_ids
 
 MAX_BASIS_DEGREE = 5
 MAX_QUADRATURE_DEGREE = 12
@@ -151,30 +151,6 @@ class DofMap:
     ndofs: int
     cell_dofs: np.ndarray = field(repr=False)  # (n_coarse, local size)
     node_coords: np.ndarray | None = field(default=None, repr=False)
-
-
-def row_ids(keys: np.ndarray) -> np.ndarray:
-    """The lexicographic dense rank of each row of `keys`, as `np.unique(keys, axis=0)` numbers them.
-
-    The columns are folded in one at a time with 1-D sorts: the rank of the
-    leading columns times (largest column rank + 1) plus the rank of the next
-    column orders the pairs lexicographically.  Both ranks stay below the row
-    count, so the composite never overflows, whatever the size of the keys.
-    """
-    def rank(values):
-        return np.unique(values, return_inverse=True)[1]
-
-    columns = iter(np.asarray(keys).reshape(len(keys), -1).T)
-    ids = rank(next(columns))
-    for column in columns:
-        ranks = rank(column)
-        ids = rank(ids * (ranks.max() + 1) + ranks)
-    return ids
-
-
-def first_rows(ids: np.ndarray) -> np.ndarray:
-    """The first row holding each id of `row_ids`, in id order."""
-    return np.unique(ids, return_index=True)[1]
 
 
 def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

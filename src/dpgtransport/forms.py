@@ -217,7 +217,7 @@ def _cell_geometry(form: TransportForm, cells, mesh_pair: MeshPair):
     """(|det J|, b = J^-1 beta, corners) of the coarse cells `cells`, shapes (..., 1), (..., 2), (..., 3, 2)."""
     mesh = mesh_pair.coarse
     corners = mesh.vertices[mesh.cells[cells]]
-    jac = np.stack([corners[..., 1, :] - corners[..., 0, :], corners[..., 2, :] - corners[..., 0, :]], axis=-1)
+    jac = mesh.jacobians()[cells]
     det = np.abs(np.linalg.det(jac))[..., None]
     return det, np.linalg.solve(jac, np.asarray(form.beta)), corners
 

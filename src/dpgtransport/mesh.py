@@ -4,16 +4,19 @@ The coarse mesh splits the square into 2^level x 2^level squares, each cut
 along the lower-left to upper-right diagonal.  Fine cells are obtained by
 red (midpoint) refinement of every coarse cell; they are stored in the
 coordinates of the unit reference triangle so that congruent coarse cells
-share the same subdivision.
+share the same subdivision.  `row_ids` ranks rows of keys; it keys the
+geometry classes of a mesh and the continuous DOF numbering.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 GEOM_TOL = 1e-12
+# Digits of the rounded Jacobian entries that key a cell's geometry class.
+KEY_DIGITS = 12
 
 # Unit reference triangle with vertices (0,0), (1,0), (0,1).
 REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -30,14 +33,44 @@ def edge_flux(tangents: np.ndarray, beta) -> np.ndarray:
     return beta[0] * tangents[..., 1] - beta[1] * tangents[..., 0]
 
 
+def row_ids(keys: np.ndarray) -> np.ndarray:
+    """The lexicographic dense rank of each row of `keys`, as `np.unique(keys, axis=0)` numbers them.
+
+    The columns are folded in one at a time with 1-D sorts: the rank of the
+    leading columns times (largest column rank + 1) plus the rank of the next
+    column orders the pairs lexicographically.  Both ranks stay below the row
+    count, so the composite never overflows, whatever the size of the keys.
+    """
+    def rank(values):
+        return np.unique(values, return_inverse=True)[1]
+
+    columns = iter(np.asarray(keys).reshape(len(keys), -1).T)
+    ids = rank(next(columns))
+    for column in columns:
+        ranks = rank(column)
+        ids = rank(ids * (ranks.max() + 1) + ranks)
+    return ids
+
+
+def first_rows(ids: np.ndarray) -> np.ndarray:
+    """The first row holding each id of `row_ids`, in id order."""
+    return np.unique(ids, return_index=True)[1]
+
+
 class TriMesh:
-    """Immutable triangle mesh: vertex table and CCW cells."""
+    """Immutable triangle mesh: vertex table and CCW cells.
+
+    The Jacobians of the cells' reference maps are computed once, with the
+    mesh, and the geometry-class index on first use; both are read-only.
+    """
 
     def __init__(self, vertices: np.ndarray, cells: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=int)
-        areas = self.areas()
-        if np.any(areas <= 0.0):
+        v = self.vertices[self.cells]
+        self._jacobians = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        self._jacobians.setflags(write=False)
+        if np.any(self.areas() <= 0.0):
             raise ValueError("all cells must be counter-clockwise with positive area")
 
     @property
@@ -49,13 +82,26 @@ class TriMesh:
         return len(self.cells)
 
     def jacobians(self) -> np.ndarray:
-        """Jacobians of every cell's reference map, shape (n_cells, 2, 2)."""
-        v = self.vertices[self.cells]
-        return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        """Jacobians of every cell's reference map, shape (n_cells, 2, 2); read-only."""
+        return self._jacobians
 
     def areas(self) -> np.ndarray:
-        jac = self.jacobians()
+        jac = self._jacobians
         return 0.5 * (jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 1, 0] * jac[:, 0, 1])
+
+    @cached_property
+    def geometry_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cells grouped by their Jacobian rounded to KEY_DIGITS digits.
+
+        `(representatives, inverse)`: `representatives[k]` is the first cell
+        of class k and `inverse[cell]` is the class of `cell`.  Cells of one
+        class are congruent up to translation.  Read-only.
+        """
+        inverse = row_ids(np.round(self._jacobians.reshape(self.n_cells, 4), KEY_DIGITS))
+        representatives = first_rows(inverse)
+        for a in (representatives, inverse):
+            a.setflags(write=False)
+        return representatives, inverse
 
 
 def build_uniform_mesh(level: int) -> TriMesh:

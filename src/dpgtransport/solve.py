@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.sparse.linalg import splu
 
 PIVOT_TOL = 1e-14
@@ -63,15 +64,47 @@ def _factor_or_nan(matrix: np.ndarray) -> np.ndarray:
 
 
 def cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^T X = rhs for factors L of `cholesky_factor`.
+    """Solve L L^T X = rhs for factors L of `cholesky_factor`: LAPACK's `potrs` on each matrix.
 
     rhs has shape (..., N, K), stacked like `lower`; a vector rhs of shape
     (N,) needs a single factor of shape (N, N).
     """
+    return _solve_each(dpotrs, lower, rhs)
+
+
+def triangular_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L X = rhs for factors L of `cholesky_factor`: LAPACK's `trtrs` on each matrix.
+
+    Shapes as in `cholesky_solve`.
+    """
+    return _solve_each(dtrtrs, lower, rhs, trans=1)
+
+
+def _solve_each(routine, lower: np.ndarray, rhs: np.ndarray, **options) -> np.ndarray:
+    """`routine` on each factor of the stack `lower` and its right-hand side, one LAPACK call per matrix.
+
+    numpy has no batched triangular solve, and `np.linalg.solve` would run a
+    full LU of each triangular factor.  LAPACK is given each factor's
+    transpose, the upper factor L^T, in the column-major layout it works in,
+    without a copy, and solves in place in a column-major copy of the rhs.  A
+    matrix's result does not depend on the stack it is in.
+    """
+    lower = np.asarray(lower, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.ndim == 1 and lower.ndim != 2:
-        raise ValueError("a vector right-hand side needs a single factor; give a stack of (N, K) matrices")
-    return np.linalg.solve(lower.mT, np.linalg.solve(lower, rhs))
+    vector = rhs.ndim == 1
+    if vector:
+        if lower.ndim != 2:
+            raise ValueError("a vector right-hand side needs a single factor; give a stack of (N, K) matrices")
+        rhs = rhs[:, None]
+    n = lower.shape[-1]
+    if lower.shape[:-2] != rhs.shape[:-2] or rhs.shape[-2] != n:
+        raise ValueError(f"factors {lower.shape} and right-hand sides {rhs.shape} do not match")
+    x = np.array(rhs.mT, order="C")  # x[i].T is the column-major (N, K) rhs of matrix i
+    for i, (factor, b) in enumerate(zip(lower.reshape(-1, n, n), x.reshape(-1, *x.shape[-2:]))):
+        _, info = routine(factor.T, b.T, lower=0, overwrite_b=1, **options)
+        if info != 0:
+            raise ValueError(f"{routine.__name__} failed on matrix {i} (info {info})")
+    return x[..., 0, :] if vector else x.mT
 
 
 @dataclass(frozen=True)

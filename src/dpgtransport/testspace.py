@@ -4,37 +4,26 @@ For each coarse cell the columns of C_K express the near-optimal test
 functions in the test-search basis: B_K C_K = G_K.  With constant
 coefficients the blocks depend on the cell only through the Jacobian of its
 reference map, so congruent-up-to-translation cells form one geometry class
-and share one solve.  The classes are processed in chunks whose local blocks
-take at most CHUNK_BYTES, and each chunk's solves are one stacked call.
+(`TriMesh.geometry_classes`) and share one solve.  The classes are processed
+in chunks whose local blocks take at most CHUNK_BYTES; each chunk's factors
+are one stacked call, and its solves one LAPACK call per class.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fem import first_rows, row_ids
 from .forms import TransportForm, local_saddle_blocks
-from .mesh import MeshPair, TriMesh
+from .mesh import MeshPair
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 
-KEY_DIGITS = 12
 # Bytes of the stacked B_K and G_K of one chunk of geometry classes; a class
 # whose blocks are larger forms a chunk of its own.
 CHUNK_BYTES = 2**18
 
 
-def geometry_classes(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Cells grouped by their Jacobian rounded to KEY_DIGITS digits.
-
-    Returns `(representatives, inverse)`: `representatives[k]` is the first
-    cell of class k and `inverse[cell]` is the class of `cell`.
-    """
-    inverse = row_ids(np.round(mesh.jacobians().reshape(mesh.n_cells, 4), KEY_DIGITS))
-    return first_rows(inverse), inverse
-
-
 def class_members(inverse: np.ndarray) -> list[np.ndarray]:
-    """The cells of each class of `geometry_classes`, in cell order."""
+    """The cells of each class of `TriMesh.geometry_classes`, in cell order."""
     order = np.argsort(inverse, kind="stable")
     return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
 

@@ -22,7 +22,7 @@ from dpgtransport import (
     transport_form,
 )
 from dpgtransport.cli import ErrorReport, RunConfig, export_csv, export_vtk, solve_level
-from dpgtransport.testspace import geometry_classes, near_optimal_blocks
+from dpgtransport.testspace import near_optimal_blocks
 from test_assembly import dense_oracle, per_cell_matrix, schur_complement
 from test_estimator import _dense_eta_oracle, _estimate
 
@@ -248,7 +248,7 @@ def test_criterion_8_cache_transparency(capsys):
     per_cell, _ = schur_complement(per_cell, np.zeros(system.size), phi_map.ndofs)
     diff = np.abs(system.matrix.toarray() - per_cell).max()
     n = mesh_pair.coarse.n_cells
-    shared = (n - len(geometry_classes(mesh_pair.coarse)[0])) / n
+    shared = (n - len(mesh_pair.coarse.geometry_classes[0])) / n
     ok = diff <= 1e-13 and shared >= (n - 2) / n
     _verdict(
         capsys,

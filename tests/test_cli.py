@@ -22,7 +22,7 @@ from dpgtransport.cli import (
 from dpgtransport.fem import SpaceKind, build_dof_map, lagrange_basis
 from dpgtransport.forms import local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, build_uniform_mesh
-from dpgtransport.testspace import geometry_classes, near_optimal_blocks
+from dpgtransport.testspace import near_optimal_blocks
 
 CSV_HEADER = "level,H,ndof,l2_error,eta,efficiency,iterations,seconds"
 
@@ -131,7 +131,7 @@ def test_report_row_counts_classes_and_bounds_gram_conditioning(monkeypatch, per
         assert math.isfinite(row.gram_cond) and row.gram_cond >= 1.0
         # the largest (max diag L / min diag L)^2 over the classes, a lower bound on cond(B_K)
         pair = solution.mesh_pair
-        cells = geometry_classes(pair.coarse)[0]
+        cells = pair.coarse.geometry_classes[0]
         b, g = local_saddle_blocks(transport_form(config.degree, config.beta, config.reaction), cells, pair)
         diagonal = np.diagonal(near_optimal_blocks(b, g, cells)[0], axis1=1, axis2=2)
         assert row.gram_cond == ((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()

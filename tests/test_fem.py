@@ -11,13 +11,11 @@ from dpgtransport.fem import (
     edge_nodes,
     edge_quadrature,
     first_appearance,
-    first_rows,
     lagrange_basis,
     make_quadrature,
-    row_ids,
 )
 from dpgtransport.forms import SpaceDescriptor
-from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh
+from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh, first_rows, row_ids
 
 
 def _random_reference_points(rng, n):

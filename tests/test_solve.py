@@ -11,6 +11,7 @@ from dpgtransport.solve import (
     cg_solve,
     cholesky_factor,
     cholesky_solve,
+    triangular_solve,
 )
 
 from conftest import BENCHMARK_BETA, solve_transport
@@ -151,6 +152,50 @@ def test_solve_matrix_rhs():
     rhs = rng.standard_normal((5, 4))
     factor = cholesky_factor(a)
     np.testing.assert_allclose(a @ cholesky_solve(factor, rhs), rhs, atol=1e-11)
+
+
+def test_solve_layout_does_not_change_the_result():
+    """A transposed rhs view and a non-contiguous factor solve bit for bit like their contiguous copies."""
+    rng = np.random.default_rng(7)
+    stack = np.stack([_random_spd(rng, 6) for _ in range(5)])
+    lower = cholesky_factor(stack)
+    rhs_t = rng.standard_normal((5, 4, 6))
+    rhs = rhs_t.mT  # (5, 6, 4), not contiguous
+    wide = np.zeros((5, 6, 9))
+    wide[:, :, 2:8] = lower
+    factor = wide[:, :, 2:8]  # the factors inside a wider array
+    assert not rhs.flags.c_contiguous and not factor.flags.c_contiguous
+    expected = cholesky_solve(lower, np.ascontiguousarray(rhs))
+    np.testing.assert_array_equal(cholesky_solve(factor, rhs), expected)
+    np.testing.assert_array_equal(cholesky_solve(np.asfortranarray(lower), rhs), expected)
+    np.testing.assert_array_equal(
+        triangular_solve(factor, rhs), triangular_solve(lower, np.ascontiguousarray(rhs))
+    )
+
+
+@pytest.mark.parametrize("solve", [cholesky_solve, triangular_solve])
+def test_solve_rejects_stacks_of_different_lengths(solve):
+    factors = cholesky_factor(np.stack([2.0 * np.eye(3)] * 4))
+    for rhs in (np.ones((3, 3, 2)), np.ones((5, 3, 2)), np.ones((3, 2))):
+        with pytest.raises(ValueError, match="do not match"):
+            solve(factors, rhs)
+
+
+@pytest.mark.parametrize("solve", [cholesky_solve, triangular_solve])
+def test_solve_empty_stack(solve):
+    x = solve(np.empty((0, 4, 4)), np.empty((0, 4, 3)))
+    assert x.shape == (0, 4, 3)
+
+
+def test_triangular_solve_matches_each_matrix_alone():
+    rng = np.random.default_rng(8)
+    stack = np.stack([_random_spd(rng, 5) for _ in range(4)])
+    lower = cholesky_factor(stack)
+    rhs = rng.standard_normal((4, 5, 3))
+    x = triangular_solve(lower, rhs)
+    assert np.abs(lower @ x - rhs).max() < 1e-12
+    for factor, b, xk in zip(lower, rhs, x):
+        np.testing.assert_array_equal(triangular_solve(factor, b), xk)
 
 
 # ----------------------------------------------------------------------- CG

@@ -8,9 +8,9 @@ from dpgtransport.assembly import assemble
 from dpgtransport.estimator import a_posteriori_error
 from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import BilinearForm, InnerProduct, local_saddle_blocks, transport_form
-from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
+from dpgtransport.mesh import KEY_DIGITS, MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
-from dpgtransport.testspace import class_members, geometry_classes, near_optimal_blocks
+from dpgtransport.testspace import class_members, near_optimal_blocks
 
 from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh
 
@@ -76,7 +76,7 @@ def test_near_optimal_matrix_against_dense_oracle():
 
 def test_translated_cells_share_key():
     # lower triangles of adjacent squares are translates of each other
-    classes = geometry_classes(build_uniform_mesh(1))[1]
+    classes = build_uniform_mesh(1).geometry_classes[1]
     assert classes[0] == classes[2]
     assert classes[0] != classes[1]
 
@@ -84,7 +84,7 @@ def test_translated_cells_share_key():
 def test_reflected_cell_gets_fresh_key():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     mesh = TriMesh(vertices, np.array([[0, 1, 2], [0, 2, 3]]))  # cell 1 mirrors cell 0 in x = 0
-    representatives, classes = geometry_classes(mesh)
+    representatives, classes = mesh.geometry_classes
     assert classes[0] != classes[1]
     np.testing.assert_array_equal(np.sort(representatives), [0, 1])
 
@@ -101,7 +101,7 @@ def test_translated_cells_get_identical_blocks():
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_uniform_mesh_has_two_congruence_classes(level):
     mesh = build_uniform_mesh(level)
-    representatives, classes = geometry_classes(mesh)
+    representatives, classes = mesh.geometry_classes
     np.testing.assert_array_equal(np.sort(representatives), [0, 1])  # the first lower and upper cell
     np.testing.assert_array_equal(classes[::2], classes[0])  # every lower triangle
     np.testing.assert_array_equal(classes[1::2], classes[1])  # every upper triangle
@@ -116,16 +116,16 @@ def test_uniform_mesh_has_two_congruence_classes(level):
 @pytest.mark.parametrize("level", range(1, 6))
 def test_geometry_classes_match_unique_rows(level, perturbed):
     mesh = perturbed_mesh(level) if perturbed else build_uniform_mesh(level)
-    keys = np.round(mesh.jacobians().reshape(mesh.n_cells, 4), testspace.KEY_DIGITS)
+    keys = np.round(mesh.jacobians().reshape(mesh.n_cells, 4), KEY_DIGITS)
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    representatives, classes = geometry_classes(mesh)
+    representatives, classes = mesh.geometry_classes
     np.testing.assert_array_equal(representatives, first)
     np.testing.assert_array_equal(classes, inverse.ravel())
 
 
 def test_perturbed_mesh_has_one_class_per_cell():
     mesh = perturbed_mesh(2)
-    representatives, classes = geometry_classes(mesh)
+    representatives, classes = mesh.geometry_classes
     np.testing.assert_array_equal(np.sort(representatives), np.arange(mesh.n_cells))
     np.testing.assert_array_equal(representatives[classes], np.arange(mesh.n_cells))
 
@@ -167,7 +167,7 @@ def test_class_blocks_do_not_depend_on_the_stack(perturbed, m, ell):
     """B, G, C and A of a class are bit-identical alone, in the full stack and in a shuffled stack."""
     pair = MeshPair(perturbed_mesh(1) if perturbed else build_uniform_mesh(1), ell)
     form = transport_form(m, BENCHMARK_BETA, 0.5)
-    representatives = geometry_classes(pair.coarse)[0]
+    representatives = pair.coarse.geometry_classes[0]
     stacked = _class_blocks(form, representatives, pair)
     order = np.random.default_rng(m + 10 * ell).permutation(len(representatives))
     shuffled = _class_blocks(form, representatives[order], pair)
@@ -209,7 +209,7 @@ def test_cell_id_reported_on_failure(monkeypatch):
     pair = MeshPair(perturbed_mesh(2), 1)
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     dof_maps = build_dof_map(SpaceKind.BROKEN_COARSE, pair, 1), build_dof_map(SpaceKind.CONTINUOUS, pair, 2)
-    target = geometry_classes(pair.coarse)[0][7]
+    target = pair.coarse.geometry_classes[0][7]
     monkeypatch.setattr(testspace, "CHUNK_BYTES", 30000)  # 3 classes per chunk in assembly, 5 in the estimator
     cases = [
         (InnerProduct, "local_gram", True, "Gram matrix"),
@@ -222,3 +222,35 @@ def test_cell_id_reported_on_failure(monkeypatch):
             with pytest.raises(NotPositiveDefiniteError, match=rf"^{what} indefinite on cell {target}: matrix [1-9]"):
                 system = assemble(form, pair, dof_maps, constant_rhs())
                 a_posteriori_error(form, pair, dof_maps, np.zeros(system.size), constant_rhs())
+
+
+def test_local_solves_run_no_lu_larger_than_two_by_two(monkeypatch):
+    """The local blocks are solved through their Cholesky factors, never by an LU or an explicit inverse.
+
+    The only dense solve left is the stacked J^-1 beta of the cells' 2x2
+    Jacobians.  A first run fills the caches of the reference-element bases
+    and moments, which invert their Vandermonde matrices once.
+    """
+    pair = MeshPair(perturbed_mesh(2), 1)
+    form = transport_form(3, BENCHMARK_BETA, 0.0)
+    dof_maps = build_dof_map(SpaceKind.BROKEN_COARSE, pair, 2), build_dof_map(SpaceKind.CONTINUOUS, pair, 3)
+
+    def run():
+        system = assemble(form, pair, dof_maps, constant_rhs())
+        a_posteriori_error(form, pair, dof_maps, np.ones(system.size), constant_rhs())
+
+    run()
+    shapes = []
+
+    def spy(function):
+        def spied(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return function(a, *args, **kwargs)
+
+        return spied
+
+    monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", spy(np.linalg.inv))
+    run()
+    assert shapes, "the spy saw no call; J^-1 beta should have gone through it"
+    assert all(shape[-2:] == (2, 2) for shape in shapes), shapes
