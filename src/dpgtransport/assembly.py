@@ -71,7 +71,7 @@ def assemble(
     coupling = np.empty((len(representatives), k, size))
     cell_loads = np.empty((mesh_pair.coarse.n_cells, k + size))  # (y_K | g_K) per cell
     gram_cond = 1.0
-    for classes, cells, members in class_chunks(representatives, inverse, loads.shape[1], k + size):
+    for classes, cells, members in class_chunks(mesh_pair.coarse, loads.shape[1], k + size):
         lower, coefficients, a = cell_blocks(cells, mesh_pair, form)
         p, q, r = a[:, :k, :k], a[:, :k, k:], a[:, k:, k:]
         c_phi, c_theta = coefficients[:, :, :k], coefficients[:, :, k:]
@@ -162,8 +162,7 @@ def apply_dirichlet(system: GlobalSystem, mask: np.ndarray) -> GlobalSystem:
 def characteristic_theta_dofs(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
     """Theta DOFs all of whose supporting edges satisfy |beta . n| <= tol.
 
-    A DOF's supporting edges are the mesh edges its Lagrange node lies on;
-    interior nodes (no edge at all) carry no trace weight and are included.
+    A DOF's supporting edges are the mesh edges its Lagrange node lies on.
     """
     live = np.abs(_edge_flux(mesh, beta)) > CHARACTERISTIC_TOL
     return np.flatnonzero(~_dofs_on_edges(theta_map, live))

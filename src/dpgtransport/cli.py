@@ -15,7 +15,7 @@ from .assembly import apply_dirichlet, assemble, back_substitute, inflow_mask, p
 from .estimator import a_posteriori_error, exact_transport_solution, l2_error
 from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis
 from .forms import transport_form
-from .mesh import MeshPair, build_uniform_mesh
+from .mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh
 from .solve import cg_solve
 
 MAX_TRIAL_DEGREE = 4  # m + 1 <= 5, the basis table bound
@@ -193,13 +193,10 @@ def export_vtk(
     theta_map: DofMap,
     path: str,
 ) -> None:
-    """Legacy ASCII VTK with per-cell duplicated points for the broken field."""
+    """Legacy ASCII VTK with per-cell duplicated points; theta at the corners is each cell's first three DOFs."""
     mesh = mesh_pair.coarse
-    phi_basis = lagrange_basis(phi_map.degree)
-    theta_basis = lagrange_basis(theta_map.degree)
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    phi_vals = (phi_coefficients[phi_map.cell_dofs] @ phi_basis.eval(corners).T).ravel()
-    theta_vals = (theta_coefficients[theta_map.cell_dofs] @ theta_basis.eval(corners).T).ravel()
+    phi_vals = (phi_coefficients[phi_map.cell_dofs] @ lagrange_basis(phi_map.degree).eval(REFERENCE_TRIANGLE).T).ravel()
+    theta_vals = theta_coefficients[theta_map.cell_dofs[:, :3]].ravel()
     vertex_lines = [f"{x!r} {y!r} 0.0\n" for x, y in mesh.vertices.tolist()]
 
     n = mesh.n_cells

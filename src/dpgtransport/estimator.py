@@ -54,10 +54,9 @@ def a_posteriori_error(
     loads = local_load(rhs_f, mesh_pair, enriched.test_space)
     cell_rows = np.hstack([u, loads])
 
-    representatives, inverse = mesh_pair.coarse.geometry_classes
     indicators = np.empty(mesh_pair.coarse.n_cells)
     n_test = loads.shape[1]
-    for _, cells, members in class_chunks(representatives, inverse, n_test, u.shape[1]):
+    for _, cells, members in class_chunks(mesh_pair.coarse, n_test, u.shape[1]):
         b_bar = InnerProduct(enriched).local_gram(cells, mesh_pair)
         g_bar = BilinearForm(enriched).local_matrix(cells, mesh_pair)
         lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")

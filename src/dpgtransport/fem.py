@@ -90,6 +90,11 @@ def lagrange_basis(degree: int) -> LocalBasis:
     return LocalBasis(degree)
 
 
+def skeleton_size(degree: int) -> int:
+    """Trace DOFs per cell: the 3 vertex and 3 (degree - 1) edge nodes, which `_lattice_nodes` lists first."""
+    return 3 * degree
+
+
 @lru_cache(maxsize=None)
 def edge_nodes(degree: int) -> np.ndarray:
     """Local nodes on each reference edge, shape (3, degree + 1); read-only.
@@ -141,7 +146,7 @@ def edge_quadrature(exactness_degree: int) -> QuadratureRule:
 
 class SpaceKind(enum.Enum):
     BROKEN_COARSE = "broken_coarse"  # discontinuous across coarse cells
-    CONTINUOUS = "continuous"  # Lagrange space, shared nodes
+    CONTINUOUS = "continuous"  # trace space on the skeleton: shared vertex and edge nodes
 
 
 @dataclass(frozen=True)
@@ -166,9 +171,10 @@ def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
     """Global numbering for one of the two space families.
 
-    Continuous DOFs are the distinct physical Lagrange nodes, keyed by their
-    coordinates rounded to 1e-10 and numbered in order of first appearance
-    in the cell-major node list.
+    Continuous DOFs are the distinct physical Lagrange nodes on the mesh
+    skeleton, the first `skeleton_size(degree)` nodes of each cell, keyed by
+    their coordinates rounded to 1e-10 and numbered in order of first
+    appearance in the cell-major node list.
     """
     basis = lagrange_basis(degree)
     nloc = basis.size
@@ -180,9 +186,10 @@ def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
 
     if kind is SpaceKind.CONTINUOUS:
         mesh = mesh_pair.coarse
+        nodes = basis.nodes[: skeleton_size(degree)]
         origins = mesh.vertices[mesh.cells[:, :1]]  # (nc, 1, 2)
-        phys = (basis.nodes @ mesh.jacobians().transpose(0, 2, 1) + origins).reshape(-1, 2)
+        phys = (nodes @ mesh.jacobians().transpose(0, 2, 1) + origins).reshape(-1, 2)
         numbers, first = first_appearance(np.round(phys * 1e10).astype(np.int64))
-        return DofMap(kind, degree, len(first), numbers.reshape(nc, nloc), phys[first])
+        return DofMap(kind, degree, len(first), numbers.reshape(nc, len(nodes)), phys[first])
 
     raise ValueError(f"unknown space kind: {kind}")

@@ -11,8 +11,8 @@ cells at once; `local_saddle_blocks` returns both:
 Test spaces are continuous piecewise polynomials on the red-refined submesh
 of a coarse cell (the test-search space) or a single polynomial per coarse
 cell (the enriched estimator space); both are broken across coarse cells
-only, so they lie in the broken graph space prod_K H(beta; K).  Trial spaces
-are one polynomial per coarse cell.
+only, so they lie in the broken graph space prod_K H(beta; K).  phi is one
+polynomial per coarse cell, and theta a polynomial on each edge of it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import edge_quadrature, first_appearance, lagrange_basis, make_quadrature
+from .fem import edge_quadrature, first_appearance, lagrange_basis, make_quadrature, skeleton_size
 from .mesh import (
     GEOM_TOL,
     NEXT_VERTEX,
@@ -100,8 +100,8 @@ class SpaceDescriptor:
 class TransportForm:
     """Ultra-weak form of beta . grad(phi) + c phi = f with trial parameter m.
 
-    The trial pair is phi of degree m-1 and theta of degree m, one polynomial
-    per coarse cell each; `beta` is a unit vector and `reaction` is c.
+    The trial pair is phi of degree m-1 on each coarse cell and theta of
+    degree m on its edges; `beta` is a unit vector and `reaction` is c.
     """
 
     degree: int
@@ -153,11 +153,13 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
 
     Returns `(gram_terms, form_terms)`: (M, S_00, S_11, S_01 + S_10), shape
     (4, N, N), and (P, D_0, D_1, E_0, E_1, E_2), shape (6, N, n_phi + n_theta),
-    with the phi columns first.  N is the test space's cell-local size.  One
+    with the phi columns first.  N is the test space's cell-local size, and
+    theta has `skeleton_size(m)` columns, its nodes on the cell's edges.  One
     triangle rule of exactness min(2 deg + 2, 12) on every subcell is exact
     for every product here.  Read-only, cached.
     """
     test, phi, theta = lagrange_basis(test_degree), lagrange_basis(m - 1), lagrange_basis(m)
+    n_theta = skeleton_size(m)
     table, nodes = submesh_dofs(test_degree, levels)
     jacobians, offsets = _subcell_maps(levels)
     quad = make_quadrature(min(2 * test_degree + 2, 12))
@@ -177,7 +179,7 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     np.add.at(gram_terms, (slice(None), table[:, :, None], table[:, None, :]), gram_pieces)
     gram_terms = 0.5 * (gram_terms + gram_terms.transpose(0, 2, 1))
 
-    form_terms = np.zeros((6, len(nodes), phi.size + theta.size))
+    form_terms = np.zeros((6, len(nodes), phi.size + n_theta))
     phi_pieces = np.concatenate(
         [
             np.einsum("sq,qi,sqj->sij", weights, values, phi_values)[None],
@@ -191,7 +193,7 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     edge = edge_quadrature(test_degree + m + 1)
     for t, k, a_ref, b_ref, a_c, b_c in _boundary_edges(levels):
         tv = test.eval(a_ref + np.outer(edge.points, b_ref - a_ref))
-        uv = theta.eval(a_c + np.outer(edge.points, b_c - a_c))
+        uv = theta.eval(a_c + np.outer(edge.points, b_c - a_c))[:, :n_theta]
         form_terms[3 + k, table[t], phi.size :] += 2.0**-levels * np.einsum(
             "q,qi,qj->ij", edge.weights, tv, uv
         )

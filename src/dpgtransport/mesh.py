@@ -61,7 +61,8 @@ class TriMesh:
     """Immutable triangle mesh: vertex table and CCW cells.
 
     The Jacobians of the cells' reference maps are computed once, with the
-    mesh, and the geometry-class index on first use; both are read-only.
+    mesh, and the geometry-class index and its members on first use; all are
+    read-only.
     """
 
     def __init__(self, vertices: np.ndarray, cells: np.ndarray):
@@ -102,6 +103,14 @@ class TriMesh:
         for a in (representatives, inverse):
             a.setflags(write=False)
         return representatives, inverse
+
+    @cached_property
+    def class_members(self) -> tuple[np.ndarray, ...]:
+        """The cells of each class of `geometry_classes`, in cell order; read-only."""
+        inverse = self.geometry_classes[1]
+        order = np.argsort(inverse, kind="stable")
+        order.setflags(write=False)  # the members are views of it
+        return tuple(np.split(order, np.cumsum(np.bincount(inverse))[:-1]))
 
 
 def build_uniform_mesh(level: int) -> TriMesh:

@@ -1,4 +1,4 @@
-"""Stacked dense Cholesky for the local systems and factor-preconditioned CG for the trace system."""
+"""Stacked dense Cholesky for the local systems; a sparse factor with iterative refinement for the trace system."""
 
 from __future__ import annotations
 
@@ -115,17 +115,14 @@ class CgReport:
 
 
 def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None):
-    """Conjugate gradients for a sparse SPD system, preconditioned by its sparse LU factor.
+    """Solve a sparse SPD system with its sparse LU factor and iterative refinement.
 
     The factor is SuperLU's with a symmetric minimum-degree ordering and no
     pivoting off the diagonal, which an SPD matrix never needs.  It is exact
-    up to rounding, so CG takes one step, and the steps after the first are
-    iterative refinement with the same factor.  Converged means the true
-    residual ||rhs - A x||_2 <= tol * ||rhs||_2.  When the recursively updated
-    residual meets tol, the true one is recomputed and CG restarts from it
-    unless it meets tol too.  Stops unconverged at `max_iter` iterations, or
-    when a restart fails to lower the true residual.  Deterministic for fixed
-    inputs; raises on NaN breakdown.
+    up to rounding.  Each step solves with it for the true residual,
+    x += LU^-1 r, then r = rhs - A x.  Converged means ||r||_2 <= tol *
+    ||rhs||_2.  Stops unconverged at `max_iter` steps, or when a step fails to
+    lower ||r||_2.  Deterministic for fixed inputs; raises on NaN.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -151,31 +148,15 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
         raise NotPositiveDefiniteError(f"sparse factorisation failed: {exc}") from exc
 
     x = np.zeros(n)
-    r = rhs.copy()
-    res = restart_res = norm_rhs
+    r, res = rhs, norm_rhs
     iterations = 0
-    while True:
-        z = factor.solve(r)
-        p = z.copy()
-        rz = r @ z
-        while res > tol * norm_rhs and iterations < max_iter:
-            ap = a @ p
-            alpha = rz / (p @ ap)
-            if not np.isfinite(alpha):
-                raise FloatingPointError("conjugate gradient breakdown (non-finite step)")
-            x += alpha * p
-            r -= alpha * ap
-            z = factor.solve(r)
-            rz_new = r @ z
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-            res = np.linalg.norm(r)
-            iterations += 1
+    while iterations < max_iter:
+        x += factor.solve(r)
         r = rhs - a @ x
-        res = np.linalg.norm(r)
-        if res <= tol * norm_rhs or iterations >= max_iter or not res < restart_res:
+        previous, res = res, np.linalg.norm(r)
+        iterations += 1
+        if not np.isfinite(res):
+            raise FloatingPointError("iterative refinement diverged (non-finite residual)")
+        if res <= tol * norm_rhs or not res < previous:
             break
-        restart_res = res
-    if not np.isfinite(res):
-        raise FloatingPointError("conjugate gradient diverged")
     return x, CgReport(iterations, float(res), bool(res <= tol * norm_rhs))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .forms import TransportForm, local_saddle_blocks
-from .mesh import MeshPair
+from .mesh import MeshPair, TriMesh
 from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 
 # Bytes of the stacked B_K and G_K of one chunk of geometry classes; a class
@@ -22,23 +22,17 @@ from .solve import NotPositiveDefiniteError, cholesky_factor, cholesky_solve
 CHUNK_BYTES = 2**18
 
 
-def class_members(inverse: np.ndarray) -> list[np.ndarray]:
-    """The cells of each class of `TriMesh.geometry_classes`, in cell order."""
-    order = np.argsort(inverse, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(inverse))[:-1])
-
-
-def class_chunks(representatives: np.ndarray, inverse: np.ndarray, test_size: int, trial_size: int):
-    """The geometry classes in chunks whose B_K and G_K take at most CHUNK_BYTES.
+def class_chunks(mesh: TriMesh, test_size: int, trial_size: int):
+    """The geometry classes of `mesh` in chunks whose B_K and G_K take at most CHUNK_BYTES.
 
     Yields `(classes, cells, members)` per chunk: a slice of class numbers,
-    the classes' representative cells and the list of their member cells.
+    the classes' representative cells and their member cells (`TriMesh.class_members`).
     """
-    members = class_members(inverse)
+    representatives = mesh.geometry_classes[0]
     step = max(1, CHUNK_BYTES // (8 * test_size * (test_size + trial_size)))
     for start in range(0, len(representatives), step):
         classes = slice(start, start + step)
-        yield classes, representatives[classes], members[classes]
+        yield classes, representatives[classes], mesh.class_members[classes]
 
 
 def factor_on_cells(matrices: np.ndarray, cells, what: str) -> np.ndarray:

@@ -19,6 +19,7 @@ from dpgtransport import (
     exact_transport_solution,
     inflow_mask,
     l2_error,
+    lagrange_basis,
     pin_characteristic_dofs,
     transport_form,
 )
@@ -53,6 +54,12 @@ def mesh_faces(mesh) -> list[Face]:
                 order.append(key)
             adjacency[key].append(c)
     return [Face(key, tuple(adjacency[key])) for key in order]
+
+
+def skeleton_nodes(degree) -> np.ndarray:
+    """The local Lagrange nodes of `degree` on the reference triangle's edges, by their zero barycentric coordinate."""
+    x, y = lagrange_basis(degree).nodes.T
+    return np.flatnonzero(np.abs(np.minimum(np.minimum(x, y), 1.0 - x - y)) < 1e-12)
 
 
 def boundary_faces(mesh) -> list[Face]:

@@ -204,13 +204,20 @@ def test_vtk_constant_field_values(tmp_path):
 
 
 def _reference_vtk(phi_coefficients, theta_coefficients, mesh_pair, phi_map, theta_map) -> bytes:
-    """The VTK text with one `repr` call per point, value and line."""
+    """The VTK text with one `repr` call per point, value and line.
+
+    theta at a corner is the coefficient of the cell's skeleton node that lies
+    there, found by its coordinates.
+    """
     mesh = mesh_pair.coarse
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     points = mesh.vertices[mesh.cells].reshape(-1, 2)
     phi_vals = (phi_coefficients[phi_map.cell_dofs] @ lagrange_basis(phi_map.degree).eval(corners).T).ravel()
-    theta_vals = (theta_coefficients[theta_map.cell_dofs] @ lagrange_basis(theta_map.degree).eval(corners).T).ravel()
     n = mesh.n_cells
+    nodes = theta_map.node_coords[theta_map.cell_dofs]  # (n, local size, 2)
+    at_corner = np.abs(nodes[:, None] - points.reshape(n, 3, 1, 2)).max(axis=-1) < 1e-12  # (n, 3, local size)
+    assert (at_corner.sum(axis=-1) == 1).all()
+    theta_vals = theta_coefficients[np.take_along_axis(theta_map.cell_dofs, at_corner.argmax(axis=-1), axis=1)].ravel()
     lines = ["# vtk DataFile Version 2.0", "dpgtransport solution", "ASCII", "DATASET UNSTRUCTURED_GRID"]
     lines.append(f"POINTS {len(points)} double")
     lines += [f"{float(p[0])!r} {float(p[1])!r} 0.0" for p in points]
@@ -254,7 +261,7 @@ def test_vtk_bytes_match_one_repr_per_line(tmp_path, monkeypatch, perturbed, m, 
 
 
 def test_vtk_value_lines_keep_signed_zeros_apart():
-    """The matrix product of the corner values yields no -0.0 here, so the value lines are checked alone."""
+    """phi's corner values come from a matrix product, which yields no -0.0, so the value lines are checked alone too."""
     values = np.resize(np.concatenate([SIGNED_ZEROS, [np.inf, -np.inf, np.nan]]), 2 * cli.VTK_CHUNK + 5)
     assert "".join(_value_lines(values)).splitlines() == [repr(float(v)) for v in values]
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh_faces, perturbed_mesh
+from conftest import BENCHMARK_BETA, mesh_faces, perturbed_mesh, skeleton_nodes
 from dpgtransport.fem import (
     MAX_BASIS_DEGREE,
     SpaceKind,
@@ -14,7 +14,7 @@ from dpgtransport.fem import (
     lagrange_basis,
     make_quadrature,
 )
-from dpgtransport.forms import SpaceDescriptor
+from dpgtransport.forms import SpaceDescriptor, local_saddle_blocks, transport_form
 from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh, first_rows, row_ids
 
 
@@ -189,16 +189,36 @@ def test_dof_count_formulas(level, degree):
         assert cont.ndofs == mesh.n_vertices + n_edges
 
 
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_trace_space_lives_on_the_skeleton(perturbed, m):
+    """Every theta DOF lies on an edge of each cell that holds it, there are
+    V + (m - 1) E of them, and each reaches G_K."""
+    mesh = perturbed_mesh(2) if perturbed else build_uniform_mesh(2)
+    pair = MeshPair(mesh, 1)
+    theta_map = build_dof_map(SpaceKind.CONTINUOUS, pair, m)
+    assert theta_map.ndofs == mesh.n_vertices + (m - 1) * len(mesh_faces(mesh))
+
+    offsets = theta_map.node_coords[theta_map.cell_dofs] - mesh.vertices[mesh.cells[:, :1]]
+    x, y = np.moveaxis(np.einsum("cij,cnj->cni", np.linalg.inv(mesh.jacobians()), offsets), -1, 0)
+    assert np.abs(np.minimum(np.minimum(x, y), 1.0 - x - y)).max() < 1e-12  # a barycentric coordinate is 0
+
+    _, g = local_saddle_blocks(transport_form(m, BENCHMARK_BETA, 0.0), np.arange(mesh.n_cells), pair)
+    theta_columns = g[:, :, lagrange_basis(m - 1).size :]
+    assert theta_columns.shape[2] == theta_map.cell_dofs.shape[1]
+    assert (np.abs(theta_columns).max(axis=1) > 1e-8 * np.abs(g).max()).all()
+
+
 def _dict_numbering(mesh, degree):
-    """Reference continuous numbering: one cell and one node at a time, by first appearance."""
-    basis = lagrange_basis(degree)
+    """Reference continuous numbering of the skeleton nodes: one cell and one node at a time, by first appearance."""
+    nodes = lagrange_basis(degree).nodes[skeleton_nodes(degree)]
     index: dict[tuple[int, int], int] = {}
     coords = []
-    cell_dofs = np.empty((mesh.n_cells, basis.size), dtype=int)
+    cell_dofs = np.empty((mesh.n_cells, len(nodes)), dtype=int)
     for c in range(mesh.n_cells):
         v = mesh.vertices[mesh.cells[c]]
         jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-        for i, p in enumerate(basis.nodes @ jac.T + v[0]):
+        for i, p in enumerate(nodes @ jac.T + v[0]):
             key = (round(p[0] * 1e10), round(p[1] * 1e10))
             if key not in index:
                 index[key] = len(coords)

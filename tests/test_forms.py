@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import perturbed_mesh
+from conftest import perturbed_mesh, skeleton_nodes
 from dpgtransport.fem import edge_quadrature, lagrange_basis, make_quadrature
 from dpgtransport.forms import (
     SpaceDescriptor,
@@ -196,7 +196,8 @@ def _brute_force_blocks(form, cell, mesh_pair):
 
     Returns `(B, G_0, P)` with G_K = G_0 + c P.  The theta term is integrated
     over every edge of every subcell: on edges inside the coarse cell the
-    two sides cancel for continuous test functions.
+    two sides cancel for continuous test functions.  Its columns are the
+    theta basis functions of the nodes on the cell's edges.
     """
     mesh = mesh_pair.coarse
     jac, v0 = mesh.jacobians()[cell], mesh.vertices[mesh.cells[cell]][0]
@@ -205,6 +206,7 @@ def _brute_force_blocks(form, cell, mesh_pair):
     table, nodes = submesh_dofs(form.test_space.degree, levels)
     test = lagrange_basis(form.test_space.degree)
     phi, theta = lagrange_basis(form.degree - 1), lagrange_basis(form.degree)
+    on_edges = skeleton_nodes(form.degree)
     quad = make_quadrature(2 * test.degree)  # exact for every product below
     edge = edge_quadrature(2 * test.degree)
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -214,7 +216,7 @@ def _brute_force_blocks(form, cell, mesh_pair):
 
     n = len(nodes)
     b = np.zeros((n, n))
-    g0 = np.zeros((n, phi.size + theta.size))
+    g0 = np.zeros((n, phi.size + len(on_edges)))
     p = np.zeros((n, phi.size))
     for t, sub in enumerate(reference_subcells(levels)):
         corners = sub @ jac.T + v0
@@ -235,7 +237,7 @@ def _brute_force_blocks(form, cell, mesh_pair):
             flux = beta @ np.array([tangent[1], -tangent[0]]) / length  # beta . outward normal
             for s, w in zip(edge.points, edge.weights):
                 v = test.eval((unit[k] + s * (unit[(k + 1) % 3] - unit[k]))[None])[0]
-                u = theta.eval(coarse_ref(corners[k] + s * tangent))[0]
+                u = theta.eval(coarse_ref(corners[k] + s * tangent))[0, on_edges]
                 g0[table[t], phi.size :] += w * length * flux * np.outer(v, u)
     return b, g0, p
 

@@ -246,6 +246,39 @@ def test_cg_respects_max_iter():
     assert not report.converged
 
 
+def _report_systems():
+    """(matrix, rhs) pairs: a free trace system, and a dense SPD system that takes several refinement steps."""
+    system = solve_transport(3, 1, BENCHMARK_BETA)["system"]
+    free = system.free
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal((40, 40))
+    dense = sp.csr_matrix(r.T @ r + 1e-6 * np.eye(40))
+    return [(system.matrix[free][:, free], system.rhs[free]), (dense, rng.standard_normal(40))]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15, 1e-20])
+def test_cg_report_is_the_true_residual_of_the_returned_solution(tol):
+    for a, rhs in _report_systems():
+        x, report = cg_solve(a, rhs, tol=tol, max_iter=50)
+        assert report.residual_norm == np.linalg.norm(rhs - a @ x)
+        assert report.converged == (report.residual_norm <= tol * np.linalg.norm(rhs))
+
+
+def test_cg_stops_by_itself_below_the_rounding_floor():
+    for a, rhs in _report_systems():
+        _, report = cg_solve(a, rhs, tol=1e-20, max_iter=50)  # below the rounding floor
+        assert 1 <= report.iterations < 50
+        assert not report.converged
+
+
+def test_cg_raises_on_nan():
+    a, rhs = _report_systems()[0]
+    rhs = rhs.copy()
+    rhs[0] = np.nan
+    with pytest.raises(FloatingPointError):
+        cg_solve(a, rhs)
+
+
 def test_cg_rejects_singular_matrix():
     with pytest.raises(NotPositiveDefiniteError):
         cg_solve(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])), np.array([1.0, 2.0]))

@@ -10,7 +10,7 @@ from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import BilinearForm, InnerProduct, local_saddle_blocks, transport_form
 from dpgtransport.mesh import KEY_DIGITS, MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
-from dpgtransport.testspace import class_members, near_optimal_blocks
+from dpgtransport.testspace import near_optimal_blocks
 
 from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh
 
@@ -105,7 +105,9 @@ def test_uniform_mesh_has_two_congruence_classes(level):
     np.testing.assert_array_equal(np.sort(representatives), [0, 1])  # the first lower and upper cell
     np.testing.assert_array_equal(classes[::2], classes[0])  # every lower triangle
     np.testing.assert_array_equal(classes[1::2], classes[1])  # every upper triangle
-    members = class_members(classes)
+    members = mesh.class_members
+    assert mesh.class_members is members  # once per mesh
+    assert not any(cells.flags.writeable for cells in members)
     assert sorted(len(m) for m in members) == [mesh.n_cells // 2] * 2
     for k, cells in enumerate(members):
         assert cells[0] == representatives[k] and np.all(classes[cells] == k)
