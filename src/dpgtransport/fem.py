@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import MeshPair, first_rows, row_ids
 
@@ -118,16 +117,36 @@ class QuadratureRule:
     exactness: int
 
 
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [0, 1]: (nodes, weights)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def gauss_jacobi(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [0, 1] for the weight 1 - t: (nodes, weights), nodes ascending.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    weight's orthogonal polynomials (Jacobi alpha = 1, beta = 0, moved from
+    [-1, 1] to [0, 1]), and each weight is the weight's total mass, 1/2, times
+    the squared first entry of its eigenvector.
+    """
+    k = np.arange(n)
+    diagonal = 0.5 - 0.5 / ((2 * k + 1) * (2 * k + 3))
+    k = k[1:]
+    off = 0.5 * np.sqrt(k * (k + 1.0)) / (2 * k + 1)
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 0.5 * vectors[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def make_quadrature(exactness_degree: int) -> QuadratureRule:
     """Conical-product rule on the reference triangle, exact to the given total degree."""
     if not 0 <= exactness_degree <= MAX_QUADRATURE_DEGREE:
         raise ValueError(f"quadrature exactness must be in [0, {MAX_QUADRATURE_DEGREE}]")
     n = exactness_degree // 2 + 1  # 2n-1 >= degree
-    xg, wg = roots_legendre(n)
-    xg, wg = (xg + 1.0) / 2.0, wg / 2.0
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    xj, wj = (xj + 1.0) / 2.0, wj / 4.0  # weight (1-t) on [0,1]
+    xg, wg = gauss_legendre(n)
+    xj, wj = gauss_jacobi(n)
     xi, eta = np.meshgrid(xg, xj, indexing="ij")
     pts = np.column_stack([(xi * (1.0 - eta)).ravel(), eta.ravel()])
     wts = np.outer(wg, wj).ravel()
@@ -139,9 +158,7 @@ def edge_quadrature(exactness_degree: int) -> QuadratureRule:
     """Gauss-Legendre on [0,1], exact for the given polynomial degree."""
     if not 0 <= exactness_degree <= 2 * MAX_QUADRATURE_DEGREE - 1:
         raise ValueError("edge quadrature degree out of range")
-    n = exactness_degree // 2 + 1
-    x, w = roots_legendre(n)
-    return QuadratureRule((x + 1.0) / 2.0, w / 2.0, exactness_degree)
+    return QuadratureRule(*gauss_legendre(exactness_degree // 2 + 1), exactness_degree)
 
 
 class SpaceKind(enum.Enum):
@@ -185,11 +202,9 @@ def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
         return DofMap(kind, degree, nc * nloc, cell_dofs)
 
     if kind is SpaceKind.CONTINUOUS:
-        mesh = mesh_pair.coarse
-        nodes = basis.nodes[: skeleton_size(degree)]
-        origins = mesh.vertices[mesh.cells[:, :1]]  # (nc, 1, 2)
-        phys = (nodes @ mesh.jacobians().transpose(0, 2, 1) + origins).reshape(-1, 2)
+        n_nodes = skeleton_size(degree)
+        phys = mesh_pair.coarse.map_points(basis.nodes[:n_nodes]).reshape(-1, 2)
         numbers, first = first_appearance(np.round(phys * 1e10).astype(np.int64))
-        return DofMap(kind, degree, len(first), numbers.reshape(nc, len(nodes)), phys[first])
+        return DofMap(kind, degree, len(first), numbers.reshape(nc, n_nodes), phys[first])
 
     raise ValueError(f"unknown space kind: {kind}")

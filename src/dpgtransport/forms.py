@@ -270,22 +270,28 @@ def local_saddle_blocks(form: TransportForm, cells, mesh_pair: MeshPair) -> tupl
 
 
 @lru_cache(maxsize=None)
-def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Load quadrature on every piece of the `levels`-times refined reference triangle.
 
-    Returns `(points, weights, values)`: the quadrature points of all pieces
-    in coarse reference coordinates, shape (pieces * nq, 2); the weights
-    times each piece's area ratio, shape (pieces, nq); and the basis values,
-    the same on every piece, shape (nq, basis size).  Read-only, cached.
+    Returns `(points, loads)`: the quadrature points of all pieces in coarse
+    reference coordinates, shape (P, 2), and the reference load matrix, shape
+    (P, N).  Row q of it holds the weight of point q, scaled by its piece's
+    area ratio, times the piece's basis values there, in the columns of their
+    cell-local DOFs of `submesh_dofs`; so `f @ loads` is the load on the
+    reference cell of the point values f.  Read-only, cached.
     """
     quad = make_quadrature(min(degree + 4, 12))
     jacobians, offsets = _subcell_maps(levels)
+    table, nodes = submesh_dofs(degree, levels)
     points = (np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]).reshape(-1, 2)
-    weights = np.abs(np.linalg.det(jacobians))[:, None] * quad.weights
-    values = lagrange_basis(degree).eval(quad.points)
-    for a in (points, weights, values):
+    weights = np.abs(np.linalg.det(jacobians))[:, None] * quad.weights  # (pieces, nq)
+    # each row is one point of one piece, whose DOFs are distinct: no entry is hit twice
+    loads = np.zeros((len(points), len(nodes)))
+    rows = np.arange(len(points)).reshape(weights.shape)
+    loads[rows[:, :, None], table[:, None, :]] = weights[:, :, None] * lagrange_basis(degree).eval(quad.points)
+    for a in (points, loads):
         a.setflags(write=False)
-    return points, weights, values
+    return points, loads
 
 
 def local_load(rhs_f, mesh_pair: MeshPair, test_space: SpaceDescriptor) -> np.ndarray:
@@ -294,14 +300,6 @@ def local_load(rhs_f, mesh_pair: MeshPair, test_space: SpaceDescriptor) -> np.nd
     `rhs_f` is called once, with the quadrature points of all cells as one (P, 2) array.
     """
     mesh = mesh_pair.coarse
-    jac = mesh.jacobians()
-    levels = test_space.levels(mesh_pair)
-    points, weights, values = _load_rule(test_space.degree, levels)
-    phys = points @ jac.transpose(0, 2, 1)
-    phys += mesh.vertices[mesh.cells[:, :1]]
-    f = np.asarray(rhs_f(phys.reshape(-1, 2)), dtype=float).reshape(mesh.n_cells, *weights.shape)
-    per_piece = np.abs(np.linalg.det(jac))[:, None, None] * (weights * f) @ values
-    table, nodes = submesh_dofs(test_space.degree, levels)
-    index = len(nodes) * np.arange(mesh.n_cells)[:, None] + table.ravel()
-    loads = np.bincount(index.ravel(), weights=per_piece.ravel(), minlength=mesh.n_cells * len(nodes))
-    return loads.reshape(mesh.n_cells, len(nodes))
+    points, loads = _load_rule(test_space.degree, test_space.levels(mesh_pair))
+    f = np.asarray(rhs_f(mesh.map_points(points).reshape(-1, 2)), dtype=float)
+    return (2.0 * mesh.areas())[:, None] * (f.reshape(mesh.n_cells, len(points)) @ loads)

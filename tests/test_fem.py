@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +11,14 @@ from hypothesis import strategies as st
 from conftest import BENCHMARK_BETA, mesh_faces, perturbed_mesh, skeleton_nodes
 from dpgtransport.fem import (
     MAX_BASIS_DEGREE,
+    MAX_QUADRATURE_DEGREE,
     SpaceKind,
     build_dof_map,
     edge_nodes,
     edge_quadrature,
     first_appearance,
+    gauss_jacobi,
+    gauss_legendre,
     lagrange_basis,
     make_quadrature,
 )
@@ -154,6 +162,37 @@ def test_edge_quadrature_exactness(degree):
 def test_quadrature_degree_out_of_range():
     with pytest.raises(ValueError):
         make_quadrature(13)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gauss_rules_match_scipy_special(n):
+    """Legendre for every edge rule (n <= 12), Jacobi for every triangle rule (n <= 7)."""
+    from scipy.special import roots_jacobi, roots_legendre
+
+    x, w = roots_legendre(n)
+    nodes, weights = gauss_legendre(n)
+    np.testing.assert_allclose(nodes, (x + 1.0) / 2.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(weights, w / 2.0, rtol=0, atol=1e-14)
+    if n <= MAX_QUADRATURE_DEGREE // 2 + 1:
+        x, w = roots_jacobi(n, 1.0, 0.0)
+        nodes, weights = gauss_jacobi(n)
+        np.testing.assert_allclose(nodes, (x + 1.0) / 2.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(weights, w / 4.0, rtol=0, atol=1e-14)
+
+
+def test_a_solve_does_not_import_scipy_special():
+    import dpgtransport
+
+    script = (
+        "import sys\n"
+        "from dpgtransport import cli\n"
+        "cli.solve_level(cli.RunConfig(levels=(0,)), 0)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(dpgtransport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["False"]
 
 
 # -------------------------------------------------------------- DOF maps

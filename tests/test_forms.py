@@ -7,6 +7,7 @@ from conftest import perturbed_mesh, skeleton_nodes
 from dpgtransport.fem import edge_quadrature, lagrange_basis, make_quadrature
 from dpgtransport.forms import (
     SpaceDescriptor,
+    _load_rule,
     local_load,
     local_saddle_blocks,
     submesh_dofs,
@@ -146,16 +147,9 @@ def _quartic(p):
     return 1.0 + x - 2.0 * x * y + 3.0 * y**2 + x**2 * y**2
 
 
-@pytest.mark.parametrize("ell", range(3))
-@pytest.mark.parametrize("m", range(1, 5))
-def test_load_matches_per_cell_quadrature(m, ell):
-    """All cells at once against a loop over cells and physical subcells.
-
-    A quartic f times a test function of degree <= 5 is integrated exactly by
-    both the load rule and the degree-12 rule of the loop.
-    """
-    pair = MeshPair(perturbed_mesh(1), ell)
-    space = transport_form(m, (1.0, 0.0), 0.0).test_space
+def _per_cell_loads(pair, space):
+    """The loads of `space` by a loop over cells and physical subcells, with the degree-12 rule."""
+    ell = space.levels(pair)
     table, nodes = submesh_dofs(space.degree, ell)
     basis = lagrange_basis(space.degree)
     quad = make_quadrature(12)
@@ -166,9 +160,56 @@ def test_load_matches_per_cell_quadrature(m, ell):
             jac = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
             f = _quartic(quad.points @ jac.T + sub[0])
             np.add.at(expected[cell], table[t], abs(np.linalg.det(jac)) * (quad.weights * f) @ values)
+    return expected
+
+
+@pytest.mark.parametrize("ell", range(3))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_load_matches_per_cell_quadrature(m, ell):
+    """All cells at once against a loop over cells and physical subcells.
+
+    A quartic f times a test function of degree <= 5 is integrated exactly by
+    both the load rule and the degree-12 rule of the loop.
+    """
+    pair = MeshPair(perturbed_mesh(1), ell)
+    space = transport_form(m, (1.0, 0.0), 0.0).test_space
+    expected = _per_cell_loads(pair, space)
     loads = local_load(_quartic, pair, space)
     assert loads.shape == expected.shape
     assert np.abs(loads - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_unbroken_load_matches_per_cell_quadrature(p):
+    """The single-polynomial spaces of the estimator, against the same loop."""
+    pair = MeshPair(perturbed_mesh(1), 1)
+    space = SpaceDescriptor(p)
+    expected = _per_cell_loads(pair, space)
+    loads = local_load(_quartic, pair, space)
+    assert loads.shape == expected.shape
+    assert np.abs(loads - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("space", [SpaceDescriptor(3, broken=True), SpaceDescriptor(5)])
+def test_load_calls_rhs_once_with_all_points(space):
+    pair = MeshPair(perturbed_mesh(2), 1)
+    calls = []
+
+    def rhs_f(points):
+        calls.append(points.shape)
+        return _quartic(points)
+
+    local_load(rhs_f, pair, space)
+    n_points = len(_load_rule(space.degree, space.levels(pair))[0])
+    assert calls == [(pair.coarse.n_cells * n_points, 2)]
+
+
+@pytest.mark.parametrize("degree, levels", [(1, 0), (3, 1), (5, 0), (4, 2)])
+def test_load_rule_is_read_only(degree, levels):
+    points, loads = _load_rule(degree, levels)
+    assert loads.shape == (len(points), len(submesh_dofs(degree, levels)[1]))
+    for a in (points, loads):
+        assert not a.flags.writeable
 
 
 def test_saddle_blocks_p0():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import boundary_faces, mesh_faces, outward_normal
+from conftest import boundary_faces, mesh_faces, outward_normal, perturbed_mesh
 from dpgtransport.mesh import (
     REFERENCE_TRIANGLE,
     build_uniform_mesh,
@@ -114,3 +114,23 @@ def test_fine_cells_tile_coarse_cell():
         tris = reference_subcells(2) @ mesh.jacobians()[cell].T + mesh.vertices[mesh.cells[cell]][0]
         coarse_area = _areas(mesh.vertices[mesh.cells[cell]][None])[0]
         assert abs(_areas(tris).sum() - coarse_area) < 1e-14
+
+
+def test_map_points_sends_the_reference_corners_to_the_cell_vertices():
+    mesh = perturbed_mesh(3)
+    corners = mesh.vertices[mesh.cells]
+    assert np.abs(mesh.map_points(REFERENCE_TRIANGLE) - corners).max() <= 1e-15 * np.abs(corners).max()
+
+
+def test_map_points_is_the_affine_map_of_every_cell():
+    mesh = perturbed_mesh(3)
+    points = np.random.default_rng(5).random((7, 2)) * 0.5
+    expected = mesh.vertices[mesh.cells[:, None, 0]] + np.einsum("cde,qe->cqd", mesh.jacobians(), points)
+    mapped = mesh.map_points(points)
+    assert mapped.shape == (mesh.n_cells, 7, 2)
+    assert np.abs(mapped - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_map_points_of_no_points_is_empty():
+    mesh = perturbed_mesh(2)
+    assert mesh.map_points(np.empty((0, 2))).shape == (mesh.n_cells, 0, 2)
