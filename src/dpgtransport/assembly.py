@@ -26,7 +26,7 @@ from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import TransportForm, local_load
 from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
 from .solve import cholesky_solve
-from .testspace import cell_blocks, class_chunks, factor_on_cells
+from .testspace import cell_blocks, class_chunks, class_products, factor_on_cells
 
 CHARACTERISTIC_TOL = 1e-10
 
@@ -58,7 +58,8 @@ def assemble(
 
     The classes' local algebra is stacked per chunk of `class_chunks`.  The
     loads of a class's cells are (y_K | g_K) = l_K [C_phi P^-1 | C_theta - C_phi W_K],
-    with C_K split into its phi and theta columns: one matrix product per class.
+    with C_K split into its phi and theta columns: one stacked matrix product
+    per member count of `class_products`.
     """
     phi_map, theta_map = dof_maps
     k = phi_map.cell_dofs.shape[1]  # phi DOFs per cell, first in A_K
@@ -82,8 +83,8 @@ def assemble(
         blocks[classes] = 0.5 * (s_k + s_k.mT)
         coupling[classes] = w
         load_maps = np.concatenate([solved[:, :, size:].mT, c_theta - c_phi @ w], axis=2)
-        for load_map, cells_k in zip(load_maps, members):
-            cell_loads[cells_k] = loads[cells_k] @ load_map
+        for member_cells, products in class_products(loads, load_maps, members):
+            cell_loads[member_cells] = products
         diagonal = np.diagonal(lower, axis1=1, axis2=2)
         gram_cond = max(gram_cond, float(((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()))
 

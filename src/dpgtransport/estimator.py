@@ -17,7 +17,7 @@ from .fem import DofMap, lagrange_basis, make_quadrature
 from .forms import BilinearForm, InnerProduct, SpaceDescriptor, TransportForm, local_load
 from .mesh import MeshPair
 from .solve import triangular_solve
-from .testspace import class_chunks, factor_on_cells
+from .testspace import class_chunks, class_products, factor_on_cells
 
 DEFAULT_ENRICHMENT_DEGREE = 5
 
@@ -39,9 +39,9 @@ def a_posteriori_error(
     """Per-cell indicators eta_K^2 = rho_K^T Bbar_K^{-1} rho_K and their total.
 
     With Bbar_K = L L^T and rho_K = Gbar_K u_K - l_K, eta_K^2 = |L^-1 rho_K|^2.
-    The lifts L^-1 [Gbar_K | -I] are stacked per chunk of geometry classes;
-    each class applies its lift to the rows (u_K | l_K) of its cells with one
-    matrix product.
+    The lifts L^-1 [Gbar_K | -I] are stacked per chunk of geometry classes
+    and applied to the rows (u_K | l_K) of their classes' cells with one
+    stacked matrix product per member count (`class_products`).
     """
     phi_map, theta_map = dof_maps
     n_phi = phi_map.ndofs
@@ -62,9 +62,8 @@ def a_posteriori_error(
         lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")
         residual_maps = np.concatenate([g_bar, np.broadcast_to(-np.eye(n_test), b_bar.shape)], axis=2)
         lifts = triangular_solve(lower, residual_maps).mT
-        for lift, cells_k in zip(lifts, members):
-            lifted = cell_rows[cells_k] @ lift  # (L^-1 rho_K)^T, one row per member cell
-            indicators[cells_k] = np.einsum("ci,ci->c", lifted, lifted)
+        for member_cells, lifted in class_products(cell_rows, lifts, members):  # rows (L^-1 rho_K)^T
+            indicators[member_cells] = np.einsum("...i,...i->...", lifted, lifted)
     return ErrorBreakdown(indicators, float(np.sqrt(indicators.sum())))
 
 
@@ -98,4 +97,4 @@ def l2_error(
     mesh = mesh_pair.coarse
     diff = phi_coefficients[phi_map.cell_dofs] @ vals.T  # phi_H at the points, (nc, nq)
     diff -= exact(mesh.map_points(quad.points))
-    return float(np.sqrt(np.einsum("cq,cq,q,c->", diff, diff, quad.weights, 2.0 * mesh.areas())))
+    return float(np.sqrt(((diff * diff) @ quad.weights) @ (2.0 * mesh.areas())))

@@ -205,14 +205,12 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
 def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """sum_t weights[..., t] terms[t], added term by term in a fixed order.
 
-    Every cell's sum is the same floating-point sequence whether it is
-    computed alone or in a stack of any size; a contraction over t (a GEMM)
-    would not promise that.
+    One unoptimised einsum: its C loop adds the terms of each entry in the
+    order t = 0, 1, ..., so every cell's sum is the same floating-point
+    sequence whether it is computed alone or in a stack of any size.  A
+    contraction over t by a GEMM would not promise that.
     """
-    total = weights[..., 0, None, None] * terms[0]
-    for t in range(1, len(terms)):
-        total += weights[..., t, None, None] * terms[t]
-    return total
+    return np.einsum("...t,tij->...ij", weights, terms)
 
 
 def _cell_geometry(form: TransportForm, cells, mesh_pair: MeshPair):

@@ -38,10 +38,11 @@ def cholesky_factor(matrices: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(matrices, dtype=float)
     stack = a.reshape(-1, *a.shape[-2:])
-    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
-    asymmetric = np.abs(stack - stack.mT).max(axis=(1, 2)) > SYMMETRY_TOL * scale
-    if asymmetric.any():
-        raise ValueError(f"matrix {np.argmax(asymmetric)} is not symmetric")
+    if (stack != stack.mT).any():  # exactly symmetric stacks pass the tolerance test without it
+        scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1.0)
+        asymmetric = np.abs(stack - stack.mT).max(axis=(1, 2)) > SYMMETRY_TOL * scale
+        if asymmetric.any():
+            raise ValueError(f"matrix {np.argmax(asymmetric)} is not symmetric")
     try:
         lower = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:  # some matrix has no factor; factor one by one to find it

@@ -6,7 +6,9 @@ coefficients the blocks depend on the cell only through the Jacobian of its
 reference map, so congruent-up-to-translation cells form one geometry class
 (`TriMesh.geometry_classes`) and share one solve.  The classes are processed
 in chunks whose local blocks take at most CHUNK_BYTES; each chunk's factors
-are one stacked call, and its solves one LAPACK call per class.
+are one stacked call, and its solves one LAPACK call per class.  A chunk's
+per-class operators reach the rows of their member cells through
+`class_products`, one stacked product per member count.
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ def class_chunks(mesh: TriMesh, test_size: int, trial_size: int):
     for start in range(0, len(representatives), step):
         classes = slice(start, start + step)
         yield classes, representatives[classes], mesh.class_members[classes]
+
+
+def class_products(rows: np.ndarray, maps: np.ndarray, members):
+    """rows[cells] @ maps[k] for the member cells of each class k of a chunk.
+
+    Classes with the same number of members share one stacked matrix
+    product.  Yields `(cells, products)` per member count: the member cells
+    of those classes, shape (g, count), and their products, shape
+    (g, count, maps.shape[-1]).  Each class's product is the one of its own
+    (count, N) @ (N, M) matrix product, whatever the other classes are.
+    """
+    counts = [len(cells) for cells in members]
+    for count in sorted(set(counts)):
+        group = [k for k, size in enumerate(counts) if size == count]
+        cells = np.stack([members[k] for k in group])
+        yield cells, rows[cells] @ maps[group]
 
 
 def factor_on_cells(matrices: np.ndarray, cells, what: str) -> np.ndarray:

@@ -347,13 +347,31 @@ def test_back_substitution_recovers_phi_per_cell():
     np.testing.assert_array_equal(x[n_phi:], theta)
 
 
+def half_perturbed_mesh(level):
+    """`perturbed_mesh` with only its interior vertices at x < 1/2 moved: one-member and many-member classes."""
+    mesh, moved = build_uniform_mesh(level), perturbed_mesh(level)
+    vertices = mesh.vertices.copy()
+    left = vertices[:, 0] < 0.5
+    vertices[left] = moved.vertices[left]
+    return TriMesh(vertices, mesh.cells)
+
+
 @pytest.mark.parametrize(
     "mesh_builder,m,chunk_bytes",
-    [(build_uniform_mesh, 2, 1), (perturbed_mesh, 3, 1), (perturbed_mesh, 3, 70000)],
-    ids=["uniform-one-class", "perturbed-one-class", "perturbed-uneven"],
+    [
+        (build_uniform_mesh, 2, 1),
+        (perturbed_mesh, 3, 1),
+        (perturbed_mesh, 3, 70000),
+        (half_perturbed_mesh, 3, 70000),
+    ],
+    ids=["uniform-one-class", "perturbed-one-class", "perturbed-uneven", "half-perturbed-mixed-counts"],
 )
 def test_chunks_do_not_change_the_system(monkeypatch, mesh_builder, m, chunk_bytes):
-    """Trace system, couplings, phi loads and every eta_K are the one-chunk ones, bit for bit."""
+    """Trace system, couplings, phi loads and every eta_K are the one-chunk ones, bit for bit.
+
+    Where classes differ in their member counts, the one chunk applies the
+    class operators in several groups, and so do some of the smaller chunks.
+    """
     mesh_pair, form, phi_map, theta_map = _setup(2, 1, BENCHMARK_BETA, m=m, mesh_builder=mesh_builder)
     dof_maps = (phi_map, theta_map)
     rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]
@@ -365,11 +383,12 @@ def test_chunks_do_not_change_the_system(monkeypatch, mesh_builder, m, chunk_byt
 
     monkeypatch.setattr(testspace, "CHUNK_BYTES", 2**40)
     whole, whole_eta = run()
-    sizes = []
+    sizes, member_counts = [], []
 
     def spy(*args):
         for chunk in testspace.class_chunks(*args):
             sizes.append(len(chunk[1]))
+            member_counts.append({len(cells) for cells in chunk[2]})
             yield chunk
 
     monkeypatch.setattr(testspace, "CHUNK_BYTES", chunk_bytes)
@@ -380,6 +399,8 @@ def test_chunks_do_not_change_the_system(monkeypatch, mesh_builder, m, chunk_byt
     assert sum(sizes) == 2 * classes and len(sizes) > 2  # assembly's chunks, then the estimator's
     if chunk_bytes > 1:
         assert len(set(sizes)) > 2  # chunks of two sizes, and a shorter last one
+    if len({len(cells) for cells in mesh_pair.coarse.class_members}) > 1:
+        assert max(map(len, member_counts)) > 1  # some chunk groups its classes by member count
     assert (chunked.matrix != whole.matrix).nnz == 0
     for name in ("rhs", "coupling", "phi_load"):
         np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))

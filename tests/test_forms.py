@@ -8,6 +8,8 @@ from dpgtransport.fem import edge_quadrature, lagrange_basis, make_quadrature
 from dpgtransport.forms import (
     SpaceDescriptor,
     _load_rule,
+    _moments,
+    _weighted_sum,
     local_load,
     local_saddle_blocks,
     submesh_dofs,
@@ -227,6 +229,27 @@ def test_transport_forms_shapes_and_spd():
     assert g.shape == (28, 9)  # 3 phi + 6 theta trial DOFs
     np.testing.assert_allclose(b, b.T, atol=1e-13)
     assert np.linalg.eigvalsh(b).min() > 0.0
+
+
+def _term_by_term(weights, terms):
+    """sum_t weights[..., t] terms[t] by a Python loop over t, in the order t = 0, 1, ..."""
+    total = weights[..., 0, None, None] * terms[0]
+    for t in range(1, len(terms)):
+        total += weights[..., t, None, None] * terms[t]
+    return total
+
+
+@pytest.mark.parametrize(
+    "which,stack", [(0, (512,)), (1, (12,)), (0, ()), (1, ())], ids=["B-stack", "G-stack", "B-cell", "G-cell"]
+)
+def test_weighted_sum_adds_the_terms_in_order(which, stack):
+    """B_K and G_K are the term-by-term sums bit for bit, and a stack's are its cells' alone."""
+    terms = _moments(4, 1, 3)[which]  # m = 3, test-search degree 4 on one refinement
+    weights = np.random.default_rng(which).standard_normal(stack + (len(terms),))
+    total = _weighted_sum(weights, terms)
+    np.testing.assert_array_equal(total, _term_by_term(weights, terms))
+    for cell_weights, cell_total in zip(weights.reshape(-1, len(terms)), total.reshape(-1, *terms.shape[1:])):
+        np.testing.assert_array_equal(_weighted_sum(cell_weights, terms), cell_total)
 
 
 # ------------------------------------------------------- brute-force oracle

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgtransport.solve import (
+    SYMMETRY_TOL,
     NotPositiveDefiniteError,
     cg_solve,
     cholesky_factor,
@@ -85,6 +86,20 @@ def test_stacked_factor_names_first_asymmetric_matrix():
     stack = np.stack([np.eye(3)] * 5)
     stack[2, 0, 1] = stack[4, 1, 2] = 0.5
     with pytest.raises(ValueError, match=r"^matrix 2 is not symmetric"):
+        cholesky_factor(stack)
+
+
+def test_stacked_factor_accepts_asymmetry_below_the_tolerance():
+    """A stack that is not exactly symmetric factors if each matrix is symmetric to SYMMETRY_TOL."""
+    rng = np.random.default_rng(7)
+    stack = np.stack([_random_spd(rng, 5) for _ in range(3)])
+    exact = cholesky_factor(stack)
+    scale = np.abs(stack[1]).max()
+    stack[1, 0, 3] += 0.5 * SYMMETRY_TOL * scale  # the factor reads the lower triangle only
+    assert (stack != stack.mT).any()
+    np.testing.assert_array_equal(cholesky_factor(stack), exact)
+    stack[1, 0, 3] += 2.0 * SYMMETRY_TOL * scale
+    with pytest.raises(ValueError, match=r"^matrix 1 is not symmetric"):
         cholesky_factor(stack)
 
 
