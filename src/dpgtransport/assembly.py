@@ -91,9 +91,7 @@ def assemble(
     rows, cols = np.repeat(theta_dofs, size, axis=1), np.tile(theta_dofs, size)
     matrix = sp.coo_matrix(
         (blocks[inverse].ravel(), (rows.ravel(), cols.ravel())), shape=(n_theta, n_theta)
-    ).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+    ).tocsr()  # canonical: duplicates summed, indices sorted
     rhs = np.bincount(theta_dofs.ravel(), weights=cell_loads[:, k:].ravel(), minlength=n_theta)
     return GlobalSystem(
         matrix,

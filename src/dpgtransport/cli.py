@@ -7,7 +7,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,15 +138,6 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
     return LevelSolution(mesh_pair, phi_map, theta_map, x), row
 
 
-def run_convergence_study(config: RunConfig) -> ErrorReport:
-    config.validate()
-    report = ErrorReport()
-    for level in sorted(config.levels):
-        _, row = solve_level(config, level)
-        report.rows.append(row)
-    return report
-
-
 def _fmt(value) -> str:
     """Shortest round-trip decimal for floats, plain text for the rest."""
     if isinstance(value, float):
@@ -223,8 +214,10 @@ def export_vtk(
 def parse_levels(text: str) -> tuple[int, ...]:
     """`2:6` (inclusive range), `2,3,5`, or a single level."""
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split(":", 1))
+        if hi < lo:
+            raise ValueError(f"level range {text} is empty: its end is below its start")
+        return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in text.split(","))
 
 
@@ -239,26 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--beta-angle", type=float, default=math.pi / 8, metavar="RAD")
     parser.add_argument("--reaction", type=float, default=0.0, metavar="C")
     parser.add_argument("--rhs-const", type=float, default=1.0, metavar="F")
-    parser.add_argument("--enrich", type=int, default=5, metavar="P")
-    parser.add_argument("--csv", default=None, metavar="PATH")
-    parser.add_argument("--vtk", default=None, metavar="PATH")
+    parser.add_argument("--enrich", dest="enrich_degree", type=int, default=5, metavar="P")
+    parser.add_argument("--csv", dest="csv_path", default=None, metavar="PATH")
+    parser.add_argument("--vtk", dest="vtk_path", default=None, metavar="PATH")
     parser.add_argument("--tol", type=float, default=1e-12, metavar="T")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        levels=parse_levels(args.levels),
-        test_refine=args.test_refine,
-        degree=args.degree,
-        beta_angle=args.beta_angle,
-        reaction=args.reaction,
-        rhs_const=args.rhs_const,
-        enrich_degree=args.enrich,
-        csv_path=args.csv,
-        vtk_path=args.vtk,
-        tol=args.tol,
-    )
+    return RunConfig(**{**vars(args), "levels": parse_levels(args.levels)})
 
 
 def main(argv: list[str] | None = None) -> int:

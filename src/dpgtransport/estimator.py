@@ -80,18 +80,12 @@ def exact_transport_solution(point, beta) -> np.ndarray:
     return np.minimum(point[..., 0] / beta[0], point[..., 1] / beta[1])
 
 
-def l2_error(
-    phi_coefficients: np.ndarray,
-    exact,
-    mesh_pair: MeshPair,
-    phi_map: DofMap,
-    quadrature_degree: int = 10,
-) -> float:
-    """|| phi_H - exact ||_{L2} with fixed-degree quadrature per coarse cell."""
+def l2_error(phi_coefficients: np.ndarray, exact, mesh_pair: MeshPair, phi_map: DofMap) -> float:
+    """|| phi_H - exact ||_{L2} with degree-10 quadrature per coarse cell."""
     if len(phi_coefficients) != phi_map.ndofs:
         raise ValueError("coefficient vector does not match the phi space")
     basis = lagrange_basis(phi_map.degree)
-    quad = make_quadrature(quadrature_degree)
+    quad = make_quadrature(10)
     vals = basis.eval(quad.points)  # (nq, nloc), same on every cell
 
     mesh = mesh_pair.coarse

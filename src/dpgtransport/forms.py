@@ -91,10 +91,6 @@ class SpaceDescriptor:
         """Red refinements of the reference triangle the space is piecewise on."""
         return mesh_pair.level if self.broken else 0
 
-    def local_nodes(self, mesh_pair: MeshPair) -> np.ndarray:
-        """Reference coordinates of the cell-local DOFs, in DOF order."""
-        return submesh_dofs(self.degree, self.levels(mesh_pair))[1]
-
 
 @dataclass(frozen=True)
 class TransportForm:
@@ -110,15 +106,12 @@ class TransportForm:
     test_space: SpaceDescriptor
 
 
-def transport_form(
-    m: int, beta, reaction: float, test_space: SpaceDescriptor | None = None
-) -> TransportForm:
-    """The transport form; the default test space is the degree-(m+1) test-search space."""
+def transport_form(m: int, beta, reaction: float) -> TransportForm:
+    """The transport form with the degree-(m+1) test-search space."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (2,) or not abs(np.hypot(*beta) - 1.0) <= GEOM_TOL:
         raise ValueError("beta must be a finite unit vector in the plane")
-    if test_space is None:
-        test_space = SpaceDescriptor(m + 1, broken=True)
+    test_space = SpaceDescriptor(m + 1, broken=True)
     return TransportForm(m, (float(beta[0]), float(beta[1])), float(reaction), test_space)
 
 
@@ -233,7 +226,7 @@ class InnerProduct:
     form: TransportForm
 
     def local_gram(self, cells, mesh_pair: MeshPair) -> np.ndarray:
-        """B_K of the coarse cells `cells`, stacked; rows and columns in the order of `SpaceDescriptor.local_nodes`."""
+        """B_K of the coarse cells `cells`, stacked; rows and columns in the DOF order of `submesh_dofs`."""
         det, b, _ = _cell_geometry(self.form, cells, mesh_pair)
         b0, b1 = b[..., :1], b[..., 1:]
         weights = det * np.concatenate([np.ones_like(b0), b0 * b0, b1 * b1, b0 * b1], axis=-1)

@@ -14,6 +14,7 @@ SYMMETRY_TOL = 1e-12
 # Columns per SuperLU panel.  The panels' dense workspace is part of the run's
 # peak memory; a narrower panel than scipy's default leaves the fill as it is.
 PANEL_SIZE = 4
+MAX_REFINEMENT_STEPS = 50  # cap on the steps of iterative refinement in `cg_solve`
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -67,8 +68,7 @@ def _factor_or_nan(matrix: np.ndarray) -> np.ndarray:
 def cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L^T X = rhs for factors L of `cholesky_factor`: LAPACK's `potrs` on each matrix.
 
-    rhs has shape (..., N, K), stacked like `lower`; a vector rhs of shape
-    (N,) needs a single factor of shape (N, N).
+    rhs has shape (..., N, K), stacked like `lower`.
     """
     return _solve_each(dpotrs, lower, rhs)
 
@@ -92,20 +92,15 @@ def _solve_each(routine, lower: np.ndarray, rhs: np.ndarray, **options) -> np.nd
     """
     lower = np.asarray(lower, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    vector = rhs.ndim == 1
-    if vector:
-        if lower.ndim != 2:
-            raise ValueError("a vector right-hand side needs a single factor; give a stack of (N, K) matrices")
-        rhs = rhs[:, None]
     n = lower.shape[-1]
-    if lower.shape[:-2] != rhs.shape[:-2] or rhs.shape[-2] != n:
+    if rhs.ndim < 2 or lower.shape[:-2] != rhs.shape[:-2] or rhs.shape[-2] != n:
         raise ValueError(f"factors {lower.shape} and right-hand sides {rhs.shape} do not match")
     x = np.array(rhs.mT, order="C")  # x[i].T is the column-major (N, K) rhs of matrix i
     for i, (factor, b) in enumerate(zip(lower.reshape(-1, n, n), x.reshape(-1, *x.shape[-2:]))):
         _, info = routine(factor.T, b.T, lower=0, overwrite_b=1, **options)
         if info != 0:
             raise ValueError(f"{routine.__name__} failed on matrix {i} (info {info})")
-    return x[..., 0, :] if vector else x.mT
+    return x.mT
 
 
 @dataclass(frozen=True)
@@ -115,32 +110,27 @@ class CgReport:
     converged: bool
 
 
-def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None):
+def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12):
     """Solve a sparse SPD system with its sparse LU factor and iterative refinement.
 
     The factor is SuperLU's with a symmetric minimum-degree ordering and no
     pivoting off the diagonal, which an SPD matrix never needs.  It is exact
     up to rounding.  Each step solves with it for the true residual,
     x += LU^-1 r, then r = rhs - A x.  Converged means ||r||_2 <= tol *
-    ||rhs||_2.  Stops unconverged at `max_iter` steps, or when a step fails to
-    lower ||r||_2.  Deterministic for fixed inputs; raises on NaN.
+    ||rhs||_2.  Stops unconverged after MAX_REFINEMENT_STEPS steps, or when a
+    step fails to lower ||r||_2.  Deterministic for fixed inputs; raises on NaN.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
-    if max_iter is None:
-        max_iter = 10 * n
-    diag = np.asarray(a.diagonal() if hasattr(a, "diagonal") else np.diag(a), dtype=float)
-    if np.any(diag <= 0.0):
+    if np.any(a.diagonal() <= 0.0):
         raise ValueError("matrix has non-positive diagonal entries")
 
     norm_rhs = np.linalg.norm(rhs)
     if norm_rhs == 0.0:
         return np.zeros(n), CgReport(0, 0.0, True)
-    # A CSR matrix's transpose is its CSC form without a copy; A is symmetric.
-    csc = a.T if sp.issparse(a) and a.format == "csr" else sp.csc_matrix(a)
     try:
         factor = splu(
-            csc,
+            sp.csc_matrix(a.T),  # A is symmetric; a CSR matrix's transpose is its CSC form, without a copy
             permc_spec="MMD_AT_PLUS_A",
             panel_size=PANEL_SIZE,
             options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
@@ -151,7 +141,7 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
     x = np.zeros(n)
     r, res = rhs, norm_rhs
     iterations = 0
-    while iterations < max_iter:
+    while iterations < MAX_REFINEMENT_STEPS:
         x += factor.solve(r)
         r = rhs - a @ x
         previous, res = res, np.linalg.norm(r)

@@ -124,6 +124,12 @@ def test_assembly_matches_dense_oracle(level, ell, mesh_builder):
 def test_assembled_matrix_symmetric(level):
     mesh_pair, form, phi_map, theta_map = _setup(level, 1, BENCHMARK_BETA)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
+    # assemble relies on tocsr() summing duplicates and sorting indices; a fresh matrix
+    # over the same arrays checks the arrays themselves, not the flag tocsr() set
+    matrix = system.matrix
+    assert matrix.has_canonical_format
+    assert sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape).has_canonical_format
+
     def asymmetry(matrix):
         diff = matrix - matrix.T
         return np.abs(diff.data).max() if diff.nnz else 0.0

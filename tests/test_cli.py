@@ -16,7 +16,6 @@ from dpgtransport.cli import (
     export_vtk,
     main,
     parse_levels,
-    run_convergence_study,
     solve_level,
 )
 from dpgtransport.fem import SpaceKind, build_dof_map, lagrange_basis
@@ -88,11 +87,10 @@ def test_config_validation_rejects(kwargs):
 
 def test_flag_round_trip():
     argv = ["--levels", "1,3", "--degree", "3", "--test-refine", "2", "--reaction", "0.5"]
+    argv += ["--beta-angle", "0.25", "--rhs-const", "2", "--enrich", "4", "--tol", "1e-8"]
+    argv += ["--csv", "a.csv", "--vtk", "b.vtk"]
     config = config_from_args(build_parser().parse_args(argv))
-    assert config.levels == (1, 3)
-    assert config.degree == 3
-    assert config.test_refine == 2
-    assert config.reaction == 0.5
+    assert config == RunConfig((1, 3), 2, 3, 0.25, 0.5, 2.0, 4, "a.csv", "b.vtk", 1e-8)
 
 
 # ---------------------------------------------------------------------- runs
@@ -100,16 +98,15 @@ def test_flag_round_trip():
 
 def test_zero_rhs_gives_zero_errors():
     config = RunConfig(levels=(0, 1, 2), rhs_const=0.0)
-    report = run_convergence_study(config)
-    assert all(row.l2_error <= 1e-10 for row in report.rows)
+    assert all(solve_level(config, level)[1].l2_error <= 1e-10 for level in config.levels)
 
 
-def test_report_rows_ordered_by_level():
-    config = RunConfig(levels=(2, 0, 1), test_refine=0)
-    report = run_convergence_study(config)
-    assert [row.level for row in report.rows] == [0, 1, 2]
-    assert all(row.h == 2.0**-row.level for row in report.rows)
-    assert report.all_converged
+def test_report_rows_ordered_by_level(tmp_path):
+    path = tmp_path / "out.csv"
+    assert main(["--levels", "2,0,1", "--test-refine", "0", "--csv", str(path)]) == 0  # 0: all converged
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [0, 1, 2]
+    assert all(float(row[1]) == 2.0 ** -int(row[0]) for row in rows)
 
 
 def test_solve_level_reports_nan_without_reference():
@@ -117,6 +114,26 @@ def test_solve_level_reports_nan_without_reference():
     _, row = solve_level(config, 1)
     assert math.isnan(row.l2_error)
     assert row.eta > 0.0
+
+
+@pytest.mark.parametrize(
+    "config,mesh_builder",
+    [
+        (RunConfig(), build_uniform_mesh),
+        (RunConfig(beta_angle=0.0, reaction=1.0), build_uniform_mesh),
+        (RunConfig(degree=3), perturbed_mesh),
+    ],
+    ids=["sweep", "axis", "jitter"],
+)
+def test_conftest_pipeline_is_the_cli_pipeline(monkeypatch, config, mesh_builder):
+    """`solve_transport`, which the acceptance tests run, solves bit for bit as `solve_level` does."""
+    monkeypatch.setattr(cli, "build_uniform_mesh", mesh_builder)
+    solution, row = solve_level(config, 3)
+    run = solve_transport(
+        3, config.test_refine, config.beta, config.degree, mesh_builder=mesh_builder, reaction=config.reaction
+    )
+    assert run["x"].tobytes() == solution.solution.tobytes()
+    assert run["cg"].iterations == row.iterations
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -158,7 +175,8 @@ def test_csv_one_row(tmp_path):
 
 
 def test_csv_reexport_byte_identical(tmp_path):
-    report = run_convergence_study(RunConfig(levels=(1, 2), test_refine=0))
+    config = RunConfig(levels=(1, 2), test_refine=0)
+    report = ErrorReport([solve_level(config, level)[1] for level in config.levels])
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     export_csv(report, str(a))
     export_csv(report, str(b))
@@ -326,6 +344,14 @@ def test_main_rejects_non_finite_or_out_of_range_input(flag, value, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and captured.err.startswith("error:")
+
+
+def test_main_rejects_reversed_level_range(capsys):
+    """An empty range is named as such, not as a negative level."""
+    assert main(["--levels", "6:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level range 6:2 is empty: its end is below its start\n"
 
 
 def test_main_rejects_bad_levels(capsys):

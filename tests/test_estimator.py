@@ -54,9 +54,9 @@ def test_zero_data_gives_zero_eta():
 
 def test_scalar_indicator_algebra():
     # rho=(2), Bbar=[[4]] -> eta_K^2 = 1
-    rho = np.array([2.0])
+    rho = np.array([[2.0]])
     factor = cholesky_factor(np.array([[4.0]]))
-    assert rho @ cholesky_solve(factor, rho) == pytest.approx(1.0)
+    assert (rho.T @ cholesky_solve(factor, rho)).item() == pytest.approx(1.0)
 
 
 def test_eta_matches_dense_oracle():

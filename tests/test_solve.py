@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgtransport.solve import (
+    MAX_REFINEMENT_STEPS,
     SYMMETRY_TOL,
     NotPositiveDefiniteError,
     cg_solve,
@@ -132,31 +133,33 @@ def test_stacked_factor_names_first_failure_of_either_kind():
 
 def test_solve_identity_factor():
     factor = cholesky_factor(np.eye(3))
-    rhs = np.array([1.0, -2.0, 5.0])
+    rhs = np.array([[1.0], [-2.0], [5.0]])
     np.testing.assert_allclose(cholesky_solve(factor, rhs), rhs, atol=1e-15)
 
 
 def test_solve_scalar():
     factor = cholesky_factor(np.array([[4.0]]))
-    np.testing.assert_allclose(cholesky_solve(factor, np.array([8.0])), [2.0])
+    np.testing.assert_allclose(cholesky_solve(factor, np.array([[8.0]])), [[2.0]])
 
 
 def test_solve_two_by_two():
     factor = cholesky_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    np.testing.assert_allclose(cholesky_solve(factor, np.array([10.0, 7.0])), [2.0, 1.0], atol=1e-14)
+    np.testing.assert_allclose(cholesky_solve(factor, np.array([[10.0], [7.0]])), [[2.0], [1.0]], atol=1e-14)
 
 
 def test_solve_rejects_wrong_size():
     factor = cholesky_factor(np.eye(2))
-    with pytest.raises(ValueError):
-        cholesky_solve(factor, np.ones(3))
+    with pytest.raises(ValueError, match="do not match"):
+        cholesky_solve(factor, np.ones((3, 1)))
 
 
 def test_solve_rejects_vector_rhs_for_a_stack():
-    """A vector rhs is read as one matrix by a stacked solve, so it is refused."""
+    """Right-hand sides are (N, K) matrices: a vector is refused, for a stack and for a single factor."""
     factors = cholesky_factor(np.stack([np.eye(3)] * 3))
-    with pytest.raises(ValueError, match="single factor"):
-        cholesky_solve(factors, np.ones(3))
+    for solve_with in (cholesky_solve, triangular_solve):
+        for lower in (factors, factors[0]):
+            with pytest.raises(ValueError, match="do not match"):
+                solve_with(lower, np.ones(3))
     np.testing.assert_array_equal(cholesky_solve(factors, np.ones((3, 3, 1))), np.ones((3, 3, 1)))
 
 
@@ -252,11 +255,12 @@ def test_cg_convergence_implies_small_residual():
     assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_cg_respects_max_iter():
+def test_cg_respects_max_iter(monkeypatch):
+    monkeypatch.setattr("dpgtransport.solve.MAX_REFINEMENT_STEPS", 2)
     rng = np.random.default_rng(2)
     r = rng.standard_normal((20, 20))
     a = sp.csr_matrix(r.T @ r + 0.1 * np.eye(20))
-    _, report = cg_solve(a, rng.standard_normal(20), tol=0.0, max_iter=2)  # a tol no solve reaches
+    _, report = cg_solve(a, rng.standard_normal(20), tol=0.0)  # a tol no solve reaches
     assert report.iterations == 2
     assert not report.converged
 
@@ -274,15 +278,15 @@ def _report_systems():
 @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15, 1e-20])
 def test_cg_report_is_the_true_residual_of_the_returned_solution(tol):
     for a, rhs in _report_systems():
-        x, report = cg_solve(a, rhs, tol=tol, max_iter=50)
+        x, report = cg_solve(a, rhs, tol=tol)
         assert report.residual_norm == np.linalg.norm(rhs - a @ x)
         assert report.converged == (report.residual_norm <= tol * np.linalg.norm(rhs))
 
 
 def test_cg_stops_by_itself_below_the_rounding_floor():
     for a, rhs in _report_systems():
-        _, report = cg_solve(a, rhs, tol=1e-20, max_iter=50)  # below the rounding floor
-        assert 1 <= report.iterations < 50
+        _, report = cg_solve(a, rhs, tol=1e-20)  # below the rounding floor
+        assert 1 <= report.iterations < MAX_REFINEMENT_STEPS
         assert not report.converged
 
 
