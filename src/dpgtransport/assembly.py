@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import TransportForm, local_load
-from .mesh import NEXT_VERTEX, MeshPair, TriMesh, edge_flux
+from .mesh import MeshPair, TriMesh, edge_flux
 from .solve import cholesky_solve
 from .testspace import cell_blocks, class_chunks, class_products, factor_on_cells
 
@@ -126,9 +126,8 @@ def _fix_theta(system: GlobalSystem, dofs: np.ndarray) -> GlobalSystem:
 
 def _edge_flux(mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
     """beta . n on every cell edge, shape (n_cells, 3)."""
-    v = mesh.vertices[mesh.cells]
-    t = v[:, NEXT_VERTEX] - v
-    return edge_flux(t, np.asarray(beta, dtype=float)) / np.hypot(t[..., 0], t[..., 1])
+    edges = mesh.edges
+    return edge_flux(edges.vectors, np.asarray(beta, dtype=float)) / edges.lengths
 
 
 def _dofs_on_edges(theta_map: DofMap, edges: np.ndarray) -> np.ndarray:
@@ -142,13 +141,8 @@ def _dofs_on_edges(theta_map: DofMap, edges: np.ndarray) -> np.ndarray:
 
 def inflow_mask(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
     """Mark theta DOFs on a boundary edge with beta . n < 0."""
-    pairs = np.sort(np.stack([mesh.cells, mesh.cells[:, NEXT_VERTEX]], axis=-1), axis=-1)
-    _, inverse, counts = np.unique(
-        pairs[..., 0] * mesh.n_vertices + pairs[..., 1], return_inverse=True, return_counts=True
-    )
-    boundary = counts[inverse] == 1
     inflow = _edge_flux(mesh, beta) < -CHARACTERISTIC_TOL
-    return _dofs_on_edges(theta_map, boundary & inflow)
+    return _dofs_on_edges(theta_map, mesh.edges.boundary & inflow)
 
 
 def apply_dirichlet(system: GlobalSystem, mask: np.ndarray) -> GlobalSystem:

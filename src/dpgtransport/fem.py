@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import MeshPair, first_rows, row_ids
+from .mesh import NEXT_VERTEX, MeshPair, row_ids
 
 MAX_BASIS_DEGREE = 5
 MAX_QUADRATURE_DEGREE = 12
@@ -175,23 +175,29 @@ class DofMap:
     node_coords: np.ndarray | None = field(default=None, repr=False)
 
 
-def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of `keys` by first appearance: (numbers, first rows)."""
-    ids = row_ids(keys)
-    first = first_rows(ids)
+def number_by_first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of the 1-D `keys` by first appearance: (numbers, first positions)."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     numbers = np.empty(len(first), dtype=int)
     numbers[order] = np.arange(len(first))
-    return numbers[ids], first[order]
+    return numbers[inverse], first[order]
+
+
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of `keys` by first appearance: (numbers, first rows)."""
+    return number_by_first_appearance(row_ids(keys))
 
 
 def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
     """Global numbering for one of the two space families.
 
-    Continuous DOFs are the distinct physical Lagrange nodes on the mesh
-    skeleton, the first `skeleton_size(degree)` nodes of each cell, keyed by
-    their coordinates rounded to 1e-10 and numbered in order of first
-    appearance in the cell-major node list.
+    Continuous DOFs are the distinct Lagrange nodes on the mesh skeleton,
+    the first `skeleton_size(degree)` nodes of each cell, numbered in order
+    of first appearance in the cell-major node list.  A vertex node is keyed
+    by its vertex id; node j of the degree - 1 inside mesh edge e, counted
+    from the edge's lower-numbered vertex, by n_vertices + (degree - 1) e + j,
+    so every cell that shares the edge gives its nodes the same keys.
     """
     basis = lagrange_basis(degree)
     nloc = basis.size
@@ -202,9 +208,14 @@ def build_dof_map(kind: SpaceKind, mesh_pair: MeshPair, degree: int) -> DofMap:
         return DofMap(kind, degree, nc * nloc, cell_dofs)
 
     if kind is SpaceKind.CONTINUOUS:
+        mesh = mesh_pair.coarse
         n_nodes = skeleton_size(degree)
-        phys = mesh_pair.coarse.map_points(basis.nodes[:n_nodes]).reshape(-1, 2)
-        numbers, first = first_appearance(np.round(phys * 1e10).astype(np.int64))
+        inner = np.arange(degree - 1)  # `_lattice_nodes` lists cell edge k's nodes from vertex k on
+        along = np.where((mesh.cells < mesh.cells[:, NEXT_VERTEX])[..., None], inner, degree - 2 - inner)
+        edge_keys = mesh.n_vertices + (degree - 1) * mesh.edges.ids[..., None] + along
+        keys = np.concatenate([mesh.cells, edge_keys.reshape(nc, -1)], axis=1)
+        numbers, first = number_by_first_appearance(keys.ravel())
+        phys = mesh.map_points(basis.nodes[:n_nodes]).reshape(-1, 2)
         return DofMap(kind, degree, len(first), numbers.reshape(nc, n_nodes), phys[first])
 
     raise ValueError(f"unknown space kind: {kind}")

@@ -5,11 +5,12 @@ along the lower-left to upper-right diagonal.  Fine cells are obtained by
 red (midpoint) refinement of every coarse cell; they are stored in the
 coordinates of the unit reference triangle so that congruent coarse cells
 share the same subdivision.  `row_ids` ranks rows of keys; it keys the
-geometry classes of a mesh and the continuous DOF numbering.
+geometry classes of a mesh and the test-search sub-mesh's DOF numbering.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -57,12 +58,27 @@ def first_rows(ids: np.ndarray) -> np.ndarray:
     return np.unique(ids, return_index=True)[1]
 
 
+@dataclass(frozen=True)
+class EdgeTable:
+    """The mesh edges seen from the cells; edge k of a cell runs from its vertex k to vertex NEXT_VERTEX[k].
+
+    Two cell edges share an id exactly when they share their two vertices.
+    An edge is on the boundary when only one cell has it.  All arrays are
+    read-only.
+    """
+
+    ids: np.ndarray  # mesh-edge id of each cell edge, (n_cells, 3), dense from 0
+    boundary: np.ndarray  # bool, (n_cells, 3)
+    vectors: np.ndarray  # end minus start vertex, (n_cells, 3, 2)
+    lengths: np.ndarray  # (n_cells, 3)
+
+
 class TriMesh:
     """Immutable triangle mesh: vertex table and CCW cells.
 
     The Jacobians of the cells' reference maps are computed once, with the
-    mesh, and the geometry-class index and its members on first use; all are
-    read-only.
+    mesh, and the geometry-class index, its members and the edge table on
+    first use; all are read-only.
     """
 
     def __init__(self, vertices: np.ndarray, cells: np.ndarray):
@@ -125,6 +141,20 @@ class TriMesh:
         order = np.argsort(inverse, kind="stable")
         order.setflags(write=False)  # the members are views of it
         return tuple(np.split(order, np.cumsum(np.bincount(inverse))[:-1]))
+
+    @cached_property
+    def edges(self) -> EdgeTable:
+        """The `EdgeTable`: edge ids number the sorted vertex pairs lexicographically."""
+        ends = self.cells[:, NEXT_VERTEX]
+        pairs = np.minimum(self.cells, ends) * self.n_vertices + np.maximum(self.cells, ends)
+        _, ids, counts = np.unique(pairs.ravel(), return_inverse=True, return_counts=True)
+        ids = ids.reshape(self.n_cells, 3)
+        v = self.vertices[self.cells]
+        vectors = v[:, NEXT_VERTEX] - v
+        table = EdgeTable(ids, counts[ids] == 1, vectors, np.hypot(vectors[..., 0], vectors[..., 1]))
+        for a in vars(table).values():
+            a.setflags(write=False)
+        return table
 
 
 def build_uniform_mesh(level: int) -> TriMesh:

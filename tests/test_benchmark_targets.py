@@ -7,7 +7,8 @@ are left out of the benchmark's result.  This test makes such a loss fail
 here instead.  `perfbench/run.py` and `perfbench/setup_probe.py` also call
 package names directly and build `RunConfig` from the workload configs of
 `perfbench/workloads.py`; a renamed one would show only in a benchmark run.
-The files under `perfbench/` are only read, never changed.
+The jittered meshes of `perfbench/workloads.py` must keep a continuous trace
+space.  The files under `perfbench/` are only read, never changed.
 """
 
 import importlib
@@ -17,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mesh_faces
 from dpgtransport.cli import RunConfig
+from dpgtransport.fem import SpaceKind, build_dof_map
+from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Called by run.py and setup_probe.py without the tracer.
@@ -78,3 +82,12 @@ def test_called_name_resolves(module_name, attr):
 def test_workload_config_builds_a_valid_run_config(workload):
     _, spec = workload
     RunConfig(**spec.config).validate()
+
+
+@pytest.mark.parametrize("level,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (8, 2)])
+def test_jittered_trace_space_has_one_dof_per_vertex_and_m_minus_1_per_edge(level, m):
+    """At level 8 with m = 2, a trace numbering keyed on coordinates rounded to
+    1e-10 split one vertex of the seed-1 mesh into two DOFs."""
+    mesh = _load("workloads").jittered_mesh_builder(build_uniform_mesh, TriMesh, 1)(level)
+    theta_map = build_dof_map(SpaceKind.CONTINUOUS, MeshPair(mesh, 1), m)
+    assert theta_map.ndofs == mesh.n_vertices + (m - 1) * len(mesh_faces(mesh))

@@ -23,7 +23,7 @@ from dpgtransport.fem import (
     make_quadrature,
 )
 from dpgtransport.forms import SpaceDescriptor, local_saddle_blocks, submesh_dofs, transport_form
-from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh, first_rows, row_ids
+from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, TriMesh, build_uniform_mesh, first_rows, row_ids
 
 
 def _random_reference_points(rng, n):
@@ -328,6 +328,19 @@ def test_first_appearance_matches_unique_rows_on_jittered_mesh(level):
     keys = np.round(mesh.vertices[mesh.cells].reshape(-1, 2) * 1e10).astype(np.int64)
     for got, want in zip(first_appearance(keys), _first_appearance_reference(keys)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_shared_vertex_gets_one_dof_where_rounded_coordinates_disagree(m):
+    """Vertex 1 is corner 0 of cell 0 and corner 2 of cell 1.  Mapped from cell
+    1, its x is 0.1 + (0.46027149335 - 0.1), which falls on the other side of
+    a 1e-10 rounding step than 0.46027149335 itself: a numbering keyed on
+    rounded coordinates gives it two DOFs."""
+    vertices = np.array([[0.1, 0.1], [0.46027149335, 0.2], [0.05, 0.6], [0.9, 0.05]])
+    mesh = TriMesh(vertices, np.array([[1, 2, 0], [0, 3, 1]]))
+    theta_map = build_dof_map(SpaceKind.CONTINUOUS, MeshPair(mesh, 0), m)
+    assert theta_map.ndofs == mesh.n_vertices + (m - 1) * len(mesh_faces(mesh))
+    assert theta_map.cell_dofs[0, 0] == theta_map.cell_dofs[1, 2]
 
 
 def test_continuous_space_edge_agreement():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import boundary_faces, mesh_faces, outward_normal, perturbed_mesh
 from dpgtransport.mesh import (
+    NEXT_VERTEX,
     REFERENCE_TRIANGLE,
     build_uniform_mesh,
     reference_subcells,
@@ -134,3 +135,31 @@ def test_map_points_is_the_affine_map_of_every_cell():
 def test_map_points_of_no_points_is_empty():
     mesh = perturbed_mesh(2)
     assert mesh.map_points(np.empty((0, 2))).shape == (mesh.n_cells, 0, 2)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("level", range(1, 5))
+def test_edge_table_matches_the_face_oracle(level, perturbed):
+    """Cell edges share an id exactly when they share a vertex pair; the
+    n x n square mesh has 3n^2 + 2n edges, 4n of them on the boundary."""
+    mesh = perturbed_mesh(level) if perturbed else build_uniform_mesh(level)
+    edges = mesh.edges
+    n = 2**level
+    ends = np.stack([mesh.cells, mesh.cells[:, NEXT_VERTEX]], axis=-1).reshape(-1, 2)
+    pairs = [tuple(sorted(p)) for p in ends.tolist()]
+    ids = edges.ids.ravel().tolist()
+    id_of_pair = dict(zip(pairs, ids))
+    assert len(id_of_pair) == len(set(ids)) == len(mesh_faces(mesh)) == 3 * n * n + 2 * n
+    assert all(id_of_pair[p] == i for p, i in zip(pairs, ids))
+    assert sorted(set(ids)) == list(range(len(id_of_pair)))
+
+    on_boundary = {p for p, b in zip(pairs, edges.boundary.ravel().tolist()) if b}
+    assert on_boundary == {f.vertex_ids for f in boundary_faces(mesh)}
+    assert len(on_boundary) == 4 * n
+
+    v = mesh.vertices[mesh.cells]
+    np.testing.assert_array_equal(edges.vectors, v[:, NEXT_VERTEX] - v)
+    np.testing.assert_allclose(edges.lengths, np.linalg.norm(edges.vectors, axis=-1), rtol=1e-15, atol=0.0)
+    assert mesh.edges is edges
+    for a in (edges.ids, edges.boundary, edges.vectors, edges.lengths):
+        assert not a.flags.writeable
