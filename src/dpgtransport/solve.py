@@ -113,9 +113,12 @@ class CgReport:
 def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12):
     """Solve a sparse SPD system with its sparse LU factor and iterative refinement.
 
-    The factor is SuperLU's with a symmetric minimum-degree ordering and no
-    pivoting off the diagonal, which an SPD matrix never needs.  It is exact
-    up to rounding.  Each step solves with it for the true residual,
+    The factor is SuperLU's, in the matrix's own order (`NATURAL`) and with
+    no pivoting off the diagonal, which an SPD matrix never needs.  It is
+    exact up to rounding.  Its fill, and so its time and memory, come from
+    the caller's numbering: the trace DOFs of `build_dof_map` are in
+    nested-dissection order.  A matrix in any other order is solved as
+    correctly, only with more fill.  Each step solves with it for the true residual,
     x += LU^-1 r, then r = rhs - A x.  Converged means ||r||_2 <= tol *
     ||rhs||_2.  Stops unconverged after MAX_REFINEMENT_STEPS steps, or when a
     step fails to lower ||r||_2.  Deterministic for fixed inputs; raises on NaN.
@@ -131,7 +134,7 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12):
     try:
         factor = splu(
             sp.csc_matrix(a.T),  # A is symmetric; a CSR matrix's transpose is its CSC form, without a copy
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             panel_size=PANEL_SIZE,
             options=dict(SymmetricMode=True, DiagPivotThresh=0.0),
         )

@@ -1,6 +1,9 @@
+import importlib.util
 import math
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,22 @@ from dpgtransport import (
 )
 
 BENCHMARK_BETA = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    """The module `perfbench/<name>.py`, loaded without touching `perfbench/`."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache file under perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+        del sys.modules[spec.name]
+    return module
 
 
 # ----------------------------------------------- geometric oracle of the mesh skeleton
@@ -62,6 +81,14 @@ def skeleton_nodes(degree) -> np.ndarray:
     return np.flatnonzero(np.abs(np.minimum(np.minimum(x, y), 1.0 - x - y)) < 1e-12)
 
 
+def trace_node_coords(mesh, theta_map) -> np.ndarray:
+    """The coordinates of each trace DOF, shape (ndofs, 2): every cell's skeleton nodes mapped by `TriMesh.map_points`."""
+    coords = np.empty((theta_map.ndofs, 2))
+    nodes = lagrange_basis(theta_map.degree).nodes[: theta_map.cell_dofs.shape[1]]
+    coords[theta_map.cell_dofs] = mesh.map_points(nodes)
+    return coords
+
+
 def boundary_faces(mesh) -> list[Face]:
     return [f for f in mesh_faces(mesh) if f.boundary]
 
@@ -91,6 +118,11 @@ def perturbed_mesh(level, seed=0, fraction=0.2):
     rng = np.random.default_rng([seed, level])
     vertices[interior] += rng.uniform(-fraction * h, fraction * h, size=(len(interior), 2))
     return TriMesh(vertices, mesh.cells)
+
+
+def jittered_mesh(level, seed=1):
+    """The benchmark's jittered mesh: `perfbench/workloads.jittered_mesh_builder` for `seed`."""
+    return load_perfbench("workloads").jittered_mesh_builder(build_uniform_mesh, TriMesh, seed)(level)
 
 
 def constant_rhs(value=1.0):

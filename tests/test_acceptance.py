@@ -1,17 +1,19 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Beside them sit regression tests for configurations the criteria do not reach:
-axis-aligned flow and m >= 3 on a refined test-search mesh.
+axis-aligned flow, m >= 3 on a refined test-search mesh, and the order of the
+method on a smooth solution.
 """
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from conftest import BENCHMARK_BETA, constant_rhs, solve_transport
+from conftest import BENCHMARK_BETA, constant_rhs, jittered_mesh, solve_transport
 from dpgtransport import (
     MeshPair,
     SpaceKind,
+    a_posteriori_error,
     assemble,
     build_dof_map,
     build_uniform_mesh,
@@ -135,6 +137,41 @@ def test_higher_degree_converges_on_refined_test_space(m):
         )
     ratios = [b / a for a, b in zip(errs, errs[1:])]
     assert all(r <= 0.6 for r in ratios) and errs[-1] < 5e-3, f"L2 errors levels 2-4: {errs}"
+
+
+def _smooth_solution(p):
+    """phi = x y e^(x + y): smooth, and zero on the inflow sides x = 0 and y = 0 of every beta in the first quadrant."""
+    return p[..., 0] * p[..., 1] * np.exp(p[..., 0] + p[..., 1])
+
+
+def _smooth_source(beta, reaction):
+    """f = beta . grad(phi) + c phi for `_smooth_solution`."""
+
+    def rhs_f(p):
+        x, y = p[..., 0], p[..., 1]
+        return (beta[0] * y * (1.0 + x) + beta[1] * x * (1.0 + y) + reaction * x * y) * np.exp(x + y)
+
+    return rhs_f
+
+
+@pytest.mark.parametrize("mesh_builder", [build_uniform_mesh, jittered_mesh], ids=["uniform", "jittered"])
+@pytest.mark.parametrize("reaction", [0.0, 1.0])
+@pytest.mark.parametrize("m", range(1, 5))
+def test_order_of_the_method_on_a_smooth_solution(m, reaction, mesh_builder):
+    """Levels 1-5 at l = 1: the finest-pair rate is at least m - 0.1, and eta / err stays in criterion 7's band."""
+    rhs_f = _smooth_source(BENCHMARK_BETA, reaction)
+    errors, etas = [], []
+    for level in range(1, 6):
+        run = solve_transport(level, 1, BENCHMARK_BETA, m=m, rhs_f=rhs_f, mesh_builder=mesh_builder, reaction=reaction)
+        assert run["cg"].converged
+        maps = run["phi_map"], run["theta_map"]
+        errors.append(l2_error(run["x"][: maps[0].ndofs], _smooth_solution, run["mesh_pair"], maps[0]))
+        etas.append(a_posteriori_error(run["form"], run["mesh_pair"], maps, run["x"], rhs_f).eta)
+    rate = np.log2(errors[-2] / errors[-1])
+    efficiency = np.array(etas) / np.array(errors)
+    detail = f"rate {rate:.3f}, errors {np.array(errors)}, eta / err {efficiency}"
+    assert rate >= m - 0.1, detail
+    assert ((0.5 <= efficiency) & (efficiency <= 20.0)).all(), detail
 
 
 def test_criterion_4_spd_structure(capsys):

@@ -10,6 +10,7 @@ from conftest import (
     outward_normal,
     perturbed_mesh,
     solve_transport,
+    trace_node_coords,
 )
 from dpgtransport.assembly import (
     CHARACTERISTIC_TOL,
@@ -217,7 +218,7 @@ def test_dirichlet_mask_size_checked():
 def test_inflow_mask_benchmark_beta():
     mesh_pair, _, _, theta_map = _setup(1, 0, BENCHMARK_BETA)
     mask = inflow_mask(theta_map, mesh_pair.coarse, BENCHMARK_BETA)
-    nodes = theta_map.node_coords
+    nodes = trace_node_coords(mesh_pair.coarse, theta_map)
     expected = (np.abs(nodes[:, 0]) < 1e-12) | (np.abs(nodes[:, 1]) < 1e-12)
     np.testing.assert_array_equal(mask, expected)
 
@@ -226,7 +227,7 @@ def test_inflow_mask_axis_aligned_beta():
     beta = np.array([1.0, 0.0])
     mesh_pair, _, _, theta_map = _setup(1, 0, beta)
     mask = inflow_mask(theta_map, mesh_pair.coarse, beta)
-    nodes = theta_map.node_coords
+    nodes = trace_node_coords(mesh_pair.coarse, theta_map)
     expected = np.abs(nodes[:, 0]) < 1e-12
     np.testing.assert_array_equal(mask, expected)
 
@@ -234,7 +235,7 @@ def test_inflow_mask_axis_aligned_beta():
 def test_inflow_corner_marked_once():
     mesh_pair, _, _, theta_map = _setup(1, 0, BENCHMARK_BETA)
     mask = inflow_mask(theta_map, mesh_pair.coarse, BENCHMARK_BETA)
-    nodes = theta_map.node_coords
+    nodes = trace_node_coords(mesh_pair.coarse, theta_map)
     corner = np.flatnonzero((np.abs(nodes[:, 0]) < 1e-12) & (np.abs(nodes[:, 1]) < 1e-12))
     assert len(corner) == 1 and mask[corner[0]]
 
@@ -251,7 +252,7 @@ def test_characteristic_dofs_horizontal_beta():
     beta = np.array([1.0, 0.0])
     mesh_pair, _, _, theta_map = _setup(1, 0, beta)
     pinned = characteristic_theta_dofs(theta_map, mesh_pair.coarse, beta)
-    nodes = theta_map.node_coords
+    nodes = trace_node_coords(mesh_pair.coarse, theta_map)
     # exactly the midpoints of horizontal edges: y on the grid, x off the grid
     on_grid = lambda t: np.abs(t * 2.0 - np.round(t * 2.0)) < 1e-12
     expected = np.flatnonzero(on_grid(nodes[:, 1]) & ~on_grid(nodes[:, 0]))
@@ -262,7 +263,7 @@ def test_characteristic_dofs_vertical_beta():
     beta = np.array([0.0, 1.0])
     mesh_pair, _, _, theta_map = _setup(1, 0, beta)
     pinned = characteristic_theta_dofs(theta_map, mesh_pair.coarse, beta)
-    nodes = theta_map.node_coords
+    nodes = trace_node_coords(mesh_pair.coarse, theta_map)
     on_grid = lambda t: np.abs(t * 2.0 - np.round(t * 2.0)) < 1e-12
     expected = np.flatnonzero(on_grid(nodes[:, 0]) & ~on_grid(nodes[:, 1]))
     np.testing.assert_array_equal(np.sort(pinned), np.sort(expected))
@@ -428,21 +429,23 @@ def _nodes_on_segment(nodes, a, b, tol=1e-10):
 def reference_inflow_mask(theta_map, mesh, beta):
     """Every boundary face against every trace node, normals from the face table."""
     mask = np.zeros(theta_map.ndofs, dtype=bool)
+    nodes = trace_node_coords(mesh, theta_map)
     for face in boundary_faces(mesh):
         if np.dot(beta, outward_normal(mesh, face, face.cells[0])) < -CHARACTERISTIC_TOL:
             a, b = mesh.vertices[list(face.vertex_ids)]
-            mask |= _nodes_on_segment(theta_map.node_coords, a, b)
+            mask |= _nodes_on_segment(nodes, a, b)
     return mask
 
 
 def reference_characteristic_dofs(theta_map, mesh, beta):
     """Trace nodes on no face with |beta . n| > tol, by a geometric search."""
     has_live_edge = np.zeros(theta_map.ndofs, dtype=bool)
+    nodes = trace_node_coords(mesh, theta_map)
     for face in mesh_faces(mesh):
         a, b = mesh.vertices[list(face.vertex_ids)]
         tangent = (b - a) / np.hypot(*(b - a))
         if abs(beta[0] * tangent[1] - beta[1] * tangent[0]) > CHARACTERISTIC_TOL:
-            has_live_edge |= _nodes_on_segment(theta_map.node_coords, a, b)
+            has_live_edge |= _nodes_on_segment(nodes, a, b)
     return np.flatnonzero(~has_live_edge)
 
 

@@ -12,18 +12,14 @@ space.  The files under `perfbench/` are only read, never changed.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import mesh_faces
+from conftest import jittered_mesh, load_perfbench, mesh_faces
 from dpgtransport.cli import RunConfig
 from dpgtransport.fem import SpaceKind, build_dof_map
-from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
+from dpgtransport.mesh import MeshPair
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Called by run.py and setup_probe.py without the tracer.
 CALLED = (
     ("cli", "solve_level"),
@@ -39,23 +35,8 @@ CALLED = (
 )
 
 
-def _load(name):
-    """The module `perfbench/<name>.py`, loaded without touching `perfbench/`."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    written = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache file under perfbench/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = written
-        del sys.modules[spec.name]
-    return module
-
-
 def _load_targets():
-    return [(module_name, attr) for module_name, attr, _ in _load("spans").TARGETS]
+    return [(module_name, attr) for module_name, attr, _ in load_perfbench("spans").TARGETS]
 
 
 def _resolve(module_name, attr):
@@ -78,7 +59,7 @@ def test_called_name_resolves(module_name, attr):
     assert callable(_resolve(module_name, attr)), f"dpgtransport.{module_name}.{attr} is gone"
 
 
-@pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS.items()), ids=lambda item: item[0])
+@pytest.mark.parametrize("workload", sorted(load_perfbench("workloads").WORKLOADS.items()), ids=lambda item: item[0])
 def test_workload_config_builds_a_valid_run_config(workload):
     _, spec = workload
     RunConfig(**spec.config).validate()
@@ -88,6 +69,6 @@ def test_workload_config_builds_a_valid_run_config(workload):
 def test_jittered_trace_space_has_one_dof_per_vertex_and_m_minus_1_per_edge(level, m):
     """At level 8 with m = 2, a trace numbering keyed on coordinates rounded to
     1e-10 split one vertex of the seed-1 mesh into two DOFs."""
-    mesh = _load("workloads").jittered_mesh_builder(build_uniform_mesh, TriMesh, 1)(level)
+    mesh = jittered_mesh(level)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, MeshPair(mesh, 1), m)
     assert theta_map.ndofs == mesh.n_vertices + (m - 1) * len(mesh_faces(mesh))

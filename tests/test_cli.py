@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BENCHMARK_BETA, perturbed_mesh, solve_transport
+from conftest import BENCHMARK_BETA, perturbed_mesh, solve_transport, trace_node_coords
 from dpgtransport import cli
 from dpgtransport.cli import (
     ErrorReport,
@@ -232,7 +232,7 @@ def _reference_vtk(phi_coefficients, theta_coefficients, mesh_pair, phi_map, the
     points = mesh.vertices[mesh.cells].reshape(-1, 2)
     phi_vals = (phi_coefficients[phi_map.cell_dofs] @ lagrange_basis(phi_map.degree).eval(corners).T).ravel()
     n = mesh.n_cells
-    nodes = theta_map.node_coords[theta_map.cell_dofs]  # (n, local size, 2)
+    nodes = trace_node_coords(mesh, theta_map)[theta_map.cell_dofs]  # (n, local size, 2)
     at_corner = np.abs(nodes[:, None] - points.reshape(n, 3, 1, 2)).max(axis=-1) < 1e-12  # (n, 3, local size)
     assert (at_corner.sum(axis=-1) == 1).all()
     theta_vals = theta_coefficients[np.take_along_axis(theta_map.cell_dofs, at_corner.argmax(axis=-1), axis=1)].ravel()

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCHMARK_BETA, mesh_faces, perturbed_mesh, skeleton_nodes
+from conftest import BENCHMARK_BETA, jittered_mesh, mesh_faces, perturbed_mesh, skeleton_nodes, trace_node_coords
 from dpgtransport.fem import (
     MAX_BASIS_DEGREE,
     MAX_QUADRATURE_DEGREE,
+    ND_LEAF_CELLS,
     SpaceKind,
     build_dof_map,
     edge_nodes,
@@ -238,7 +239,7 @@ def test_trace_space_lives_on_the_skeleton(perturbed, m):
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, pair, m)
     assert theta_map.ndofs == mesh.n_vertices + (m - 1) * len(mesh_faces(mesh))
 
-    offsets = theta_map.node_coords[theta_map.cell_dofs] - mesh.vertices[mesh.cells[:, :1]]
+    offsets = trace_node_coords(mesh, theta_map)[theta_map.cell_dofs] - mesh.vertices[mesh.cells[:, :1]]
     x, y = np.moveaxis(np.einsum("cij,cnj->cni", np.linalg.inv(mesh.jacobians()), offsets), -1, 0)
     assert np.abs(np.minimum(np.minimum(x, y), 1.0 - x - y)).max() < 1e-12  # a barycentric coordinate is 0
 
@@ -269,14 +270,65 @@ def _dict_numbering(mesh, degree):
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("level", range(1, 5))
 def test_continuous_numbering_matches_first_appearance_reference(level, perturbed):
+    """The nested-dissection numbering is the first-appearance reference up to a relabelling of its DOFs."""
     mesh = perturbed_mesh(level) if perturbed else build_uniform_mesh(level)
     pair = MeshPair(mesh, 0)
     for degree in range(1, 5):
         dof_map = build_dof_map(SpaceKind.CONTINUOUS, pair, degree)
         cell_dofs, coords = _dict_numbering(mesh, degree)
-        np.testing.assert_array_equal(dof_map.cell_dofs, cell_dofs)
         assert dof_map.ndofs == len(coords)
-        np.testing.assert_allclose(dof_map.node_coords, coords, rtol=0.0, atol=1e-15)
+        relabel = np.full(len(coords), -1)
+        relabel[cell_dofs] = dof_map.cell_dofs
+        np.testing.assert_array_equal(relabel[cell_dofs], dof_map.cell_dofs)
+        np.testing.assert_array_equal(np.sort(relabel), np.arange(len(coords)))
+        np.testing.assert_allclose(trace_node_coords(mesh, dof_map)[relabel], coords, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("cells", ["one", "level 0"])
+@pytest.mark.parametrize("degree", range(1, 5))
+def test_small_meshes_number_by_first_appearance(cells, degree):
+    """A mesh of at most ND_LEAF_CELLS cells is one leaf: its numbering is the first-appearance one."""
+    if cells == "one":
+        mesh = TriMesh(REFERENCE_TRIANGLE, np.array([[0, 1, 2]]))
+    else:
+        mesh = build_uniform_mesh(0)
+    assert mesh.n_cells <= ND_LEAF_CELLS
+    dof_map = build_dof_map(SpaceKind.CONTINUOUS, MeshPair(mesh, 0), degree)
+    np.testing.assert_array_equal(dof_map.cell_dofs, _dict_numbering(mesh, degree)[0])
+
+
+def _numbering_meshes():
+    for level in (2, 3, 5):
+        yield f"uniform-{level}", build_uniform_mesh(level)
+        yield f"perturbed-{level}", perturbed_mesh(level)
+        yield f"jittered-{level}", jittered_mesh(level)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_trace_numbering_is_a_bijection(m):
+    """The numbers are range(V + (m - 1) E), each names one node wherever a cell holds it, and ndofs is a Python int."""
+    for name, mesh in _numbering_meshes():
+        dof_map = build_dof_map(SpaceKind.CONTINUOUS, MeshPair(mesh, 0), m)
+        n_edges = int(mesh.edges.ids.max()) + 1
+        assert type(dof_map.ndofs) is int, name
+        assert dof_map.ndofs == mesh.n_vertices + (m - 1) * n_edges, name
+        np.testing.assert_array_equal(np.unique(dof_map.cell_dofs), np.arange(dof_map.ndofs), err_msg=name)
+        nodes = mesh.map_points(lagrange_basis(m).nodes[: 3 * m])  # one number, one node
+        np.testing.assert_allclose(trace_node_coords(mesh, dof_map)[dof_map.cell_dofs], nodes, rtol=0.0, atol=1e-15)
+
+
+def test_top_separator_is_numbered_after_both_halves():
+    """At level 4 the first cut is the line y = 1/2: the DOFs on it come last, after every DOF inside either half."""
+    mesh = build_uniform_mesh(4)
+    dof_map = build_dof_map(SpaceKind.CONTINUOUS, MeshPair(mesh, 0), 2)
+    below = mesh.vertices[mesh.cells].mean(axis=1)[:, 1] < 0.5
+    in_below, in_above = np.zeros(dof_map.ndofs, dtype=bool), np.zeros(dof_map.ndofs, dtype=bool)
+    in_below[dof_map.cell_dofs[below]] = True
+    in_above[dof_map.cell_dofs[~below]] = True
+    separator = np.flatnonzero(in_below & in_above)
+    assert len(separator) == 17 + 16  # the vertices and edge midpoints on y = 1/2
+    np.testing.assert_allclose(trace_node_coords(mesh, dof_map)[separator, 1], 0.5, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(separator, np.arange(dof_map.ndofs - len(separator), dof_map.ndofs))
 
 
 def _unique_rows_reference(keys):

@@ -1,0 +1,29 @@
+"""The level-profile script observes the trace solve without changing it."""
+
+import importlib.util
+from pathlib import Path
+
+from dpgtransport import cli, solve
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "level_profile.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("level_profile", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_level_record_reads_the_factor_and_the_solve():
+    splu, cg_solve = solve.splu, cli.cg_solve
+    record = _load_script().profile_level(3)
+    assert (solve.splu, cli.cg_solve) == (splu, cg_solve)  # put back
+    _, row = cli.solve_level(cli.RunConfig(), 3)
+    assert record["ndof"] == row.ndof
+    assert record["free_trace_dofs"] <= row.ndof
+    assert record["fill"] >= record["free_trace_dofs"]
+    assert 0.0 < record["factor_s"] <= record["solve_s"] <= record["level_s"]
+    assert record["refinement_steps"] == row.iterations == 1
+    assert record["converged"] and record["true_residual"] <= 1e-12
+    assert record["peak_rss_mib"] > 0.0

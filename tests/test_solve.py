@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgtransport.solve import (
     MAX_REFINEMENT_STEPS,
+    PANEL_SIZE,
     SYMMETRY_TOL,
     NotPositiveDefiniteError,
     cg_solve,
@@ -321,6 +323,23 @@ def test_factor_preconditioned_cg_takes_at_most_two_steps(angle, reaction):
     _, row = solve_level(RunConfig(levels=(4,), beta_angle=angle, reaction=reaction), 4)
     assert row.converged
     assert row.iterations <= 2
+
+
+@pytest.mark.parametrize(
+    "angle,reaction",
+    [(math.pi / 8, 0.0), (0.0, 1.0), (math.pi / 2, 1.0)],
+    ids=["sweep", "axis", "vertical"],
+)
+def test_trace_numbering_fills_no_more_than_minimum_degree(angle, reaction):
+    """At level 6 the factor in the trace DOFs' own order has at most the fill of SuperLU's minimum degree."""
+    system = solve_transport(6, 1, np.array([math.cos(angle), math.sin(angle)]), reaction=reaction)["system"]
+    a = sp.csc_matrix(system.matrix[system.free][:, system.free])
+
+    def fill(ordering):
+        factor = splu(a, permc_spec=ordering, panel_size=PANEL_SIZE, options=dict(SymmetricMode=True, DiagPivotThresh=0.0))
+        return factor.L.nnz + factor.U.nnz
+
+    assert fill("NATURAL") <= fill("MMD_AT_PLUS_A")
 
 
 @pytest.mark.parametrize("level", range(4))

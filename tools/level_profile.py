@@ -1,0 +1,107 @@
+"""Profile the default `dpg-transport` sweep level by level and write the records as JSON.
+
+Each of the levels 4 to 8 runs `dpgtransport.cli.solve_level` on the default configuration
+(m = 2, test refinement 1, beta angle pi/8, c = 0) in a fresh process, so
+its peak RSS is its own.  A record holds the level's ndof, the free trace
+DOFs, the sparse factor's seconds and fill (the entries SuperLU stores for
+L and U, supernode padding included), the refinement steps,
+the true residual ||g - S theta|| / ||g|| of the trace solve, the level's
+seconds and the process's peak RSS.  The file also records the machine:
+core count, platform, Python, numpy and scipy versions, and the BLAS thread
+variables of the environment.
+
+    python tools/level_profile.py --out BENCH.json
+
+The package is imported from this checkout's `src/`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+LEVELS = range(4, 9)
+
+
+def profile_level(level: int) -> dict:
+    """One level of the default sweep, in this process, with the trace factor and solve observed."""
+    import numpy as np
+
+    from dpgtransport import cli, solve
+
+    record = {"level": level}
+    splu, cg_solve = solve.splu, cli.cg_solve
+
+    def timed_splu(*args, **kwargs):
+        start = time.perf_counter()
+        factor = splu(*args, **kwargs)
+        record["factor_s"] = time.perf_counter() - start
+        record["fill"] = int(factor.nnz)  # without building L and U, which would add to the peak RSS
+        return factor
+
+    def observed_cg_solve(a, rhs, *args, **kwargs):
+        start = time.perf_counter()
+        x, report = cg_solve(a, rhs, *args, **kwargs)
+        record["solve_s"] = time.perf_counter() - start
+        record["free_trace_dofs"] = len(rhs)
+        record["refinement_steps"] = report.iterations
+        record["true_residual"] = report.residual_norm / float(np.linalg.norm(rhs))
+        return x, report
+
+    solve.splu, cli.cg_solve = timed_splu, observed_cg_solve
+    try:
+        _, row = cli.solve_level(cli.RunConfig(), level)
+    finally:
+        solve.splu, cli.cg_solve = splu, cg_solve
+    record.update(
+        ndof=row.ndof,
+        converged=row.converged,
+        level_s=row.seconds,
+        peak_rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    )
+    return record
+
+
+def machine_info() -> dict:
+    import numpy
+    import scipy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, metavar="PATH", help="JSON file to write")
+    args = parser.parse_args(argv)
+    records = []
+    for level in LEVELS:
+        with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+            record = pool.submit(profile_level, level).result()
+        print(json.dumps(record), flush=True)
+        records.append(record)
+    with open(args.out, "w") as handle:
+        json.dump({"machine": machine_info(), "levels": records}, handle, indent=2)
+        handle.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
