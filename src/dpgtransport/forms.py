@@ -261,15 +261,16 @@ def local_saddle_blocks(form: TransportForm, cells, mesh_pair: MeshPair) -> tupl
 
 
 @lru_cache(maxsize=None)
-def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Load quadrature on every piece of the `levels`-times refined reference triangle.
 
-    Returns `(points, loads)`: the quadrature points of all pieces in coarse
-    reference coordinates, shape (P, 2), and the reference load matrix, shape
-    (P, N).  Row q of it holds the weight of point q, scaled by its piece's
-    area ratio, times the piece's basis values there, in the columns of their
-    cell-local DOFs of `submesh_dofs`; so `f @ loads` is the load on the
-    reference cell of the point values f.  Read-only, cached.
+    Returns `(points, loads, column_sums)`: the quadrature points of all
+    pieces in coarse reference coordinates, shape (P, 2), the reference load
+    matrix, shape (P, N), and its column sums, shape (N,).  Row q of the
+    matrix holds the weight of point q, scaled by its piece's area ratio,
+    times the piece's basis values there, in the columns of their cell-local
+    DOFs of `submesh_dofs`; so `f @ loads` is the load on the reference cell
+    of the point values f, and `column_sums` that of f = 1.  Read-only, cached.
     """
     quad = make_quadrature(min(degree + 4, 12))
     jacobians, offsets = _subcell_maps(levels)
@@ -280,17 +281,24 @@ def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     loads = np.zeros((len(points), len(nodes)))
     rows = np.arange(len(points)).reshape(weights.shape)
     loads[rows[:, :, None], table[:, None, :]] = weights[:, :, None] * lagrange_basis(degree).eval(quad.points)
-    for a in (points, loads):
+    column_sums = loads.sum(axis=0)
+    for a in (points, loads, column_sums):
         a.setflags(write=False)
-    return points, loads
+    return points, loads, column_sums
 
 
 def local_load(rhs_f, mesh_pair: MeshPair, test_space: SpaceDescriptor) -> np.ndarray:
     """Load vectors (l_K)_j = int_K f z^j of all coarse cells, shape (n_cells, N).
 
-    `rhs_f` is called once, with the quadrature points of all cells as one (P, 2) array.
+    `rhs_f` is either a real number, the constant source f, or a callable.  A
+    constant gives every cell the load (2 f |K|) l, with l the column sums of
+    the reference load matrix: no point is mapped and f is never evaluated.
+    A callable is called once, with the quadrature points of all cells as one
+    (P, 2) array, and must return f there.
     """
     mesh = mesh_pair.coarse
-    points, loads = _load_rule(test_space.degree, test_space.levels(mesh_pair))
+    points, loads, column_sums = _load_rule(test_space.degree, test_space.levels(mesh_pair))
+    if not callable(rhs_f):
+        return np.outer(2.0 * float(rhs_f) * mesh.areas(), column_sums)
     f = np.asarray(rhs_f(mesh.map_points(points).reshape(-1, 2)), dtype=float)
     return (2.0 * mesh.areas())[:, None] * (f.reshape(mesh.n_cells, len(points)) @ loads)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from dpgtransport import (
     MeshPair,
@@ -125,6 +127,19 @@ def jittered_mesh(level, seed=1):
     return load_perfbench("workloads").jittered_mesh_builder(build_uniform_mesh, TriMesh, seed)(level)
 
 
+def use_wrong_trace_factor(monkeypatch, perturbation=1e-3):
+    """Make `cg_solve` factor its matrix with the diagonal scaled by 1 + `perturbation` and refine once.
+
+    The solve then returns a wrong x: the exact solution of a perturbed system.
+    """
+
+    def wrong_splu(a, *args, **kwargs):
+        return splu(sp.csc_matrix(a + perturbation * sp.diags(a.diagonal())), *args, **kwargs)
+
+    monkeypatch.setattr("dpgtransport.solve.splu", wrong_splu)
+    monkeypatch.setattr("dpgtransport.solve.MAX_REFINEMENT_STEPS", 1)
+
+
 def constant_rhs(value=1.0):
     return lambda points: np.full(len(points), value)
 
@@ -132,9 +147,12 @@ def constant_rhs(value=1.0):
 def solve_transport(
     level, test_refine, beta, m=2, rhs_f=None, tol=1e-12, mesh_builder=build_uniform_mesh, reaction=0.0
 ):
-    """Full pipeline for one level: the trace system solved on its free DOFs, then phi, as `cli.solve_level` does."""
+    """Full pipeline for one level: the trace system solved on its free DOFs, then phi, as `cli.solve_level` does.
+
+    Without `rhs_f` the source is the number 1.0, the CLI's default constant.
+    """
     if rhs_f is None:
-        rhs_f = constant_rhs()
+        rhs_f = 1.0
     mesh = mesh_builder(level)
     mesh_pair = MeshPair(mesh, test_refine)
     form = transport_form(m, beta, reaction)

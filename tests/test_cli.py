@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BENCHMARK_BETA, perturbed_mesh, solve_transport, trace_node_coords
+from conftest import BENCHMARK_BETA, perturbed_mesh, solve_transport, trace_node_coords, use_wrong_trace_factor
 from dpgtransport import cli
 from dpgtransport.cli import (
     ErrorReport,
@@ -310,10 +310,18 @@ def test_main_reports_unwritable_output(flag, tmp_path, capsys):
     assert str(path) in captured.err
 
 
-def test_main_reports_solver_failure(capsys):
-    """A tolerance below the rounding of the true residual cannot be met: exit code 2."""
-    assert main(["--levels", "2", "--tol", "1e-16"]) == 2
+def test_main_reports_solver_failure(monkeypatch, capsys):
+    """A wrong trace factor, refined once, leaves a backward error far above rounding: exit code 2."""
+    use_wrong_trace_factor(monkeypatch)
+    assert main(["--levels", "2"]) == 2
     assert "[solver did not converge]" in capsys.readouterr().out
+
+
+def test_main_accepts_a_right_answer_below_its_tolerance(capsys):
+    """A tolerance below the rounding of the true residual is not met, but the backward error is at rounding: exit code 0."""
+    assert main(["--levels", "2", "--tol", "1e-16"]) == 0
+    out = capsys.readouterr().out
+    assert "--tol not met" in out and "[solver did not converge]" not in out
 
 
 def test_main_rejects_bad_degree(capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import perturbed_mesh, skeleton_nodes
+from conftest import constant_rhs, jittered_mesh, perturbed_mesh, skeleton_nodes
 from dpgtransport.fem import edge_quadrature, lagrange_basis, make_quadrature
 from dpgtransport.forms import (
     SpaceDescriptor,
@@ -133,21 +133,58 @@ def test_direction_must_be_unit():
 
 
 def test_load_zero_rhs():
-    zero = lambda p: np.zeros(len(p))
-    out = local_load(zero, _ref_pair(1), SpaceDescriptor(2, broken=True))
-    np.testing.assert_array_equal(out, 0.0)
+    for zero in (0.0, lambda p: np.zeros(len(p))):
+        out = local_load(zero, _ref_pair(1), SpaceDescriptor(2, broken=True))
+        np.testing.assert_array_equal(out, 0.0)
 
 
 def test_load_constant_p0():
-    one = lambda p: np.ones(len(p))
-    out = local_load(one, _ref_pair(), P0)
-    np.testing.assert_allclose(out, [[0.5]], atol=1e-14)
+    for one in (1.0, lambda p: np.ones(len(p))):
+        out = local_load(one, _ref_pair(), P0)
+        np.testing.assert_allclose(out, [[0.5]], atol=1e-14)
 
 
 def test_load_constant_p1():
-    one = lambda p: np.ones(len(p))
-    out = local_load(one, _ref_pair(), P1)
-    np.testing.assert_allclose(out, [[1.0 / 6.0] * 3], atol=1e-14)
+    for one in (1.0, lambda p: np.ones(len(p))):
+        out = local_load(one, _ref_pair(), P1)
+        np.testing.assert_allclose(out, [[1.0 / 6.0] * 3], atol=1e-14)
+
+
+_CONSTANT_LOAD_SPACES = [SpaceDescriptor(m + 1, broken=True) for m in range(1, 5)] + [
+    SpaceDescriptor(p) for p in range(1, 6)
+]
+
+
+_CONSTANT_LOAD_MESHES = {
+    "uniform": lambda: build_uniform_mesh(2),
+    "jittered": lambda: jittered_mesh(2),
+    # vertices moved by 1e-13 H: two geometry classes, whose cells' areas differ by up to 4e-13
+    "nudged": lambda: perturbed_mesh(2, fraction=1e-13),
+}
+
+
+@pytest.mark.parametrize("space", _CONSTANT_LOAD_SPACES, ids=str)
+@pytest.mark.parametrize("mesh", _CONSTANT_LOAD_MESHES)
+@pytest.mark.parametrize("value", [1.0, -2.5, 0.0])
+def test_constant_load_matches_the_callable(value, mesh, space):
+    """A number as f gives the loads of the callable that returns it everywhere.
+
+    The test-search spaces at test refinement 0..3 and the enriched spaces of
+    degree 1..5, on the uniform mesh, the benchmark's jittered one, whose
+    cells all differ in area, and a nudged uniform one, whose cells differ in
+    area from the other cells of their geometry class.  Some loads vanish
+    exactly (the vertex functions of P2, for one), so each cell's loads are
+    compared relative to its largest one.
+    """
+    for ell in range(4):
+        pair = MeshPair(_CONSTANT_LOAD_MESHES[mesh](), ell)
+        expected = local_load(constant_rhs(value), pair, space)
+        loads = local_load(value, pair, space)
+        assert loads.shape == expected.shape
+        scale = np.abs(expected).max(axis=1, keepdims=True)
+        assert (np.abs(loads - expected) <= 1e-14 * scale).all()
+        if not space.broken:
+            break  # the enriched spaces do not depend on the test refinement
 
 
 def _quartic(p):
@@ -214,9 +251,10 @@ def test_load_calls_rhs_once_with_all_points(space):
 
 @pytest.mark.parametrize("degree, levels", [(1, 0), (3, 1), (5, 0), (4, 2)])
 def test_load_rule_is_read_only(degree, levels):
-    points, loads = _load_rule(degree, levels)
+    points, loads, column_sums = _load_rule(degree, levels)
     assert loads.shape == (len(points), len(submesh_dofs(degree, levels)[1]))
-    for a in (points, loads):
+    np.testing.assert_array_equal(column_sums, loads.sum(axis=0))
+    for a in (points, loads, column_sums):
         assert not a.flags.writeable
 
 

@@ -12,14 +12,17 @@ from dpgtransport.solve import (
     PANEL_SIZE,
     SYMMETRY_TOL,
     NotPositiveDefiniteError,
+    backward_error,
     cg_solve,
     cholesky_factor,
     cholesky_solve,
     triangular_solve,
 )
 
-from conftest import BENCHMARK_BETA, solve_transport
-from dpgtransport.cli import RunConfig, solve_level
+from conftest import BENCHMARK_BETA, solve_transport, use_wrong_trace_factor
+from dpgtransport.cli import ROUNDING_FACTOR, RunConfig, solve_level
+
+EPS = np.finfo(float).eps
 
 
 # ----------------------------------------------------------------- Cholesky
@@ -290,6 +293,38 @@ def test_cg_stops_by_itself_below_the_rounding_floor():
         _, report = cg_solve(a, rhs, tol=1e-20)  # below the rounding floor
         assert 1 <= report.iterations < MAX_REFINEMENT_STEPS
         assert not report.converged
+
+
+def test_backward_error_matches_its_dense_definition():
+    for a, rhs in _report_systems():
+        x, report = cg_solve(a, rhs)
+        r = rhs - a @ x
+        dense = np.abs(r) / (np.abs(a.toarray()) @ np.abs(x) + np.abs(rhs))
+        assert report.backward_error == backward_error(a, x, rhs, r)
+        assert report.backward_error == pytest.approx(dense.max(), rel=1e-12, abs=0.0)
+
+
+def test_backward_error_of_an_exact_solution_is_zero():
+    a = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+    x = np.array([1.0, 1.0, 0.0])  # the zero row of |A||x| + |b| counts as 0, not NaN
+    assert backward_error(a, x, a @ x, np.zeros(3)) == 0.0
+
+
+@pytest.mark.parametrize("level", range(2, 7))
+def test_sweep_solves_are_exact_up_to_rounding(level):
+    """The trace solve of every sweep level is the exact solution of a system within k eps of the assembled one."""
+    _, row = solve_level(RunConfig(), level)
+    assert 0.0 < row.backward_error <= ROUNDING_FACTOR * EPS
+    assert row.solved
+
+
+def test_wrong_factor_has_a_backward_error_far_above_rounding(monkeypatch):
+    use_wrong_trace_factor(monkeypatch)
+    system = solve_transport(3, 1, BENCHMARK_BETA)["system"]
+    free = system.free
+    _, report = cg_solve(system.matrix[free][:, free], system.rhs[free])
+    assert report.iterations == 1 and not report.converged
+    assert report.backward_error > 1e6 * ROUNDING_FACTOR * EPS
 
 
 def test_cg_raises_on_nan():
