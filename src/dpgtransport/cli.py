@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 import time
@@ -12,15 +11,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import apply_dirichlet, assemble, back_substitute, inflow_mask, pin_characteristic_dofs
-from .estimator import a_posteriori_error, exact_transport_solution, l2_error
-from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis
+from .estimator import DEFAULT_ENRICHMENT_DEGREE, a_posteriori_error, exact_transport_solution, l2_error
+from .fem import MAX_BASIS_DEGREE, DofMap, SpaceKind, build_dof_map, lagrange_basis
 from .forms import transport_form
 from .mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh
 from .solve import cg_solve
 
-MAX_TRIAL_DEGREE = 4  # m + 1 <= 5, the basis table bound
 MAX_TEST_REFINE = 3  # cost guard
-VTK_CHUNK = 4096  # scalar values formatted per table by export_vtk
+VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string that export_vtk joins
 # k: a level whose trace solve has a backward error of at most k eps is solved
 # as exactly as its data allow, even above --tol.  Measured: 0.6-3.9 eps.
 ROUNDING_FACTOR = 16
@@ -34,7 +32,7 @@ class RunConfig:
     beta_angle: float = math.pi / 8
     reaction: float = 0.0
     rhs_const: float = 1.0
-    enrich_degree: int = 5
+    enrich_degree: int = DEFAULT_ENRICHMENT_DEGREE
     csv_path: str | None = None
     vtk_path: str | None = None
     tol: float = 1e-12
@@ -42,12 +40,12 @@ class RunConfig:
     def validate(self) -> None:
         if not self.levels or any(lv < 0 for lv in self.levels):
             raise ValueError("levels must be non-negative integers")
-        if self.degree < 1 or self.degree + 1 > MAX_TRIAL_DEGREE + 1:
-            raise ValueError(f"degree m must satisfy 1 <= m <= {MAX_TRIAL_DEGREE}")
+        if not 1 <= self.degree < MAX_BASIS_DEGREE:  # the test-search space has degree m + 1
+            raise ValueError(f"degree m must satisfy 1 <= m <= {MAX_BASIS_DEGREE - 1}")
         if not 0 <= self.test_refine <= MAX_TEST_REFINE:
             raise ValueError(f"test refinement must be in [0, {MAX_TEST_REFINE}]")
-        if not 1 <= self.enrich_degree <= 5:
-            raise ValueError("enrichment degree must be in [1, 5]")
+        if not 1 <= self.enrich_degree <= MAX_BASIS_DEGREE:
+            raise ValueError(f"enrichment degree must be in [1, {MAX_BASIS_DEGREE}]")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("solver tolerance must satisfy 0 < tol < 1")
         if not 0.0 <= self.reaction < math.inf:
@@ -144,22 +142,11 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
     return LevelSolution(mesh_pair, phi_map, theta_map, x), row
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain text for the rest."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def export_csv(report: ErrorReport, path: str) -> None:
     lines = ["level,H,ndof,l2_error,eta,efficiency,iterations,seconds"]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.level, r.h, r.ndof, r.l2_error, r.eta, r.efficiency, r.iterations, r.seconds)
-            )
-        )
+    for r in report.rows:  # str of a float is its shortest round-trip decimal
+        values = (r.level, r.h, r.ndof, r.l2_error, r.eta, r.efficiency, r.iterations, r.seconds)
+        lines.append(",".join(map(str, values)))
     try:
         with open(path, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -190,18 +177,17 @@ def _cell_lines(n: int):
         yield ("3 {} {} {}\n" * count).format(*range(3 * start, 3 * (start + count)))
 
 
-def _value_lines(values: np.ndarray):
-    """The text of `_repr_lines`, with each distinct value of a chunk formatted once.
+def _vertex_lines(line: str, columns, cells: np.ndarray):
+    """The lines of per-vertex data at the cells' corners, one joined string per VTK_CHUNK corners.
 
-    For fields with few distinct values, such as theta, whose corner values
-    repeat across the cells that share a vertex.  Values are keyed on their
-    bit pattern, not compared as floats, so -0.0 and 0.0 keep their own text.
+    `line.format` makes each mesh vertex's line once, from its entries of
+    `columns`; the corners in `cells.ravel()` order then take their vertex's
+    line.  The chunks bound the corner ids held as Python ints at once.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    for start in range(0, len(values), VTK_CHUNK):
-        bits, inverse = np.unique(values[start : start + VTK_CHUNK].view(np.int64), return_inverse=True)
-        text = list(map("{!r}\n".format, bits.view(float).tolist()))
-        yield "".join(map(text.__getitem__, inverse.tolist()))
+    table = list(map(line.format, *columns))
+    corners = cells.ravel()
+    for start in range(0, len(corners), VTK_CHUNK):
+        yield "".join(map(table.__getitem__, corners[start : start + VTK_CHUNK].tolist()))
 
 
 def export_vtk(
@@ -215,26 +201,26 @@ def export_vtk(
     """Legacy ASCII VTK with per-cell duplicated points; theta at the corners is each cell's first three DOFs.
 
     phi is broken, so its corner values are nearly all distinct and are
-    written by `_repr_lines`; theta's repeat and are written by `_value_lines`.
+    written by `_repr_lines`.  theta is continuous, with one DOF per mesh
+    vertex, so it is written, like the points, by `_vertex_lines`.
     """
     mesh = mesh_pair.coarse
     phi_vals = (phi_coefficients[phi_map.cell_dofs] @ lagrange_basis(phi_map.degree).eval(REFERENCE_TRIANGLE).T).ravel()
-    theta_vals = theta_coefficients[theta_map.cell_dofs[:, :3]].ravel()
-    vertex_lines = list(map("{!r} {!r} 0.0\n".format, *mesh.vertices.T.tolist()))
+    theta_at = np.zeros(mesh.n_vertices)
+    theta_at[mesh.cells] = theta_coefficients[theta_map.cell_dofs[:, :3]]
 
     n = mesh.n_cells
     blocks = (
         ["# vtk DataFile Version 2.0\n", "dpgtransport solution\n", "ASCII\n", "DATASET UNSTRUCTURED_GRID\n"],
         [f"POINTS {3 * n} double\n"],
-        map(vertex_lines.__getitem__, mesh.cells.ravel().tolist()),
+        _vertex_lines("{!r} {!r} 0.0\n", mesh.vertices.T.tolist(), mesh.cells),
         [f"CELLS {n} {4 * n}\n"],
         _cell_lines(n),
-        [f"CELL_TYPES {n}\n"],
-        itertools.repeat("5\n", n),
+        [f"CELL_TYPES {n}\n", "5\n" * n],
         [f"POINT_DATA {3 * n}\n", "SCALARS phi double\n", "LOOKUP_TABLE default\n"],
         _repr_lines(phi_vals),
         ["SCALARS theta double\n", "LOOKUP_TABLE default\n"],
-        _value_lines(theta_vals),
+        _vertex_lines("{!r}\n", [theta_at.tolist()], mesh.cells),
     )
     try:
         with open(path, "w", newline="") as handle:
@@ -257,22 +243,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpg-transport",
         description="DPG convergence study for linear transport on the unit square",
+        argument_default=argparse.SUPPRESS,  # an absent flag takes its RunConfig default
     )
-    parser.add_argument("--levels", default="2:6", help="mesh levels, e.g. 2:6 or 2,4,6")
-    parser.add_argument("--test-refine", type=int, default=1, metavar="L")
-    parser.add_argument("--degree", type=int, default=2, metavar="M")
-    parser.add_argument("--beta-angle", type=float, default=math.pi / 8, metavar="RAD")
-    parser.add_argument("--reaction", type=float, default=0.0, metavar="C")
-    parser.add_argument("--rhs-const", type=float, default=1.0, metavar="F")
-    parser.add_argument("--enrich", dest="enrich_degree", type=int, default=5, metavar="P")
-    parser.add_argument("--csv", dest="csv_path", default=None, metavar="PATH")
-    parser.add_argument("--vtk", dest="vtk_path", default=None, metavar="PATH")
-    parser.add_argument("--tol", type=float, default=1e-12, metavar="T")
+    parser.add_argument("--levels", help="mesh levels, e.g. 2:6 or 2,4,6")
+    parser.add_argument("--test-refine", type=int, metavar="L")
+    parser.add_argument("--degree", type=int, metavar="M")
+    parser.add_argument("--beta-angle", type=float, metavar="RAD")
+    parser.add_argument("--reaction", type=float, metavar="C")
+    parser.add_argument("--rhs-const", type=float, metavar="F")
+    parser.add_argument("--enrich", dest="enrich_degree", type=int, metavar="P")
+    parser.add_argument("--csv", dest="csv_path", metavar="PATH")
+    parser.add_argument("--vtk", dest="vtk_path", metavar="PATH")
+    parser.add_argument("--tol", type=float, metavar="T")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{**vars(args), "levels": parse_levels(args.levels)})
+    settings = vars(args)
+    if "levels" in settings:
+        settings = {**settings, "levels": parse_levels(settings["levels"])}
+    return RunConfig(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -207,12 +207,10 @@ def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def _cell_geometry(form: TransportForm, cells, mesh_pair: MeshPair):
-    """(|det J|, b = J^-1 beta, corners) of the coarse cells `cells`, shapes (..., 1), (..., 2), (..., 3, 2)."""
-    mesh = mesh_pair.coarse
-    corners = mesh.vertices[mesh.cells[cells]]
-    jac = mesh.jacobians()[cells]
+    """(|det J|, b = J^-1 beta) of the coarse cells `cells`, shapes (..., 1) and (..., 2)."""
+    jac = mesh_pair.coarse.jacobians()[cells]
     det = np.abs(np.linalg.det(jac))[..., None]
-    return det, np.linalg.solve(jac, np.asarray(form.beta)), corners
+    return det, np.linalg.solve(jac, np.asarray(form.beta))
 
 
 def _cell_moments(form: TransportForm, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +225,7 @@ class InnerProduct:
 
     def local_gram(self, cells, mesh_pair: MeshPair) -> np.ndarray:
         """B_K of the coarse cells `cells`, stacked; rows and columns in the DOF order of `submesh_dofs`."""
-        det, b, _ = _cell_geometry(self.form, cells, mesh_pair)
+        det, b = _cell_geometry(self.form, cells, mesh_pair)
         b0, b1 = b[..., :1], b[..., 1:]
         weights = det * np.concatenate([np.ones_like(b0), b0 * b0, b1 * b1, b0 * b1], axis=-1)
         return _weighted_sum(weights, _cell_moments(self.form, mesh_pair)[0])
@@ -244,8 +242,8 @@ class BilinearForm:
 
         Rows as in `InnerProduct.local_gram`; columns the phi DOFs, then the theta DOFs.
         """
-        det, b, corners = _cell_geometry(self.form, cells, mesh_pair)
-        flux = edge_flux(corners[..., NEXT_VERTEX, :] - corners, self.form.beta)  # f_k, (..., 3)
+        det, b = _cell_geometry(self.form, cells, mesh_pair)
+        flux = edge_flux(mesh_pair.coarse.edges.vectors[cells], self.form.beta)  # f_k, (..., 3)
         volume = det * np.concatenate([self.form.reaction * np.ones_like(det), -b], axis=-1)
         weights = np.concatenate([volume, flux], axis=-1)
         return _weighted_sum(weights, _cell_moments(self.form, mesh_pair)[1])

@@ -105,7 +105,7 @@ def _solve_each(routine, lower: np.ndarray, rhs: np.ndarray, **options) -> np.nd
 
 @dataclass(frozen=True)
 class CgReport:
-    iterations: int
+    iterations: int  # refinement steps taken, an undone last step included
     residual_norm: float  # the true residual ||rhs - A x||_2
     converged: bool  # residual_norm <= tol ||rhs||_2
     backward_error: float  # omega of `backward_error`, for the returned x
@@ -137,9 +137,11 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12):
     correctly, only with more fill.  Each step solves with it for the true residual,
     x += LU^-1 r, then r = rhs - A x.  Converged means ||r||_2 <= tol *
     ||rhs||_2.  Stops unconverged after MAX_REFINEMENT_STEPS steps, or when a
-    step fails to lower ||r||_2.  The report also holds the backward error of
-    the returned x, computed once the factor is freed, so it adds nothing to
-    the solve's peak memory.  Deterministic for fixed inputs; raises on NaN.
+    step fails to lower ||r||_2; such a step, unless it is the first, is
+    undone, so the returned x is the iterate of least ||r||_2.  The report
+    holds that iterate's residual and backward error, the latter computed
+    once the factor is freed, so it adds nothing to the solve's peak memory.
+    Deterministic for fixed inputs; raises on NaN.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
@@ -163,13 +165,16 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12):
     r, res = rhs, norm_rhs
     iterations = 0
     while iterations < MAX_REFINEMENT_STEPS:
-        x += factor.solve(r)
-        r = rhs - a @ x
-        previous, res = res, np.linalg.norm(r)
+        step = x + factor.solve(r)
+        r_step = rhs - a @ step
+        res_step = np.linalg.norm(r_step)
         iterations += 1
-        if not np.isfinite(res):
+        if not np.isfinite(res_step):
             raise FloatingPointError("iterative refinement diverged (non-finite residual)")
-        if res <= tol * norm_rhs or not res < previous:
+        lowered = res_step < res
+        if lowered or iterations == 1:
+            x, r, res = step, r_step, res_step
+        if res <= tol * norm_rhs or not lowered:
             break
     del factor
     return x, CgReport(iterations, float(res), bool(res <= tol * norm_rhs), backward_error(a, x, rhs, r))

@@ -9,7 +9,6 @@ from dpgtransport.cli import (
     ErrorReport,
     ReportRow,
     RunConfig,
-    _value_lines,
     build_parser,
     config_from_args,
     export_csv,
@@ -53,6 +52,10 @@ def test_default_config_matches_benchmark():
     np.testing.assert_allclose(
         config.beta, [math.cos(math.pi / 8), math.sin(math.pi / 8)], atol=1e-15
     )
+
+
+def test_parser_defaults_are_run_config_defaults():
+    assert config_from_args(build_parser().parse_args([])) == RunConfig()
 
 
 @pytest.mark.parametrize(
@@ -276,12 +279,6 @@ def test_vtk_bytes_match_one_repr_per_line(tmp_path, monkeypatch, perturbed, m, 
     path = tmp_path / "out.vtk"
     export_vtk(phi, theta, pair, phi_map, theta_map, str(path))
     assert path.read_bytes() == _reference_vtk(phi, theta, pair, phi_map, theta_map)
-
-
-def test_vtk_value_lines_keep_signed_zeros_apart():
-    """phi's corner values come from a matrix product, which yields no -0.0, so the value lines are checked alone too."""
-    values = np.resize(np.concatenate([SIGNED_ZEROS, [np.inf, -np.inf, np.nan]]), 2 * cli.VTK_CHUNK + 5)
-    assert "".join(_value_lines(values)).splitlines() == [repr(float(v)) for v in values]
 
 
 # --------------------------------------------------------------------- main

@@ -27,3 +27,25 @@ def test_level_record_reads_the_factor_and_the_solve():
     assert record["refinement_steps"] == row.iterations == 1
     assert record["converged"] and record["true_residual"] <= 1e-12
     assert record["peak_rss_mib"] > 0.0
+
+
+def test_samples_aggregate_to_median_min_and_max():
+    script = _load_script()
+    samples = [
+        {"level": 6, "fill": 9, "factor_s": factor, "solve_s": factor + 1.0, "level_s": level, "peak_rss_mib": rss}
+        for factor, level, rss in [(0.5, 2.0, 90.0), (0.1, 9.0, 95.0), (0.2, 1.0, 80.0)]
+    ]
+    assert script.aggregate(samples) == {
+        "level": 6,
+        "fill": 9,
+        "factor_s": 0.2,
+        "factor_s_min": 0.1,
+        "factor_s_max": 0.5,
+        "solve_s": 1.2,
+        "solve_s_min": 1.1,
+        "solve_s_max": 1.5,
+        "level_s": 2.0,
+        "level_s_min": 1.0,
+        "level_s_max": 9.0,
+        "peak_rss_mib": 95.0,
+    }

@@ -270,6 +270,27 @@ def test_cg_respects_max_iter(monkeypatch):
     assert not report.converged
 
 
+def test_cg_returns_its_best_iterate(monkeypatch):
+    """A refinement step that raises ||r|| is undone: x, its residual and its backward error are those before it."""
+    a = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+    rhs = np.array([1.0, 2.0, 3.0])
+
+    class Factor:  # the first step solves for 0.9 x, the second overshoots its correction tenfold
+        scales = iter([0.9, -10.0])
+
+        def solve(self, r):
+            return next(self.scales) * np.linalg.solve(a.toarray(), r)
+
+    monkeypatch.setattr("dpgtransport.solve.splu", lambda *args, **kwargs: Factor())
+    x, report = cg_solve(a, rhs)
+    first = 0.9 * np.linalg.solve(a.toarray(), rhs)
+    r = rhs - a @ first
+    assert report.iterations == 2 and not report.converged
+    np.testing.assert_array_equal(x, first)
+    assert report.residual_norm == np.linalg.norm(r)
+    assert report.backward_error == backward_error(a, first, rhs, r)
+
+
 def _report_systems():
     """(matrix, rhs) pairs: a free trace system, and a dense SPD system that takes several refinement steps."""
     system = solve_transport(3, 1, BENCHMARK_BETA)["system"]

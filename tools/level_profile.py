@@ -1,12 +1,14 @@
 """Profile the default `dpg-transport` sweep level by level and write the records as JSON.
 
 Each of the levels 4 to 8 runs `dpgtransport.cli.solve_level` on the default configuration
-(m = 2, test refinement 1, beta angle pi/8, c = 0) in a fresh process, so
-its peak RSS is its own.  A record holds the level's ndof, the free trace
-DOFs, the sparse factor's seconds and fill (the entries SuperLU stores for
-L and U, supernode padding included), the refinement steps,
+(m = 2, test refinement 1, beta angle pi/8, c = 0) in SAMPLES fresh processes,
+so each run's peak RSS is its own.  A record holds the level's ndof, the
+free trace DOFs, the sparse factor's seconds and fill (the entries SuperLU
+stores for L and U, supernode padding included), the refinement steps,
 the true residual ||g - S theta|| / ||g|| of the trace solve, the level's
-seconds and the process's peak RSS.  The file also records the machine:
+seconds and the largest peak RSS of its processes.  Each of the seconds is
+the median of the samples, with their min and max next to it as
+`<name>_min` and `<name>_max`.  The file also records the machine:
 core count, platform, Python, numpy and scipy versions, and the BLAS thread
 variables of the environment.
 
@@ -22,6 +24,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 LEVELS = range(4, 9)
+SAMPLES = 3  # processes per level: one run per level could not resolve a change below about 30 %
+TIMED = ("factor_s", "solve_s", "level_s")
 
 
 def profile_level(level: int) -> dict:
@@ -73,6 +78,21 @@ def profile_level(level: int) -> dict:
     return record
 
 
+def aggregate(samples: list[dict]) -> dict:
+    """One level's record from the records of its samples.
+
+    Each TIMED field becomes the samples' median, min and max, and the peak
+    RSS their largest.  The other fields do not vary between runs; they are
+    the first sample's.
+    """
+    record = dict(samples[0])
+    for key in TIMED:
+        values = [sample[key] for sample in samples]
+        record.update({key: statistics.median(values), f"{key}_min": min(values), f"{key}_max": max(values)})
+    record["peak_rss_mib"] = max(sample["peak_rss_mib"] for sample in samples)
+    return record
+
+
 def machine_info() -> dict:
     import numpy
     import scipy
@@ -93,8 +113,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     records = []
     for level in LEVELS:
-        with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
-            record = pool.submit(profile_level, level).result()
+        samples = []
+        for _ in range(SAMPLES):
+            with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn")) as pool:
+                samples.append(pool.submit(profile_level, level).result())
+        record = aggregate(samples)
         print(json.dumps(record), flush=True)
         records.append(record)
     with open(args.out, "w") as handle:
