@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .fem import DofMap, SpaceKind, edge_nodes
 from .forms import TransportForm, local_load
-from .mesh import MeshPair, TriMesh, edge_flux
+from .mesh import MeshPair, TriMesh
 from .solve import cholesky_solve
 from .testspace import cell_blocks, class_chunks, class_products, factor_on_cells
 
@@ -125,9 +125,12 @@ def _fix_theta(system: GlobalSystem, dofs: np.ndarray) -> GlobalSystem:
 
 
 def _edge_flux(mesh: TriMesh, beta: np.ndarray) -> np.ndarray:
-    """beta . n on every cell edge, shape (n_cells, 3)."""
+    """beta . n on every cell edge, shape (n_cells, 3).
+
+    The outward normal of a CCW triangle's edge vector t is (t_y, -t_x) / |t|.
+    """
     edges = mesh.edges
-    return edge_flux(edges.vectors, np.asarray(beta, dtype=float)) / edges.lengths
+    return (beta[0] * edges.vectors[..., 1] - beta[1] * edges.vectors[..., 0]) / edges.lengths
 
 
 def _dofs_on_edges(theta_map: DofMap, edges: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from .mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh
 from .solve import cg_solve
 
 MAX_TEST_REFINE = 3  # cost guard
-VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string that export_vtk joins
+VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string that export_vtk writes
 # k: a level whose trace solve has a backward error of at most k eps is solved
 # as exactly as its data allow, even above --tol.  Measured: 0.6-3.9 eps.
 ROUNDING_FACTOR = 16
@@ -157,8 +157,9 @@ def export_csv(report: ErrorReport, path: str) -> None:
 def _repr_lines(values: np.ndarray):
     """The `repr` lines of `values`, one joined string per chunk of VTK_CHUNK values.
 
-    The chunks bound the text held at once: the allocator keeps a whole
-    field's text resident after the export returns.
+    `export_vtk` writes each chunk as it comes, so a chunk is the most text
+    held at once: the allocator would keep a whole field's text resident
+    after the export returns.
     """
     values = np.asarray(values, dtype=float)
     for start in range(0, len(values), VTK_CHUNK):
@@ -224,7 +225,8 @@ def export_vtk(
     )
     try:
         with open(path, "w", newline="") as handle:
-            handle.writelines(map("".join, blocks))  # one string per block, not one for the file
+            for block in blocks:
+                handle.writelines(block)  # chunk by chunk, never a whole block's text
     except OSError as exc:
         raise OSError(f"cannot write VTK to {path}: {exc}") from exc
 

@@ -156,14 +156,6 @@ def make_quadrature(exactness_degree: int) -> QuadratureRule:
     return QuadratureRule(pts, wts, exactness_degree)
 
 
-@lru_cache(maxsize=None)
-def edge_quadrature(exactness_degree: int) -> QuadratureRule:
-    """Gauss-Legendre on [0,1], exact for the given polynomial degree."""
-    if not 0 <= exactness_degree <= 2 * MAX_QUADRATURE_DEGREE - 1:
-        raise ValueError("edge quadrature degree out of range")
-    return QuadratureRule(*gauss_legendre(exactness_degree // 2 + 1), exactness_degree)
-
-
 class SpaceKind(enum.Enum):
     BROKEN_COARSE = "broken_coarse"  # discontinuous across coarse cells
     CONTINUOUS = "continuous"  # trace space on the skeleton: shared vertex and edge nodes

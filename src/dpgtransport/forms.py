@@ -13,6 +13,8 @@ of a coarse cell (the test-search space) or a single polynomial per coarse
 cell (the enriched estimator space); both are broken across coarse cells
 only, so they lie in the broken graph space prod_K H(beta; K).  phi is one
 polynomial per coarse cell, and theta a polynomial on each edge of it.
+Since v is continuous on K, the trace term is a volume integral (see
+`_moments`), and G_K, like B_K, needs only the cell's Jacobian.
 """
 
 from __future__ import annotations
@@ -22,15 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import edge_quadrature, first_appearance, lagrange_basis, make_quadrature, skeleton_size
-from .mesh import (
-    GEOM_TOL,
-    NEXT_VERTEX,
-    REFERENCE_TRIANGLE,
-    MeshPair,
-    edge_flux,
-    reference_subcells,
-)
+from .fem import first_appearance, lagrange_basis, make_quadrature, skeleton_size
+from .mesh import GEOM_TOL, MeshPair, reference_subcells
 
 
 @lru_cache(maxsize=None)
@@ -116,43 +111,31 @@ def transport_form(m: int, beta, reaction: float) -> TransportForm:
 
 
 @lru_cache(maxsize=None)
-def _boundary_edges(levels: int) -> tuple:
-    """Fine edges of the red-refined reference triangle that lie on its boundary.
-
-    One entry `(t, k, a_ref, b_ref, a_c, b_c)` per edge: subcell t, the
-    reference edge k it lies on, and its ends on the unit triangle and in
-    coarse reference coordinates, in the subcell's counter-clockwise order.
-    """
-    edges = []
-    for t, (jac_s, shift) in enumerate(zip(*_subcell_maps(levels))):
-        for a_ref, b_ref in zip(REFERENCE_TRIANGLE, REFERENCE_TRIANGLE[NEXT_VERTEX]):
-            a_c, b_c = jac_s @ a_ref + shift, jac_s @ b_ref + shift
-            bary = np.abs([[p[1], 1.0 - p[0] - p[1], p[0]] for p in (a_c, b_c)])
-            on_edge = np.flatnonzero((bary < GEOM_TOL).all(axis=0))  # both ends on edge k
-            if on_edge.size:
-                edges.append((t, int(on_edge[0]), a_ref, b_ref, a_c, b_c))
-    return tuple(edges)
-
-
-@lru_cache(maxsize=None)
 def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference-cell moment matrices from which B_K and G_K are combined per cell.
 
-    With b = J^-1 beta in reference coordinates, J the cell's Jacobian, and
-    f_k = (beta . n_k)|e_k| the flux through its edge k:
+    With b = J^-1 beta in reference coordinates, J the cell's Jacobian:
 
         B_K = |det J| (M + b_0^2 S_00 + b_1^2 S_11 + b_0 b_1 (S_01 + S_10)),
-        G_K = |det J| (c P - b_0 D_0 - b_1 D_1) + sum_k f_k E_k.
+        G_K = |det J| (c P + b_0 T_0 + b_1 T_1).
+
+    P holds (phi, v) in the phi columns and zero in the theta columns; T_d
+    holds -(phi, d_d v) in the phi columns and (d_d theta, v) + (theta, d_d v)
+    in the theta columns.  theta is extended into the cell by the Lagrange
+    basis functions of its vertex and edge nodes (those of the interior
+    nodes vanish on dK), and every test function v is continuous on the
+    cell, piecewise polynomial on its subcells; beta is constant, so the
+    divergence theorem gives
+    <theta, (beta . n) v>_dK = (div(beta theta v), 1)_K = (beta . grad theta, v)_K + (theta, beta . grad v)_K.
 
     Returns `(gram_terms, form_terms)`: (M, S_00, S_11, S_01 + S_10), shape
-    (4, N, N), and (P, D_0, D_1, E_0, E_1, E_2), shape (6, N, n_phi + n_theta),
-    with the phi columns first.  N is the test space's cell-local size, and
-    theta has `skeleton_size(m)` columns, its nodes on the cell's edges.  One
-    triangle rule of exactness min(2 deg + 2, 12) on every subcell is exact
-    for every product here.  Read-only, cached.
+    (4, N, N), and (P, T_0, T_1), shape (3, N, n_phi + n_theta), with the phi
+    columns first.  N is the test space's cell-local size, and theta has
+    `skeleton_size(m)` columns.  One triangle rule of exactness
+    min(2 deg + 2, 12) on every subcell is exact for every product here, of
+    degree at most 2 deg, or deg + m - 1 in T_d, for m <= 4.  Read-only, cached.
     """
     test, phi, theta = lagrange_basis(test_degree), lagrange_basis(m - 1), lagrange_basis(m)
-    n_theta = skeleton_size(m)
     table, nodes = submesh_dofs(test_degree, levels)
     jacobians, offsets = _subcell_maps(levels)
     quad = make_quadrature(min(2 * test_degree + 2, 12))
@@ -161,8 +144,11 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     values = test.eval(quad.points)  # (nq, nt), the same on every piece
     # gradients in coarse reference coordinates, (pieces, nq, nt, 2)
     grads = np.einsum("qid,sde->sqie", test.grad(quad.points), np.linalg.inv(jacobians))
-    points = np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]
-    phi_values = phi.eval(points.reshape(-1, 2)).reshape(len(jacobians), len(quad.weights), -1)
+    points = (np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]).reshape(-1, 2)
+    shape = weights.shape + (-1,)
+    phi_values = phi.eval(points).reshape(shape)
+    theta_values = theta.eval(points)[:, : skeleton_size(m)].reshape(shape)
+    theta_grads = theta.grad(points)[:, : skeleton_size(m)].reshape(shape + (2,))
 
     # per-piece blocks, summed into the cell-local DOFs through the table
     mass = np.einsum("sq,qi,qj->sij", weights, values, values)
@@ -172,24 +158,12 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     np.add.at(gram_terms, (slice(None), table[:, :, None], table[:, None, :]), gram_pieces)
     gram_terms = 0.5 * (gram_terms + gram_terms.transpose(0, 2, 1))
 
-    form_terms = np.zeros((6, len(nodes), phi.size + n_theta))
-    phi_pieces = np.concatenate(
-        [
-            np.einsum("sq,qi,sqj->sij", weights, values, phi_values)[None],
-            np.einsum("sq,sqid,sqj->dsij", weights, grads, phi_values),
-        ]
-    )
-    np.add.at(form_terms[:3, :, : phi.size], (slice(None), table), phi_pieces)
-    # On fine edges inside the coarse cell the two sides' contributions cancel
-    # for continuous test functions; only the coarse boundary remains.  f_k is
-    # the flux through the whole edge k, and each fine edge is 2^-levels of it.
-    edge = edge_quadrature(test_degree + m + 1)
-    for t, k, a_ref, b_ref, a_c, b_c in _boundary_edges(levels):
-        tv = test.eval(a_ref + np.outer(edge.points, b_ref - a_ref))
-        uv = theta.eval(a_c + np.outer(edge.points, b_c - a_c))[:, :n_theta]
-        form_terms[3 + k, table[t], phi.size :] += 2.0**-levels * np.einsum(
-            "q,qi,qj->ij", edge.weights, tv, uv
-        )
+    form_terms = np.zeros((3, len(nodes), phi.size + theta_values.shape[-1]))
+    trial = np.concatenate([-phi_values, theta_values], axis=-1)  # against d_d v in T_d
+    transport = np.einsum("sq,sqid,sqj->dsij", weights, grads, trial)
+    transport[..., phi.size :] += np.einsum("sq,qi,sqjd->dsij", weights, values, theta_grads)
+    np.add.at(form_terms[0, :, : phi.size], table, np.einsum("sq,qi,sqj->sij", weights, values, phi_values))
+    np.add.at(form_terms[1:], (slice(None), table), transport)
     for a in (gram_terms, form_terms):
         a.setflags(write=False)
     return gram_terms, form_terms
@@ -243,9 +217,7 @@ class BilinearForm:
         Rows as in `InnerProduct.local_gram`; columns the phi DOFs, then the theta DOFs.
         """
         det, b = _cell_geometry(self.form, cells, mesh_pair)
-        flux = edge_flux(mesh_pair.coarse.edges.vectors[cells], self.form.beta)  # f_k, (..., 3)
-        volume = det * np.concatenate([self.form.reaction * np.ones_like(det), -b], axis=-1)
-        weights = np.concatenate([volume, flux], axis=-1)
+        weights = det * np.concatenate([self.form.reaction * np.ones_like(det), b], axis=-1)
         return _weighted_sum(weights, _cell_moments(self.form, mesh_pair)[1])
 
 

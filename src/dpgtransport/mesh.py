@@ -26,14 +26,6 @@ REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 NEXT_VERTEX = np.array([1, 2, 0])
 
 
-def edge_flux(tangents: np.ndarray, beta) -> np.ndarray:
-    """(beta . n)|t| for edge vectors t of CCW triangles, shape (..., 2) -> (...).
-
-    The outward normal of a CCW triangle's edge vector t is (t_y, -t_x) / |t|.
-    """
-    return beta[0] * tangents[..., 1] - beta[1] * tangents[..., 0]
-
-
 def row_ids(keys: np.ndarray) -> np.ndarray:
     """The lexicographic dense rank of each row of `keys`, as `np.unique(keys, axis=0)` numbers them.
 

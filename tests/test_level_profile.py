@@ -1,6 +1,8 @@
 """The level-profile script observes the trace solve without changing it."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 from dpgtransport import cli, solve
@@ -49,3 +51,18 @@ def test_samples_aggregate_to_median_min_and_max():
         "level_s_max": 9.0,
         "peak_rss_mib": 95.0,
     }
+
+
+def test_src_lines_is_the_package_line_count(tmp_path):
+    """`src_lines` counts what `wc -l src/dpgtransport/*.py` totals, and the JSON carries it."""
+    script = _load_script()
+    sources = sorted((SCRIPT.parents[1] / "src" / "dpgtransport").glob("*.py"))
+    assert len(sources) > 1
+    counts = subprocess.run(["wc", "-l", *map(str, sources)], capture_output=True, text=True, check=True)
+    assert script.src_lines() == int(counts.stdout.splitlines()[-1].split()[0])
+    script.LEVELS = ()  # no level is profiled; the file still records the machine and the package
+    out = tmp_path / "bench.json"
+    assert script.main(["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["src_lines"] == script.src_lines()
+    assert report["levels"] == []

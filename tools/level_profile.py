@@ -10,7 +10,8 @@ seconds and the largest peak RSS of its processes.  Each of the seconds is
 the median of the samples, with their min and max next to it as
 `<name>_min` and `<name>_max`.  The file also records the machine:
 core count, platform, Python, numpy and scipy versions, and the BLAS thread
-variables of the environment.
+variables of the environment, and the size of the package: `src_lines`,
+the lines of `src/dpgtransport/*.py` as `wc -l` counts them.
 
     python tools/level_profile.py --out BENCH.json
 
@@ -31,7 +32,8 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SOURCE = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SOURCE))
 
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 LEVELS = range(4, 9)
@@ -93,6 +95,11 @@ def aggregate(samples: list[dict]) -> dict:
     return record
 
 
+def src_lines() -> int:
+    """Newlines in the package's modules, `src/dpgtransport/*.py`."""
+    return sum(path.read_bytes().count(b"\n") for path in (SOURCE / "dpgtransport").glob("*.py"))
+
+
 def machine_info() -> dict:
     import numpy
     import scipy
@@ -121,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(record), flush=True)
         records.append(record)
     with open(args.out, "w") as handle:
-        json.dump({"machine": machine_info(), "levels": records}, handle, indent=2)
+        json.dump({"machine": machine_info(), "src_lines": src_lines(), "levels": records}, handle, indent=2)
         handle.write("\n")
     return 0
 
