@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import NEXT_VERTEX, MeshPair, TriMesh, row_ids
+from .mesh import NEXT_VERTEX, REFERENCE_TRIANGLE, MeshPair, TriMesh, row_ids
 
 MAX_BASIS_DEGREE = 5
 MAX_QUADRATURE_DEGREE = 12
@@ -24,21 +24,19 @@ def _monomial_exponents(degree: int) -> np.ndarray:
 
 
 def _lattice_nodes(degree: int) -> np.ndarray:
-    """Uniform Lagrange nodes: vertices, then edge nodes, then interior."""
+    """Uniform Lagrange nodes: the 3 vertices, the degree - 1 inner nodes of each edge, then the interior ones.
+
+    With k = degree, the vertices are the corners c of k REFERENCE_TRIANGLE on the integer lattice, and edge e's
+    inner nodes c_e + j (c_NEXT_VERTEX[e] - c_e) / k, j = 1 .. k - 1, run from vertex e to vertex NEXT_VERTEX[e].
+    The interior nodes (i, j) follow, j outer.  The lattice is divided by k once, one rounding per coordinate.
+    """
     if degree == 0:
         return np.array([[1.0 / 3.0, 1.0 / 3.0]])
     k = degree
-    nodes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    for i in range(1, k):  # edge (0,0)-(1,0)
-        nodes.append((i / k, 0.0))
-    for i in range(1, k):  # edge (1,0)-(0,1)
-        nodes.append(((k - i) / k, i / k))
-    for i in range(1, k):  # edge (0,1)-(0,0)
-        nodes.append((0.0, (k - i) / k))
-    for j in range(1, k):
-        for i in range(1, k - j):
-            nodes.append((i / k, j / k))
-    return np.array(nodes)
+    corners = (k * REFERENCE_TRIANGLE).astype(int)
+    edges = corners + np.arange(1, k)[:, None, None] * (corners[NEXT_VERTEX] - corners) // k  # (k - 1, 3, 2)
+    interior = np.array([(i, j) for j in range(1, k) for i in range(1, k - j)], dtype=int).reshape(-1, 2)
+    return np.concatenate([corners, edges.transpose(1, 0, 2).reshape(-1, 2), interior]) / k
 
 
 class LocalBasis:
@@ -50,8 +48,7 @@ class LocalBasis:
         self.degree = degree
         self.nodes = _lattice_nodes(degree)
         self.exponents = _monomial_exponents(degree)
-        vander = self._monomials(self.nodes)
-        self.coeffs = np.linalg.inv(vander)  # columns express basis in monomials
+        self.coeffs = np.linalg.inv(self._monomials(self.nodes))  # columns express basis in monomials
 
     @property
     def size(self) -> int:
@@ -62,28 +59,25 @@ class LocalBasis:
         ex = self.exponents
         return x[:, None] ** ex[:, 0] * y[:, None] ** ex[:, 1]
 
-    def _check_inside(self, points: np.ndarray) -> None:
-        bary_min = np.minimum(
-            np.minimum(points[:, 0], points[:, 1]), 1.0 - points.sum(axis=1)
-        )
-        if np.any(bary_min < -_INSIDE_TOL):
+    @staticmethod
+    def _inside(points) -> np.ndarray:
+        """`points` as an (npts, 2) float array, each within _INSIDE_TOL of the reference triangle."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if np.any(np.minimum(points.min(axis=1), 1.0 - points.sum(axis=1)) < -_INSIDE_TOL):
             raise ValueError("evaluation point outside the reference triangle")
+        return points
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Basis values at reference points; shape (npts, size)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        self._check_inside(points)
-        return self._monomials(points) @ self.coeffs
+        return self._monomials(self._inside(points)) @ self.coeffs
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         """Reference gradients at reference points; shape (npts, size, 2)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        self._check_inside(points)
-        x, y = points[:, 0], points[:, 1]
+        x, y = self._inside(points).T
         ex = self.exponents
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = np.where(ex[:, 0] > 0, ex[:, 0] * x[:, None] ** np.maximum(ex[:, 0] - 1, 0) * y[:, None] ** ex[:, 1], 0.0)
-            dy = np.where(ex[:, 1] > 0, ex[:, 1] * x[:, None] ** ex[:, 0] * y[:, None] ** np.maximum(ex[:, 1] - 1, 0), 0.0)
+        # a term whose exponent is 0 has the factor 0; np.maximum keeps its power at x^0 or y^0
+        dx = ex[:, 0] * x[:, None] ** np.maximum(ex[:, 0] - 1, 0) * y[:, None] ** ex[:, 1]
+        dy = ex[:, 1] * x[:, None] ** ex[:, 0] * y[:, None] ** np.maximum(ex[:, 1] - 1, 0)
         return np.stack([dx @ self.coeffs, dy @ self.coeffs], axis=-1)
 
 
@@ -101,14 +95,12 @@ def skeleton_size(degree: int) -> int:
 def edge_nodes(degree: int) -> np.ndarray:
     """Local nodes on each reference edge, shape (3, degree + 1); read-only.
 
-    Row e lists the nodes on the edge from vertex e to vertex (e + 1) % 3,
-    so the rows follow a cell's vertex pairs (0,1), (1,2), (2,0).  A node
-    lies on that edge when the barycentric coordinate of the opposite vertex,
-    (e + 2) % 3, is zero.
+    Row e lists the nodes of edge e, from vertex e to vertex NEXT_VERTEX[e],
+    as `_lattice_nodes` orders them: (e, NEXT_VERTEX[e]), then the edge's
+    degree - 1 inner nodes 3 + e (degree - 1), ..., 3 + (e + 1)(degree - 1) - 1.
     """
-    x, y = _lattice_nodes(degree).T
-    bary = np.stack([1.0 - x - y, x, y])
-    table = np.array([np.flatnonzero(np.abs(bary[(e + 2) % 3]) < _INSIDE_TOL) for e in range(3)])
+    inner = 3 + np.arange(3 * (degree - 1)).reshape(3, degree - 1)
+    table = np.column_stack([np.arange(3), NEXT_VERTEX, inner])
     table.setflags(write=False)
     return table
 
@@ -117,7 +109,6 @@ def edge_nodes(degree: int) -> np.ndarray:
 class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
-    exactness: int
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +144,7 @@ def make_quadrature(exactness_degree: int) -> QuadratureRule:
     xi, eta = np.meshgrid(xg, xj, indexing="ij")
     pts = np.column_stack([(xi * (1.0 - eta)).ravel(), eta.ravel()])
     wts = np.outer(wg, wj).ravel()
-    return QuadratureRule(pts, wts, exactness_degree)
+    return QuadratureRule(pts, wts)
 
 
 class SpaceKind(enum.Enum):

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import first_appearance, lagrange_basis, make_quadrature, skeleton_size
+from .fem import MAX_QUADRATURE_DEGREE, first_appearance, lagrange_basis, make_quadrature, skeleton_size
 from .mesh import GEOM_TOL, MeshPair, reference_subcells
 
 
@@ -131,14 +131,14 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     Returns `(gram_terms, form_terms)`: (M, S_00, S_11, S_01 + S_10), shape
     (4, N, N), and (P, T_0, T_1), shape (3, N, n_phi + n_theta), with the phi
     columns first.  N is the test space's cell-local size, and theta has
-    `skeleton_size(m)` columns.  One triangle rule of exactness
-    min(2 deg + 2, 12) on every subcell is exact for every product here, of
+    `skeleton_size(m)` columns.  One triangle rule of exactness min(2 deg + 2,
+    MAX_QUADRATURE_DEGREE) on every subcell is exact for every product here, of
     degree at most 2 deg, or deg + m - 1 in T_d, for m <= 4.  Read-only, cached.
     """
     test, phi, theta = lagrange_basis(test_degree), lagrange_basis(m - 1), lagrange_basis(m)
     table, nodes = submesh_dofs(test_degree, levels)
     jacobians, offsets = _subcell_maps(levels)
-    quad = make_quadrature(min(2 * test_degree + 2, 12))
+    quad = make_quadrature(min(2 * test_degree + 2, MAX_QUADRATURE_DEGREE))
 
     weights = np.abs(np.linalg.det(jacobians))[:, None] * quad.weights  # (pieces, nq)
     values = test.eval(quad.points)  # (nq, nt), the same on every piece
@@ -242,7 +242,7 @@ def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.nda
     DOFs of `submesh_dofs`; so `f @ loads` is the load on the reference cell
     of the point values f, and `column_sums` that of f = 1.  Read-only, cached.
     """
-    quad = make_quadrature(min(degree + 4, 12))
+    quad = make_quadrature(min(degree + 4, MAX_QUADRATURE_DEGREE))
     jacobians, offsets = _subcell_maps(levels)
     table, nodes = submesh_dofs(degree, levels)
     points = (np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]).reshape(-1, 2)

@@ -25,6 +25,10 @@ REFERENCE_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 # Edge k of a triangle runs from its vertex k to vertex NEXT_VERTEX[k].
 NEXT_VERTEX = np.array([1, 2, 0])
 
+# Red refinement's children, as indices into a triangle's vertices v0, v1, v2 and then its edge midpoints m01, m12,
+# m20: the corner children at v0, v1, v2, then the middle one.  Their order numbers the test-search DOFs.
+RED_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+
 
 def row_ids(keys: np.ndarray) -> np.ndarray:
     """The lexicographic dense rank of each row of `keys`, as `np.unique(keys, axis=0)` numbers them.
@@ -169,31 +173,17 @@ def build_uniform_mesh(level: int) -> TriMesh:
     return TriMesh(vertices, np.stack([lower, upper], axis=1).reshape(-1, 3))
 
 
-def _red_refine_once(tris: np.ndarray) -> np.ndarray:
-    """One round of midpoint refinement, (n,3,2) -> (4n,3,2)."""
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
-    m01 = 0.5 * (v0 + v1)
-    m12 = 0.5 * (v1 + v2)
-    m20 = 0.5 * (v2 + v0)
-    children = np.stack(
-        [
-            np.stack([v0, m01, m20], axis=1),
-            np.stack([m01, v1, m12], axis=1),
-            np.stack([m20, m12, v2], axis=1),
-            np.stack([m01, m12, m20], axis=1),
-        ],
-        axis=1,
-    )
-    return children.reshape(-1, 3, 2)
-
-
 def refine_cell(coords: np.ndarray, levels: int) -> np.ndarray:
-    """Red-refine a triangle `levels` times, returning (4^levels, 3, 2)."""
+    """Red-refine a triangle `levels` times, returning (4^levels, 3, 2).
+
+    Each step takes the `RED_CHILDREN` of every triangle's vertices and its edge midpoints, edge k's at index 3 + k.
+    """
     if levels < 0:
         raise ValueError("levels must be non-negative")
     tris = np.asarray(coords, dtype=float).reshape(1, 3, 2)
     for _ in range(levels):
-        tris = _red_refine_once(tris)
+        points = np.concatenate([tris, 0.5 * (tris + tris[:, NEXT_VERTEX])], axis=1)
+        tris = points[:, RED_CHILDREN].reshape(-1, 3, 2)
     return tris
 
 

@@ -33,10 +33,11 @@ def test_level_record_reads_the_factor_and_the_solve():
 
 def test_samples_aggregate_to_median_min_and_max():
     script = _load_script()
-    samples = [
-        {"level": 6, "fill": 9, "factor_s": factor, "solve_s": factor + 1.0, "level_s": level, "peak_rss_mib": rss}
-        for factor, level, rss in [(0.5, 2.0, 90.0), (0.1, 9.0, 95.0), (0.2, 1.0, 80.0)]
-    ]
+    samples = []
+    for factor, level, rss, scale in [(0.5, 2.0, 90.0, 1.0), (0.1, 9.0, 95.0, 0.5), (0.2, 1.0, 80.0, 2.0)]:
+        seconds = {"factor_s": factor, "solve_s": factor + 1.0, "level_s": level}
+        refs = {f"{key}_ref": value * scale for key, value in seconds.items()}
+        samples.append({"level": 6, "fill": 9, **seconds, "peak_rss_mib": rss, "speed_scale": scale, **refs})
     assert script.aggregate(samples) == {
         "level": 6,
         "fill": 9,
@@ -50,7 +51,36 @@ def test_samples_aggregate_to_median_min_and_max():
         "level_s_min": 1.0,
         "level_s_max": 9.0,
         "peak_rss_mib": 95.0,
+        "speed_scale": 1.0,
+        "speed_scale_min": 0.5,
+        "speed_scale_max": 2.0,
+        "factor_s_ref": 0.4,
+        "factor_s_ref_min": 0.05,
+        "factor_s_ref_max": 0.5,
+        "solve_s_ref": 1.5,
+        "solve_s_ref_min": 0.55,
+        "solve_s_ref_max": 2.4,
+        "level_s_ref": 2.0,
+        "level_s_ref_min": 2.0,
+        "level_s_ref_max": 4.5,
     }
+
+
+def test_speed_scale_puts_the_seconds_at_the_reference_speed(monkeypatch):
+    """The speed kernel runs SPEED_SAMPLES times on each side of the level, and `<name>_ref` = `<name>` x scale."""
+    script = _load_script()
+    calls = []
+
+    def kernel_seconds():
+        calls.append(None)
+        return 4.0 * script.REFERENCE_KERNEL_S  # a host at a quarter of the reference speed
+
+    monkeypatch.setattr(script, "kernel_seconds", kernel_seconds)
+    record = script.profile_level(2)
+    assert len(calls) == 2 * script.SPEED_SAMPLES
+    assert record["speed_scale"] == 0.25
+    for key in script.TIMED:
+        assert record[f"{key}_ref"] == record[key] * 0.25
 
 
 def test_src_lines_is_the_package_line_count(tmp_path):

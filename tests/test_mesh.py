@@ -61,6 +61,17 @@ def test_refine_reference_once():
     np.testing.assert_allclose(_areas(tris), 0.125)
 
 
+@pytest.mark.parametrize(
+    "parent", [REFERENCE_TRIANGLE, np.array([[0.1, 0.2], [1.3, 0.45], [0.35, 0.9]])], ids=["reference", "skewed"]
+)
+def test_refine_once_lists_the_children_in_order(parent):
+    """The corner children at v0, v1, v2, then the middle one: the test-search DOFs are numbered in this order."""
+    v0, v1, v2 = parent
+    m01, m12, m20 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v2 + v0)
+    expected = [[v0, m01, m20], [m01, v1, m12], [m20, m12, v2], [m01, m12, m20]]
+    np.testing.assert_array_equal(refine_cell(parent, 1), expected)
+
+
 def test_refine_twice_preserves_area():
     parent = np.array([[0.1, 0.2], [0.9, 0.3], [0.4, 0.8]])
     tris = refine_cell(parent, 2)

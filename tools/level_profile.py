@@ -6,9 +6,14 @@ so each run's peak RSS is its own.  A record holds the level's ndof, the
 free trace DOFs, the sparse factor's seconds and fill (the entries SuperLU
 stores for L and U, supernode padding included), the refinement steps,
 the true residual ||g - S theta|| / ||g|| of the trace solve, the level's
-seconds and the largest peak RSS of its processes.  Each of the seconds is
-the median of the samples, with their min and max next to it as
-`<name>_min` and `<name>_max`.  The file also records the machine:
+seconds and the largest peak RSS of its processes.  Around the level, outside
+its timing, each process times `perfbench/speed.py`'s speed kernel
+SPEED_SAMPLES times before and as many after: `speed_scale` =
+REFERENCE_KERNEL_S / (mean kernel time), and `<name>_ref` = `<name>` x
+`speed_scale` is each of the seconds at the reference speed, so files of
+different sessions compare.  Each of the seconds, `_ref` or not, and
+`speed_scale` is the median of the samples, with their min and max next to
+it as `<name>_min` and `<name>_max`.  The file also records the machine:
 core count, platform, Python, numpy and scipy versions, and the BLAS thread
 variables of the environment, and the size of the package: `src_lines`,
 the lines of `src/dpgtransport/*.py` as `wc -l` counts them.
@@ -32,13 +37,18 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SOURCE))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src"
+sys.path[:0] = [str(SOURCE), str(ROOT / "perfbench")]
+
+from speed import REFERENCE_KERNEL_S, kernel_seconds  # noqa: E402
 
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 LEVELS = range(4, 9)
 SAMPLES = 3  # processes per level: one run per level could not resolve a change below about 30 %
+SPEED_SAMPLES = 5  # speed-kernel runs right before the level and as many right after it
 TIMED = ("factor_s", "solve_s", "level_s")
+AGGREGATED = TIMED + tuple(f"{key}_ref" for key in TIMED) + ("speed_scale",)
 
 
 def profile_level(level: int) -> dict:
@@ -66,29 +76,33 @@ def profile_level(level: int) -> dict:
         record["true_residual"] = report.residual_norm / float(np.linalg.norm(rhs))
         return x, report
 
+    kernel = [kernel_seconds() for _ in range(SPEED_SAMPLES)]
     solve.splu, cli.cg_solve = timed_splu, observed_cg_solve
     try:
         _, row = cli.solve_level(cli.RunConfig(), level)
     finally:
         solve.splu, cli.cg_solve = splu, cg_solve
+    kernel += [kernel_seconds() for _ in range(SPEED_SAMPLES)]
     record.update(
         ndof=row.ndof,
         converged=row.converged,
         level_s=row.seconds,
         peak_rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        speed_scale=REFERENCE_KERNEL_S / statistics.fmean(kernel),
     )
+    record.update({f"{key}_ref": record[key] * record["speed_scale"] for key in TIMED})
     return record
 
 
 def aggregate(samples: list[dict]) -> dict:
     """One level's record from the records of its samples.
 
-    Each TIMED field becomes the samples' median, min and max, and the peak
-    RSS their largest.  The other fields do not vary between runs; they are
+    Each AGGREGATED field becomes the samples' median, min and max, and the
+    peak RSS their largest.  The other fields do not vary between runs; they are
     the first sample's.
     """
     record = dict(samples[0])
-    for key in TIMED:
+    for key in AGGREGATED:
         values = [sample[key] for sample in samples]
         record.update({key: statistics.median(values), f"{key}_min": min(values), f"{key}_max": max(values)})
     record["peak_rss_mib"] = max(sample["peak_rss_mib"] for sample in samples)
