@@ -20,7 +20,9 @@ from .solve import cg_solve
 MAX_TEST_REFINE = 3  # cost guard
 VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string that export_vtk writes
 # k: a level whose trace solve has a backward error of at most k eps is solved
-# as exactly as its data allow, even above --tol.  Measured: 0.6-3.9 eps.
+# as exactly as its data allow, even above --tol.  Measured after the one
+# factor solve: at most 4.4 eps (m = 1-4, test refinement 0-3, c up to 1e12,
+# six directions; uniform meshes to level 8, jittered meshes to level 7).
 ROUNDING_FACTOR = 16
 
 

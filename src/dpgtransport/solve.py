@@ -1,4 +1,4 @@
-"""Stacked dense Cholesky for the local systems; a sparse factor with iterative refinement for the trace system."""
+"""Stacked dense Cholesky for the local systems; one solve by a sparse factor for the trace system."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ SYMMETRY_TOL = 1e-12
 # Columns per SuperLU panel.  The panels' dense workspace is part of the run's
 # peak memory; a narrower panel than scipy's default leaves the fill as it is.
 PANEL_SIZE = 4
-MAX_REFINEMENT_STEPS = 50  # cap on the steps of iterative refinement in `cg_solve`
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -105,7 +104,7 @@ def _solve_each(routine, lower: np.ndarray, rhs: np.ndarray, **options) -> np.nd
 
 @dataclass(frozen=True)
 class CgReport:
-    iterations: int  # refinement steps taken, an undone last step included
+    iterations: int  # solves with the factor: 1, or 0 for a zero rhs
     residual_norm: float  # the true residual ||rhs - A x||_2
     converged: bool  # residual_norm <= tol ||rhs||_2
     backward_error: float  # omega of `backward_error`, for the returned x
@@ -127,30 +126,25 @@ def backward_error(a, x: np.ndarray, rhs: np.ndarray, r: np.ndarray) -> float:
 
 
 def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12):
-    """Solve a sparse SPD system with its sparse LU factor and iterative refinement.
+    """Solve a sparse SPD system with one solve by its sparse LU factor.
 
     The factor is SuperLU's, in the matrix's own order (`NATURAL`) and with
     no pivoting off the diagonal, which an SPD matrix never needs.  It is
     exact up to rounding.  Its fill, and so its time and memory, come from
     the caller's numbering: the trace DOFs of `build_dof_map` are in
     nested-dissection order.  A matrix in any other order is solved as
-    correctly, only with more fill.  Each step solves with it for the true residual,
-    x += LU^-1 r, then r = rhs - A x.  Converged means ||r||_2 <= tol *
-    ||rhs||_2.  Stops unconverged after MAX_REFINEMENT_STEPS steps, or when a
-    step fails to lower ||r||_2; such a step, unless it is the first, is
-    undone, so the returned x is the iterate of least ||r||_2.  The report
-    holds that iterate's residual and backward error, the latter computed
-    once the factor is freed, so it adds nothing to the solve's peak memory.
-    Deterministic for fixed inputs; raises on NaN.
+    correctly, only with more fill.  x = LU^-1 rhs; converged means the true
+    residual r = rhs - A x has ||r||_2 <= tol * ||rhs||_2.  The report's
+    backward error is computed once the factor is freed, so it adds nothing
+    to the solve's peak memory.  Deterministic for fixed inputs; raises on NaN.
     """
     rhs = np.asarray(rhs, dtype=float)
-    n = len(rhs)
     if np.any(a.diagonal() <= 0.0):
         raise ValueError("matrix has non-positive diagonal entries")
 
     norm_rhs = np.linalg.norm(rhs)
     if norm_rhs == 0.0:
-        return np.zeros(n), CgReport(0, 0.0, True, 0.0)
+        return np.zeros(len(rhs)), CgReport(0, 0.0, True, 0.0)
     try:
         factor = splu(
             sp.csc_matrix(a.T),  # A is symmetric; a CSR matrix's transpose is its CSC form, without a copy
@@ -161,20 +155,10 @@ def cg_solve(a, rhs: np.ndarray, tol: float = 1e-12):
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise NotPositiveDefiniteError(f"sparse factorisation failed: {exc}") from exc
 
-    x = np.zeros(n)
-    r, res = rhs, norm_rhs
-    iterations = 0
-    while iterations < MAX_REFINEMENT_STEPS:
-        step = x + factor.solve(r)
-        r_step = rhs - a @ step
-        res_step = np.linalg.norm(r_step)
-        iterations += 1
-        if not np.isfinite(res_step):
-            raise FloatingPointError("iterative refinement diverged (non-finite residual)")
-        lowered = res_step < res
-        if lowered or iterations == 1:
-            x, r, res = step, r_step, res_step
-        if res <= tol * norm_rhs or not lowered:
-            break
+    x = factor.solve(rhs)
+    r = rhs - a @ x
+    res = np.linalg.norm(r)
+    if not np.isfinite(res):
+        raise FloatingPointError("sparse solve gave a non-finite residual")
     del factor
-    return x, CgReport(iterations, float(res), bool(res <= tol * norm_rhs), backward_error(a, x, rhs, r))
+    return x, CgReport(1, float(res), bool(res <= tol * norm_rhs), backward_error(a, x, rhs, r))

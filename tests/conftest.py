@@ -128,7 +128,7 @@ def jittered_mesh(level, seed=1):
 
 
 def use_wrong_trace_factor(monkeypatch, perturbation=1e-3):
-    """Make `cg_solve` factor its matrix with the diagonal scaled by 1 + `perturbation` and refine once.
+    """Make `cg_solve` factor its matrix with the diagonal scaled by 1 + `perturbation`.
 
     The solve then returns a wrong x: the exact solution of a perturbed system.
     """
@@ -137,7 +137,6 @@ def use_wrong_trace_factor(monkeypatch, perturbation=1e-3):
         return splu(sp.csc_matrix(a + perturbation * sp.diags(a.diagonal())), *args, **kwargs)
 
     monkeypatch.setattr("dpgtransport.solve.splu", wrong_splu)
-    monkeypatch.setattr("dpgtransport.solve.MAX_REFINEMENT_STEPS", 1)
 
 
 def constant_rhs(value=1.0):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpgtransport.solve import (
-    MAX_REFINEMENT_STEPS,
     PANEL_SIZE,
     SYMMETRY_TOL,
     NotPositiveDefiniteError,
@@ -19,8 +19,9 @@ from dpgtransport.solve import (
     triangular_solve,
 )
 
-from conftest import BENCHMARK_BETA, solve_transport, use_wrong_trace_factor
+from conftest import BENCHMARK_BETA, jittered_mesh, solve_transport, use_wrong_trace_factor
 from dpgtransport.cli import ROUNDING_FACTOR, RunConfig, solve_level
+from dpgtransport.mesh import build_uniform_mesh
 
 EPS = np.finfo(float).eps
 
@@ -260,39 +261,8 @@ def test_cg_convergence_implies_small_residual():
     assert np.linalg.norm(a @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_cg_respects_max_iter(monkeypatch):
-    monkeypatch.setattr("dpgtransport.solve.MAX_REFINEMENT_STEPS", 2)
-    rng = np.random.default_rng(2)
-    r = rng.standard_normal((20, 20))
-    a = sp.csr_matrix(r.T @ r + 0.1 * np.eye(20))
-    _, report = cg_solve(a, rng.standard_normal(20), tol=0.0)  # a tol no solve reaches
-    assert report.iterations == 2
-    assert not report.converged
-
-
-def test_cg_returns_its_best_iterate(monkeypatch):
-    """A refinement step that raises ||r|| is undone: x, its residual and its backward error are those before it."""
-    a = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
-    rhs = np.array([1.0, 2.0, 3.0])
-
-    class Factor:  # the first step solves for 0.9 x, the second overshoots its correction tenfold
-        scales = iter([0.9, -10.0])
-
-        def solve(self, r):
-            return next(self.scales) * np.linalg.solve(a.toarray(), r)
-
-    monkeypatch.setattr("dpgtransport.solve.splu", lambda *args, **kwargs: Factor())
-    x, report = cg_solve(a, rhs)
-    first = 0.9 * np.linalg.solve(a.toarray(), rhs)
-    r = rhs - a @ first
-    assert report.iterations == 2 and not report.converged
-    np.testing.assert_array_equal(x, first)
-    assert report.residual_norm == np.linalg.norm(r)
-    assert report.backward_error == backward_error(a, first, rhs, r)
-
-
 def _report_systems():
-    """(matrix, rhs) pairs: a free trace system, and a dense SPD system that takes several refinement steps."""
+    """(matrix, rhs) pairs: a free trace system, and a dense SPD system of condition number 4.2e3."""
     system = solve_transport(3, 1, BENCHMARK_BETA)["system"]
     free = system.free
     rng = np.random.default_rng(3)
@@ -312,7 +282,7 @@ def test_cg_report_is_the_true_residual_of_the_returned_solution(tol):
 def test_cg_stops_by_itself_below_the_rounding_floor():
     for a, rhs in _report_systems():
         _, report = cg_solve(a, rhs, tol=1e-20)  # below the rounding floor
-        assert 1 <= report.iterations < MAX_REFINEMENT_STEPS
+        assert report.iterations == 1
         assert not report.converged
 
 
@@ -337,6 +307,18 @@ def test_sweep_solves_are_exact_up_to_rounding(level):
     _, row = solve_level(RunConfig(), level)
     assert 0.0 < row.backward_error <= ROUNDING_FACTOR * EPS
     assert row.solved
+
+
+@pytest.mark.parametrize("mesh_builder", [build_uniform_mesh, jittered_mesh], ids=["uniform", "jitter"])
+def test_one_factor_solve_is_backward_stable(mesh_builder):
+    """One factor solve leaves omega <= ROUNDING_FACTOR eps for m = 1..4, test refinement 0-1, four directions and two c."""
+    for m, test_refine, angle, reaction in itertools.product(
+        range(1, 5), (0, 1), (0.0, math.pi / 8, math.pi / 2, 2.5), (0.0, 1e4)
+    ):
+        beta = np.array([math.cos(angle), math.sin(angle)])
+        report = solve_transport(3, test_refine, beta, m=m, mesh_builder=mesh_builder, reaction=reaction)["cg"]
+        assert report.iterations == 1, (m, test_refine, angle, reaction)
+        assert report.backward_error <= ROUNDING_FACTOR * EPS, (m, test_refine, angle, reaction)
 
 
 def test_wrong_factor_has_a_backward_error_far_above_rounding(monkeypatch):
@@ -374,11 +356,11 @@ def test_cg_matches_dense_oracle_on_transport_system():
 @pytest.mark.parametrize(
     "angle,reaction", [(math.pi / 8, 0.0), (0.0, 1.0)], ids=["sweep", "axis"]
 )
-def test_factor_preconditioned_cg_takes_at_most_two_steps(angle, reaction):
-    """The sparse LU of the trace system is exact up to rounding: one step and at most one refinement."""
+def test_trace_system_is_solved_by_one_factor_solve(angle, reaction):
+    """The sparse LU of the trace system is exact up to rounding: one solve with it meets --tol."""
     _, row = solve_level(RunConfig(levels=(4,), beta_angle=angle, reaction=reaction), 4)
     assert row.converged
-    assert row.iterations <= 2
+    assert row.iterations == 1
 
 
 @pytest.mark.parametrize(
@@ -402,4 +384,4 @@ def test_trace_numbering_fills_no_more_than_minimum_degree(angle, reaction):
 def test_cg_converges_on_benchmark_levels(level):
     run = solve_transport(level, 1, BENCHMARK_BETA)
     assert run["cg"].converged
-    assert run["cg"].iterations <= 10 * run["system"].size
+    assert run["cg"].iterations == 1

@@ -4,10 +4,11 @@ Each of the levels 4 to 8 runs `dpgtransport.cli.solve_level` on the default con
 (m = 2, test refinement 1, beta angle pi/8, c = 0) in SAMPLES fresh processes,
 so each run's peak RSS is its own.  A record holds the level's ndof, the
 free trace DOFs, the sparse factor's seconds and fill (the entries SuperLU
-stores for L and U, supernode padding included), the refinement steps,
-the true residual ||g - S theta|| / ||g|| of the trace solve, the level's
-seconds and the largest peak RSS of its processes.  Around the level, outside
-its timing, each process times `perfbench/speed.py`'s speed kernel
+stores for L and U, supernode padding included), the true residual
+||g - S theta|| / ||g|| of the trace solve and its backward error omega,
+whether the level passed (`solved`: --tol met or omega at rounding), the
+level's seconds and the largest peak RSS of its processes.  Around the
+level, outside its timing, each process times `perfbench/speed.py`'s speed kernel
 SPEED_SAMPLES times before and as many after: `speed_scale` =
 REFERENCE_KERNEL_S / (mean kernel time), and `<name>_ref` = `<name>` x
 `speed_scale` is each of the seconds at the reference speed, so files of
@@ -72,7 +73,6 @@ def profile_level(level: int) -> dict:
         x, report = cg_solve(a, rhs, *args, **kwargs)
         record["solve_s"] = time.perf_counter() - start
         record["free_trace_dofs"] = len(rhs)
-        record["refinement_steps"] = report.iterations
         record["true_residual"] = report.residual_norm / float(np.linalg.norm(rhs))
         return x, report
 
@@ -86,6 +86,8 @@ def profile_level(level: int) -> dict:
     record.update(
         ndof=row.ndof,
         converged=row.converged,
+        backward_error=row.backward_error,
+        solved=bool(row.solved),  # numpy bool where --tol is missed
         level_s=row.seconds,
         peak_rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         speed_scale=REFERENCE_KERNEL_S / statistics.fmean(kernel),
