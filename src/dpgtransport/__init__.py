@@ -10,7 +10,7 @@ from .assembly import (
 )
 from .estimator import ErrorBreakdown, a_posteriori_error, exact_transport_solution, l2_error
 from .fem import DofMap, SpaceKind, build_dof_map, lagrange_basis, make_quadrature
-from .forms import SpaceDescriptor, TransportForm, local_load, local_saddle_blocks, transport_form
+from .forms import TransportForm, local_load, local_saddle_blocks, transport_form
 from .mesh import MeshPair, TriMesh, build_uniform_mesh, refine_cell
 from .solve import CgReport, cg_solve, cholesky_factor, cholesky_solve
 
@@ -20,7 +20,6 @@ __all__ = [
     "ErrorBreakdown",
     "GlobalSystem",
     "MeshPair",
-    "SpaceDescriptor",
     "SpaceKind",
     "TransportForm",
     "TriMesh",

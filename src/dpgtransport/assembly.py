@@ -66,7 +66,7 @@ def assemble(
     theta_dofs = theta_map.cell_dofs  # (n_cells, theta size)
     n_theta, size = theta_map.ndofs, theta_dofs.shape[1]
     representatives, inverse = mesh_pair.coarse.geometry_classes
-    loads = local_load(rhs_f, mesh_pair, form.test_space)
+    loads = local_load(rhs_f, mesh_pair, form.test_degree)
 
     blocks = np.empty((len(representatives), size, size))
     coupling = np.empty((len(representatives), k, size))

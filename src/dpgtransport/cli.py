@@ -78,7 +78,7 @@ class ReportRow:
     @property
     def solved(self) -> bool:
         """The trace solve met --tol, or its backward error is at most ROUNDING_FACTOR eps."""
-        return self.converged or self.backward_error <= ROUNDING_FACTOR * np.finfo(float).eps
+        return bool(self.converged or self.backward_error <= ROUNDING_FACTOR * np.finfo(float).eps)
 
 
 @dataclass

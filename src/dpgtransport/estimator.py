@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fem import DofMap, lagrange_basis, make_quadrature
-from .forms import BilinearForm, InnerProduct, SpaceDescriptor, TransportForm, local_load
+from .forms import BilinearForm, InnerProduct, TransportForm, local_load
 from .mesh import MeshPair
 from .solve import triangular_solve
 from .testspace import class_chunks, class_products, factor_on_cells
@@ -49,16 +49,17 @@ def a_posteriori_error(
         raise ValueError("solution vector does not match the DOF maps")
     if not np.isfinite(solution).all():
         raise ValueError("solution vector is not finite")
-    enriched = replace(form, test_space=SpaceDescriptor(enrichment_degree))
+    enriched = replace(form, test_degree=enrichment_degree)
+    whole_cells = MeshPair(mesh_pair.coarse, 0)  # one enriched polynomial per coarse cell
     u = solution[np.hstack([phi_map.cell_dofs, n_phi + theta_map.cell_dofs])]  # (n_cells, N)
-    loads = local_load(rhs_f, mesh_pair, enriched.test_space)
+    loads = local_load(rhs_f, whole_cells, enrichment_degree)
     cell_rows = np.hstack([u, loads])
 
     indicators = np.empty(mesh_pair.coarse.n_cells)
     n_test = loads.shape[1]
     for _, cells, members in class_chunks(mesh_pair.coarse, n_test, u.shape[1]):
-        b_bar = InnerProduct(enriched).local_gram(cells, mesh_pair)
-        g_bar = BilinearForm(enriched).local_matrix(cells, mesh_pair)
+        b_bar = InnerProduct(enriched).local_gram(cells, whole_cells)
+        g_bar = BilinearForm(enriched).local_matrix(cells, whole_cells)
         lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")
         residual_maps = np.concatenate([g_bar, np.broadcast_to(-np.eye(n_test), b_bar.shape)], axis=2)
         lifts = triangular_solve(lower, residual_maps).mT

@@ -8,11 +8,11 @@ cells at once; `local_saddle_blocks` returns both:
     B_K = (v, w)_K + (beta . grad v, beta . grad w)_K,
     G_K = [ (phi, c v - beta . grad v)_K  |  <theta, (beta . n) v>_dK ].
 
-Test spaces are continuous piecewise polynomials on the red-refined submesh
-of a coarse cell (the test-search space) or a single polynomial per coarse
-cell (the enriched estimator space); both are broken across coarse cells
-only, so they lie in the broken graph space prod_K H(beta; K).  phi is one
-polynomial per coarse cell, and theta a polynomial on each edge of it.
+A test space is a degree on a `MeshPair`: continuous piecewise polynomials
+on the level-times red-refined submesh of each coarse cell, level l for the
+test-search space and 0 for the enriched estimator space, broken across
+coarse cells only, so in the broken graph space prod_K H(beta; K).  phi is
+one polynomial per coarse cell, and theta a polynomial on each edge of it.
 Since v is continuous on K, the trace term is a volume integral (see
 `_moments`), and G_K, like B_K, needs only the cell's Jacobian.
 """
@@ -70,35 +70,19 @@ def submesh_dofs(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class SpaceDescriptor:
-    """A polynomial space attached to the coarse mesh.
-
-    `broken` spaces are piecewise polynomial on the red-refined submesh of
-    each coarse cell, continuous inside the coarse cell (the test-search
-    space); unbroken spaces hold a single polynomial per coarse cell.  Both
-    are discontinuous across coarse cells.
-    """
-
-    degree: int
-    broken: bool = False
-
-    def levels(self, mesh_pair: MeshPair) -> int:
-        """Red refinements of the reference triangle the space is piecewise on."""
-        return mesh_pair.level if self.broken else 0
-
-
-@dataclass(frozen=True)
 class TransportForm:
     """Ultra-weak form of beta . grad(phi) + c phi = f with trial parameter m.
 
     The trial pair is phi of degree m-1 on each coarse cell and theta of
-    degree m on its edges; `beta` is a unit vector and `reaction` is c.
+    degree m on its edges; `beta` is a unit vector and `reaction` is c.  The
+    test functions are continuous of degree `test_degree` on each coarse cell,
+    piecewise on the refined cells of the `MeshPair` they are taken on.
     """
 
     degree: int
     beta: tuple[float, float]
     reaction: float
-    test_space: SpaceDescriptor
+    test_degree: int
 
 
 def transport_form(m: int, beta, reaction: float) -> TransportForm:
@@ -106,8 +90,7 @@ def transport_form(m: int, beta, reaction: float) -> TransportForm:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (2,) or not abs(np.hypot(*beta) - 1.0) <= GEOM_TOL:
         raise ValueError("beta must be a finite unit vector in the plane")
-    test_space = SpaceDescriptor(m + 1, broken=True)
-    return TransportForm(m, (float(beta[0]), float(beta[1])), float(reaction), test_space)
+    return TransportForm(m, (float(beta[0]), float(beta[1])), float(reaction), m + 1)
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +171,7 @@ def _cell_geometry(form: TransportForm, cells, mesh_pair: MeshPair):
 
 
 def _cell_moments(form: TransportForm, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:
-    return _moments(form.test_space.degree, form.test_space.levels(mesh_pair), form.degree)
+    return _moments(form.test_degree, mesh_pair.level, form.degree)
 
 
 @dataclass(frozen=True)
@@ -257,17 +240,19 @@ def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return points, loads, column_sums
 
 
-def local_load(rhs_f, mesh_pair: MeshPair, test_space: SpaceDescriptor) -> np.ndarray:
+def local_load(rhs_f, mesh_pair: MeshPair, degree: int) -> np.ndarray:
     """Load vectors (l_K)_j = int_K f z^j of all coarse cells, shape (n_cells, N).
 
-    `rhs_f` is either a real number, the constant source f, or a callable.  A
-    constant gives every cell the load (2 f |K|) l, with l the column sums of
-    the reference load matrix: no point is mapped and f is never evaluated.
-    A callable is called once, with the quadrature points of all cells as one
-    (P, 2) array, and must return f there.
+    z^j are the degree-`degree` test functions on the refined cells of
+    `mesh_pair`, in the DOF order of `submesh_dofs`.  `rhs_f` is either a
+    real number, the constant source f, or a callable.  A constant gives
+    every cell the load (2 f |K|) l, with l the column sums of the reference
+    load matrix: no point is mapped and f is never evaluated.  A callable is
+    called once, with the quadrature points of all cells as one (P, 2) array,
+    and must return f there.
     """
     mesh = mesh_pair.coarse
-    points, loads, column_sums = _load_rule(test_space.degree, test_space.levels(mesh_pair))
+    points, loads, column_sums = _load_rule(degree, mesh_pair.level)
     if not callable(rhs_f):
         return np.outer(2.0 * float(rhs_f) * mesh.areas(), column_sums)
     f = np.asarray(rhs_f(mesh.map_points(points).reshape(-1, 2)), dtype=float)

@@ -199,7 +199,8 @@ class MeshPair:
     """Coarse mesh plus uniform per-cell refinement to level `level`.
 
     Every coarse cell is split alike: subcell t of any cell is the image of
-    `reference_subcells(level)[t]` under the cell's reference map.
+    `reference_subcells(level)[t]` under the cell's reference map.  A test
+    space lives on it: l for the test-search space, 0 for the enriched one.
     """
 
     def __init__(self, coarse: TriMesh, level: int):

@@ -44,7 +44,7 @@ def dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f):
     n_phi = phi_map.ndofs
     n = n_phi + theta_map.ndofs
     blocks_b, blocks_g, gdofs = [], [], []
-    loads = local_load(rhs_f, mesh_pair, form.test_space)
+    loads = local_load(rhs_f, mesh_pair, form.test_degree)
     for cell in range(mesh_pair.coarse.n_cells):
         b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
         blocks_b.append(b_k)

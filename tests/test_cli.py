@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -319,6 +320,14 @@ def test_main_accepts_a_right_answer_below_its_tolerance(capsys):
     assert main(["--levels", "2", "--tol", "1e-16"]) == 0
     out = capsys.readouterr().out
     assert "--tol not met" in out and "[solver did not converge]" not in out
+
+
+def test_solved_below_its_tolerance_is_a_json_bool():
+    """A level that misses --tol but is solved at rounding reports a Python bool, which JSON accepts."""
+    _, row = solve_level(RunConfig(levels=(2,), tol=1e-16), 2)
+    assert row.converged is False
+    assert row.solved is True
+    assert json.dumps(row.solved) == "true"
 
 
 def test_main_rejects_bad_degree(capsys):

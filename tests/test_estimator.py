@@ -7,8 +7,8 @@ import pytest
 from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh, solve_transport
 from dpgtransport.estimator import a_posteriori_error, exact_transport_solution, l2_error
 from dpgtransport.fem import lagrange_basis
-from dpgtransport.forms import SpaceDescriptor, local_load, local_saddle_blocks
-from dpgtransport.mesh import build_uniform_mesh
+from dpgtransport.forms import local_load, local_saddle_blocks
+from dpgtransport.mesh import MeshPair, build_uniform_mesh
 from dpgtransport.solve import cholesky_factor, cholesky_solve
 
 
@@ -24,12 +24,16 @@ def _estimate(run, enrich=5):
 
 
 def _dense_eta_oracle(run, enrich=5):
-    """Independent per-cell evaluation of rho^T Bbar^{-1} rho via dense LU."""
-    mesh_pair = run["mesh_pair"]
+    """Independent per-cell evaluation of rho^T Bbar^{-1} rho via dense LU.
+
+    The enriched space is one polynomial per coarse cell: its pair is built
+    here on level 0, whatever the run's test refinement.
+    """
+    mesh_pair = MeshPair(run["mesh_pair"].coarse, 0)
     phi_map, theta_map = run["phi_map"], run["theta_map"]
     n_phi = phi_map.ndofs
-    enriched = replace(run["form"], test_space=SpaceDescriptor(enrich, broken=False))
-    loads = local_load(run["rhs_f"], mesh_pair, enriched.test_space)
+    enriched = replace(run["form"], test_degree=enrich)
+    loads = local_load(run["rhs_f"], mesh_pair, enrich)
     total = 0.0
     for cell in range(mesh_pair.coarse.n_cells):
         b, g = local_saddle_blocks(enriched, cell, mesh_pair)

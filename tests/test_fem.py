@@ -22,7 +22,7 @@ from dpgtransport.fem import (
     lagrange_basis,
     make_quadrature,
 )
-from dpgtransport.forms import SpaceDescriptor, local_saddle_blocks, submesh_dofs, transport_form
+from dpgtransport.forms import local_saddle_blocks, submesh_dofs, transport_form
 from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, TriMesh, build_uniform_mesh, first_rows, row_ids
 
 
@@ -212,7 +212,7 @@ def test_theta_dof_count_level0():
 def test_test_search_dof_count():
     pair = MeshPair(build_uniform_mesh(0), 1)
     # continuous P3 on a once-refined triangle: 6 vertices + 9 edges x 2 + 4 interior
-    assert len(submesh_dofs(3, SpaceDescriptor(3, broken=True).levels(pair))[1]) == 28
+    assert len(submesh_dofs(3, pair.level)[1]) == 28
 
 
 @pytest.mark.parametrize("level", range(4))

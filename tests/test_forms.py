@@ -7,7 +7,6 @@ import pytest
 from conftest import constant_rhs, jittered_mesh, perturbed_mesh, skeleton_nodes
 from dpgtransport.fem import gauss_legendre, lagrange_basis, make_quadrature
 from dpgtransport.forms import (
-    SpaceDescriptor,
     _load_rule,
     _moments,
     _weighted_sum,
@@ -25,13 +24,9 @@ def _ref_pair(level=0):
     return MeshPair(_REF_MESH, level)
 
 
-P0 = SpaceDescriptor(0)
-P1 = SpaceDescriptor(1)
-
-
-def _form(m, beta, reaction, test_space):
-    """`transport_form` with another test space, as the estimator builds its enriched form."""
-    return replace(transport_form(m, beta, reaction), test_space=test_space)
+def _form(m, beta, reaction, test_degree):
+    """`transport_form` with another test degree, as the estimator builds its enriched form."""
+    return replace(transport_form(m, beta, reaction), test_degree=test_degree)
 
 
 # ------------------------------------------------------------ local blocks
@@ -39,41 +34,41 @@ def _form(m, beta, reaction, test_space):
 
 def test_value_value_p0_is_area():
     """Constant test and phi functions: (v, w) and (phi, c v) are both the area."""
-    b, g = local_saddle_blocks(_form(1, (0.6, 0.8), 1.0, P0), 0, _ref_pair())
+    b, g = local_saddle_blocks(_form(1, (0.6, 0.8), 1.0, 0), 0, _ref_pair())
     np.testing.assert_allclose(b, [[0.5]], atol=1e-14)
     np.testing.assert_allclose(g[:, :1], [[0.5]], atol=1e-14)
 
 
 def test_grad_value_barycentric():
     """-int (beta . grad lambda_0) * 1 = +1/2 for beta=(1,0)."""
-    _, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, P1), 0, _ref_pair())
+    _, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, 1), 0, _ref_pair())
     assert abs(g[0, 0] - 0.5) < 1e-14
 
 
 def test_normal_vector_divergence_theorem():
     """For constant v = theta = 1 the closed boundary integral of beta . n vanishes."""
-    _, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, P0), 0, _ref_pair())
+    _, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, 0), 0, _ref_pair())
     assert abs(g[0, 1:].sum()) < 1e-14  # the P1 theta basis sums to 1
 
 
 def test_p1_mass_matrix():
     """B_K on P1: the mass matrix plus |K| (beta . grad lambda_i)(beta . grad lambda_j)."""
     beta = np.array([0.6, 0.8])
-    b, _ = local_saddle_blocks(_form(1, beta, 0.0, P1), 0, _ref_pair())
+    b, _ = local_saddle_blocks(_form(1, beta, 0.0, 1), 0, _ref_pair())
     mass = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 24.0
     slopes = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]) @ beta
     np.testing.assert_allclose(b, mass + 0.5 * np.outer(slopes, slopes), atol=1e-14)
 
 
-def _broken_coefficients_of_polynomial(poly, space, mesh_pair, cell):
-    """Coefficient vector representing a global polynomial in a test-search space.
+def _broken_coefficients_of_polynomial(poly, degree, mesh_pair, cell):
+    """Coefficient vector representing a global polynomial in the degree-`degree` space on `mesh_pair`.
 
     The space is nodal, so the coefficients are the polynomial's values at the
     space's cell-local nodes, in the space's own DOF order.
     """
     v = mesh_pair.coarse.vertices[mesh_pair.coarse.cells[cell]]
     jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    return poly(submesh_dofs(space.degree, space.levels(mesh_pair))[1] @ jac.T + v[0])
+    return poly(submesh_dofs(degree, mesh_pair.level)[1] @ jac.T + v[0])
 
 
 @pytest.mark.parametrize("degree,levels", [(2, 0), (3, 1), (3, 2), (3, 3), (4, 1), (5, 2)])
@@ -96,14 +91,11 @@ def test_submesh_dofs_are_the_distinct_lagrange_nodes(degree, levels):
 def test_broken_vs_whole_consistency():
     """Sub-cell splitting is invisible when the test function is one polynomial."""
     poly = lambda p: 1.0 + 2.0 * p[:, 0] - p[:, 1] + p[:, 0] * p[:, 1]
-    whole_form = _form(2, (0.6, 0.8), 0.5, SpaceDescriptor(3))
-    broken_form = _form(2, (0.6, 0.8), 0.5, SpaceDescriptor(3, broken=True))
-    b_whole, g_whole = local_saddle_blocks(whole_form, 0, _ref_pair(0))
-    b_broken, g_broken = local_saddle_blocks(broken_form, 0, _ref_pair(1))
+    form = _form(2, (0.6, 0.8), 0.5, 3)
+    b_whole, g_whole = local_saddle_blocks(form, 0, _ref_pair(0))
+    b_broken, g_broken = local_saddle_blocks(form, 0, _ref_pair(1))
     v_whole = poly(lagrange_basis(3).nodes)
-    v_broken = _broken_coefficients_of_polynomial(
-        poly, SpaceDescriptor(3, broken=True), _ref_pair(1), 0
-    )
+    v_broken = _broken_coefficients_of_polynomial(poly, 3, _ref_pair(1), 0)
     np.testing.assert_allclose(v_broken @ g_broken, v_whole @ g_whole, atol=1e-12)
     assert abs(v_broken @ b_broken @ v_broken - v_whole @ b_whole @ v_whole) < 1e-12
 
@@ -111,11 +103,11 @@ def test_broken_vs_whole_consistency():
 def test_fine_face_jump_cancellation():
     """The theta term against a single polynomial reduces to the coarse boundary."""
     poly = lambda p: 0.5 - p[:, 0] + 3.0 * p[:, 1] + p[:, 0] ** 2
-    _, whole = local_saddle_blocks(_form(2, (0.6, 0.8), 0.0, SpaceDescriptor(2)), 0, _ref_pair(0))
-    broken_space = SpaceDescriptor(2, broken=True)
-    _, broken = local_saddle_blocks(_form(2, (0.6, 0.8), 0.0, broken_space), 0, _ref_pair(2))
+    form = _form(2, (0.6, 0.8), 0.0, 2)
+    _, whole = local_saddle_blocks(form, 0, _ref_pair(0))
+    _, broken = local_saddle_blocks(form, 0, _ref_pair(2))
     v_whole = poly(lagrange_basis(2).nodes)
-    v_broken = _broken_coefficients_of_polynomial(poly, broken_space, _ref_pair(2), 0)
+    v_broken = _broken_coefficients_of_polynomial(poly, 2, _ref_pair(2), 0)
     # columns 3: hold the P2 theta DOFs, after the 3 P1 phi DOFs
     np.testing.assert_allclose(v_broken @ broken[:, 3:], v_whole @ whole[:, 3:], atol=1e-12)
 
@@ -134,25 +126,25 @@ def test_direction_must_be_unit():
 
 def test_load_zero_rhs():
     for zero in (0.0, lambda p: np.zeros(len(p))):
-        out = local_load(zero, _ref_pair(1), SpaceDescriptor(2, broken=True))
+        out = local_load(zero, _ref_pair(1), 2)
         np.testing.assert_array_equal(out, 0.0)
 
 
 def test_load_constant_p0():
     for one in (1.0, lambda p: np.ones(len(p))):
-        out = local_load(one, _ref_pair(), P0)
+        out = local_load(one, _ref_pair(), 0)
         np.testing.assert_allclose(out, [[0.5]], atol=1e-14)
 
 
 def test_load_constant_p1():
     for one in (1.0, lambda p: np.ones(len(p))):
-        out = local_load(one, _ref_pair(), P1)
+        out = local_load(one, _ref_pair(), 1)
         np.testing.assert_allclose(out, [[1.0 / 6.0] * 3], atol=1e-14)
 
 
-_CONSTANT_LOAD_SPACES = [SpaceDescriptor(m + 1, broken=True) for m in range(1, 5)] + [
-    SpaceDescriptor(p) for p in range(1, 6)
-]
+# (degree, levels): the test-search spaces at test refinement 0..3, and the
+# enriched spaces, one polynomial per coarse cell, on level 0
+_CONSTANT_LOAD_SPACES = [(m + 1, (0, 1, 2, 3)) for m in range(1, 5)] + [(p, (0,)) for p in range(1, 6)]
 
 
 _CONSTANT_LOAD_MESHES = {
@@ -163,10 +155,10 @@ _CONSTANT_LOAD_MESHES = {
 }
 
 
-@pytest.mark.parametrize("space", _CONSTANT_LOAD_SPACES, ids=str)
+@pytest.mark.parametrize("degree,levels", _CONSTANT_LOAD_SPACES)
 @pytest.mark.parametrize("mesh", _CONSTANT_LOAD_MESHES)
 @pytest.mark.parametrize("value", [1.0, -2.5, 0.0])
-def test_constant_load_matches_the_callable(value, mesh, space):
+def test_constant_load_matches_the_callable(value, mesh, degree, levels):
     """A number as f gives the loads of the callable that returns it everywhere.
 
     The test-search spaces at test refinement 0..3 and the enriched spaces of
@@ -176,15 +168,13 @@ def test_constant_load_matches_the_callable(value, mesh, space):
     exactly (the vertex functions of P2, for one), so each cell's loads are
     compared relative to its largest one.
     """
-    for ell in range(4):
+    for ell in levels:
         pair = MeshPair(_CONSTANT_LOAD_MESHES[mesh](), ell)
-        expected = local_load(constant_rhs(value), pair, space)
-        loads = local_load(value, pair, space)
+        expected = local_load(constant_rhs(value), pair, degree)
+        loads = local_load(value, pair, degree)
         assert loads.shape == expected.shape
         scale = np.abs(expected).max(axis=1, keepdims=True)
         assert (np.abs(loads - expected) <= 1e-14 * scale).all()
-        if not space.broken:
-            break  # the enriched spaces do not depend on the test refinement
 
 
 def _quartic(p):
@@ -192,11 +182,14 @@ def _quartic(p):
     return 1.0 + x - 2.0 * x * y + 3.0 * y**2 + x**2 * y**2
 
 
-def _per_cell_loads(pair, space):
-    """The loads of `space` by a loop over cells and physical subcells, with the degree-12 rule."""
-    ell = space.levels(pair)
-    table, nodes = submesh_dofs(space.degree, ell)
-    basis = lagrange_basis(space.degree)
+def _per_cell_loads(pair, degree):
+    """The loads of the degree-`degree` space on `pair`.
+
+    By a loop over cells and physical subcells, with the degree-12 rule.
+    """
+    ell = pair.level
+    table, nodes = submesh_dofs(degree, ell)
+    basis = lagrange_basis(degree)
     quad = make_quadrature(12)
     values = basis.eval(quad.points)
     expected = np.zeros((pair.coarse.n_cells, len(nodes)))
@@ -217,9 +210,9 @@ def test_load_matches_per_cell_quadrature(m, ell):
     both the load rule and the degree-12 rule of the loop.
     """
     pair = MeshPair(perturbed_mesh(1), ell)
-    space = transport_form(m, (1.0, 0.0), 0.0).test_space
-    expected = _per_cell_loads(pair, space)
-    loads = local_load(_quartic, pair, space)
+    degree = transport_form(m, (1.0, 0.0), 0.0).test_degree
+    expected = _per_cell_loads(pair, degree)
+    loads = local_load(_quartic, pair, degree)
     assert loads.shape == expected.shape
     assert np.abs(loads - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -227,25 +220,24 @@ def test_load_matches_per_cell_quadrature(m, ell):
 @pytest.mark.parametrize("p", range(1, 6))
 def test_unbroken_load_matches_per_cell_quadrature(p):
     """The single-polynomial spaces of the estimator, against the same loop."""
-    pair = MeshPair(perturbed_mesh(1), 1)
-    space = SpaceDescriptor(p)
-    expected = _per_cell_loads(pair, space)
-    loads = local_load(_quartic, pair, space)
+    pair = MeshPair(perturbed_mesh(1), 0)
+    expected = _per_cell_loads(pair, p)
+    loads = local_load(_quartic, pair, p)
     assert loads.shape == expected.shape
     assert np.abs(loads - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("space", [SpaceDescriptor(3, broken=True), SpaceDescriptor(5)])
-def test_load_calls_rhs_once_with_all_points(space):
-    pair = MeshPair(perturbed_mesh(2), 1)
+@pytest.mark.parametrize("degree,level", [(3, 1), (5, 0)])
+def test_load_calls_rhs_once_with_all_points(degree, level):
+    pair = MeshPair(perturbed_mesh(2), level)
     calls = []
 
     def rhs_f(points):
         calls.append(points.shape)
         return _quartic(points)
 
-    local_load(rhs_f, pair, space)
-    n_points = len(_load_rule(space.degree, space.levels(pair))[0])
+    local_load(rhs_f, pair, degree)
+    n_points = len(_load_rule(degree, level)[0])
     assert calls == [(pair.coarse.n_cells * n_points, 2)]
 
 
@@ -259,7 +251,7 @@ def test_load_rule_is_read_only(degree, levels):
 
 
 def test_saddle_blocks_p0():
-    b, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, P0), 0, _ref_pair())
+    b, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, 0), 0, _ref_pair())
     np.testing.assert_allclose(b, [[0.5]], atol=1e-14)  # P0 gradients vanish
     np.testing.assert_allclose(g[:, :1], [[0.0]], atol=1e-14)
 
@@ -310,9 +302,9 @@ def _brute_force_blocks(form, cell, mesh_pair):
     mesh = mesh_pair.coarse
     jac, v0 = mesh.jacobians()[cell], mesh.vertices[mesh.cells[cell]][0]
     beta = np.array(form.beta)
-    levels = form.test_space.levels(mesh_pair)
-    table, nodes = submesh_dofs(form.test_space.degree, levels)
-    test = lagrange_basis(form.test_space.degree)
+    levels = mesh_pair.level
+    table, nodes = submesh_dofs(form.test_degree, levels)
+    test = lagrange_basis(form.test_degree)
     phi, theta = lagrange_basis(form.degree - 1), lagrange_basis(form.degree)
     on_edges = skeleton_nodes(form.degree)
     quad = make_quadrature(2 * test.degree)  # exact for every product below
@@ -355,17 +347,18 @@ def _brute_force_blocks(form, cell, mesh_pair):
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_local_saddle_blocks_match_brute_force_oracle(perturbed, m, ell):
     mesh = perturbed_mesh(1) if perturbed else build_uniform_mesh(1)
-    pair = MeshPair(mesh, ell)
-    # the enriched space is one polynomial per cell whatever ell is
-    spaces = [SpaceDescriptor(m + 1, broken=True)] + ([SpaceDescriptor(5)] if ell == 0 else [])
+    # (degree, level): the test-search space on ell, and the enriched space,
+    # one polynomial per cell, on level 0
+    spaces = [(m + 1, ell)] + ([(5, 0)] if ell == 0 else [])
     # cells 0, 3, 6, 5: two lower triangles and two upper ones; at pi / 2 the
     # vertical edges are characteristic only up to rounding (cos = 6e-17)
     for cell, angle in zip((0, 3, 6, 5), (0.0, math.pi / 8, 2.0, math.pi / 2)):
         beta = (math.cos(angle), math.sin(angle))
-        for space in spaces:
-            b_ref, g0_ref, p_ref = _brute_force_blocks(_form(m, beta, 0.0, space), cell, pair)
+        for degree, level in spaces:
+            pair = MeshPair(mesh, level)
+            b_ref, g0_ref, p_ref = _brute_force_blocks(_form(m, beta, 0.0, degree), cell, pair)
             for c in (0.0, 1.0):
-                b, g = local_saddle_blocks(_form(m, beta, c, space), cell, pair)
+                b, g = local_saddle_blocks(_form(m, beta, c, degree), cell, pair)
                 g_ref = g0_ref.copy()
                 g_ref[:, : p_ref.shape[1]] += c * p_ref
                 assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()

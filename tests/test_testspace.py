@@ -182,17 +182,18 @@ def test_class_blocks_do_not_depend_on_the_stack(perturbed, m, ell):
             np.testing.assert_array_equal(mixed[np.flatnonzero(order == k)[0]], full[k])
 
 
-def _corrupt(method, target, broken):
+def _corrupt(method, target, level):
     """`method` (a block kernel of forms) with the block of the cell `target` made singular.
 
-    Only blocks over the test-search space (`broken`) or only those over the
-    enriched space are changed.  A Gram matrix loses the energy of its first
-    test DOF; G loses the first phi DOF, so row and column 0 of A vanish.
+    Only blocks over a mesh pair of refinement `level` are changed: the
+    test-search space's pair, or the enriched space's, of level 0.  A Gram
+    matrix loses the energy of its first test DOF; G loses the first phi
+    DOF, so row and column 0 of A vanish.
     """
 
     def corrupted(self, cells, pair):
         matrix = method(self, cells, pair)
-        if self.form.test_space.broken == broken:
+        if pair.level == level:
             hit = np.ravel(cells) == target
             matrix[hit, :, 0] = 0.0
             if isinstance(self, InnerProduct):
@@ -214,13 +215,13 @@ def test_cell_id_reported_on_failure(monkeypatch):
     target = pair.coarse.geometry_classes[0][7]
     monkeypatch.setattr(testspace, "CHUNK_BYTES", 30000)  # 3 classes per chunk in assembly, 5 in the estimator
     cases = [
-        (InnerProduct, "local_gram", True, "Gram matrix"),
-        (BilinearForm, "local_matrix", True, "phi block"),
-        (InnerProduct, "local_gram", False, "enriched Gram matrix"),
+        (InnerProduct, "local_gram", 1, "Gram matrix"),
+        (BilinearForm, "local_matrix", 1, "phi block"),
+        (InnerProduct, "local_gram", 0, "enriched Gram matrix"),
     ]
-    for kernel, name, broken, what in cases:
+    for kernel, name, level, what in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(kernel, name, _corrupt(getattr(kernel, name), target, broken))
+            patch.setattr(kernel, name, _corrupt(getattr(kernel, name), target, level))
             with pytest.raises(NotPositiveDefiniteError, match=rf"^{what} indefinite on cell {target}: matrix [1-9]"):
                 system = assemble(form, pair, dof_maps, constant_rhs())
                 a_posteriori_error(form, pair, dof_maps, np.zeros(system.size), constant_rhs())

@@ -87,7 +87,7 @@ def profile_level(level: int) -> dict:
         ndof=row.ndof,
         converged=row.converged,
         backward_error=row.backward_error,
-        solved=bool(row.solved),  # numpy bool where --tol is missed
+        solved=row.solved,
         level_s=row.seconds,
         peak_rss_mib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         speed_scale=REFERENCE_KERNEL_S / statistics.fmean(kernel),
