@@ -3,12 +3,16 @@
 Global unknowns are blocked by trial variable: all phi DOFs first, then all
 theta DOFs.  phi is broken, so the phi block of A is block-diagonal per cell
 and is eliminated cell by cell before any global scatter: with the local
-A_K split as [[P, Q], [Q^T, R]] (phi first) and W_K = P^-1 Q,
+A_K = Z_K^T Z_K split as [[P, Q], [Q^T, R]] (phi first), W_K = P^-1 Q and
+the local load f_K = c_K F_K of `near_optimal_blocks`, F_K = [F_phi | F_theta]
+the class's load map and c_K the cell's load coefficients of `local_load`,
 
-    S_K = R - Q^T W_K,    g_K = f_theta - W_K^T f_phi,    phi_K = P^-1 f_phi - W_K theta_K.
+    S_K = R - Q^T W_K,    y_K = c_K F_phi P^-1,    g_K = c_K (F_theta - F_phi W_K),
+    phi_K = y_K - W_K theta_K.
 
-P, W_K and S_K depend only on the geometry class.  Every constraint fixes a
-theta DOF to zero: the inflow trace and the ill-posed characteristic trace.
+P, W_K, S_K and the maps from c_K to (y_K | g_K) depend only on the
+geometry class.  Every constraint fixes a theta DOF to zero: the inflow
+trace and the ill-posed characteristic trace.
 Constraints only clear bits of the system's free mask over theta and leave
 S and g as assembled; the solve restricts them to the free DOFs, where the
 matrix is an SPD principal submatrix of S, scatters theta back with zeros on
@@ -56,34 +60,35 @@ def assemble(
 ) -> GlobalSystem:
     """S = sum_K scatter(S_K), g = sum_K scatter(g_K), one local solve and condensation per geometry class.
 
-    The classes' local algebra is stacked per chunk of `class_chunks`.  The
-    loads of a class's cells are (y_K | g_K) = l_K [C_phi P^-1 | C_theta - C_phi W_K],
-    with C_K split into its phi and theta columns: one stacked matrix product
-    per member count of `class_products`.
+    The classes' local algebra is stacked per chunk of `class_chunks`: one
+    solve with P against [Q | F_phi^T], r + theta size columns for a load
+    basis of r rows.  The loads (y_K | g_K) of a class's cells are their
+    load coefficients times the class's r x (phi size + theta size) map,
+    one stacked matrix product per member count of `class_products`.
     """
     phi_map, theta_map = dof_maps
     k = phi_map.cell_dofs.shape[1]  # phi DOFs per cell, first in A_K
     theta_dofs = theta_map.cell_dofs  # (n_cells, theta size)
     n_theta, size = theta_map.ndofs, theta_dofs.shape[1]
     representatives, inverse = mesh_pair.coarse.geometry_classes
-    loads = local_load(rhs_f, mesh_pair, form.test_degree)
+    load_coefficients, basis = local_load(rhs_f, mesh_pair, form.test_degree)
 
     blocks = np.empty((len(representatives), size, size))
     coupling = np.empty((len(representatives), k, size))
     cell_loads = np.empty((mesh_pair.coarse.n_cells, k + size))  # (y_K | g_K) per cell
     gram_cond = 1.0
-    for classes, cells, members in class_chunks(mesh_pair.coarse, loads.shape[1], k + size):
-        lower, coefficients, a = cell_blocks(cells, mesh_pair, form)
+    for classes, cells, members in class_chunks(mesh_pair.coarse, basis.shape[1], k + size):
+        lower, _, a, f = cell_blocks(cells, mesh_pair, form, basis)
         p, q, r = a[:, :k, :k], a[:, :k, k:], a[:, k:, k:]
-        c_phi, c_theta = coefficients[:, :, :k], coefficients[:, :, k:]
+        f_phi, f_theta = f[:, :, :k], f[:, :, k:]
         p_lower = factor_on_cells(p, cells, "phi block")
-        solved = cholesky_solve(p_lower, np.concatenate([q, c_phi.mT], axis=2))  # P^-1 [Q | C_phi^T]
+        solved = cholesky_solve(p_lower, np.concatenate([q, f_phi.mT], axis=2))  # P^-1 [Q | F_phi^T]
         w = solved[:, :, :size]
         s_k = r - q.mT @ w
         blocks[classes] = 0.5 * (s_k + s_k.mT)
         coupling[classes] = w
-        load_maps = np.concatenate([solved[:, :, size:].mT, c_theta - c_phi @ w], axis=2)
-        for member_cells, products in class_products(loads, load_maps, members):
+        load_maps = np.concatenate([solved[:, :, size:].mT, f_theta - f_phi @ w], axis=2)
+        for member_cells, products in class_products(load_coefficients, load_maps, members):
             cell_loads[member_cells] = products
         diagonal = np.diagonal(lower, axis1=1, axis2=2)
         gram_cond = max(gram_cond, float(((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()))

@@ -4,7 +4,8 @@ The residual of the computed pair (phi_H, theta_H) is Riesz-lifted cell by
 cell into an enriched broken polynomial space; the lift's norm squared,
 rho_K^T Bbar_K^{-1} rho_K, is the local indicator.  Enriched test functions
 are single polynomials per coarse cell, so all fine-face jumps cancel and
-the cell form reduces to coarse-cell integrals.
+the cell form reduces to coarse-cell integrals.  The loads enter as the
+factors of `local_load`, so a constant source adds one column to each lift.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ def a_posteriori_error(
     """Per-cell indicators eta_K^2 = rho_K^T Bbar_K^{-1} rho_K and their total.
 
     With Bbar_K = L L^T and rho_K = Gbar_K u_K - l_K, eta_K^2 = |L^-1 rho_K|^2.
-    The lifts L^-1 [Gbar_K | -I] are stacked per chunk of geometry classes
-    and applied to the rows (u_K | l_K) of their classes' cells with one
-    stacked matrix product per member count (`class_products`).
+    The loads are l_K = c_K basis, the factors of `local_load`, so the lifts
+    L^-1 [Gbar_K | -basis^T] are stacked per chunk of geometry classes and
+    applied to the rows (u_K | c_K) of their classes' cells with one stacked
+    matrix product per member count (`class_products`).
     """
     phi_map, theta_map = dof_maps
     n_phi = phi_map.ndofs
@@ -52,16 +54,16 @@ def a_posteriori_error(
     enriched = replace(form, test_degree=enrichment_degree)
     whole_cells = MeshPair(mesh_pair.coarse, 0)  # one enriched polynomial per coarse cell
     u = solution[np.hstack([phi_map.cell_dofs, n_phi + theta_map.cell_dofs])]  # (n_cells, N)
-    loads = local_load(rhs_f, whole_cells, enrichment_degree)
-    cell_rows = np.hstack([u, loads])
+    load_coefficients, basis = local_load(rhs_f, whole_cells, enrichment_degree)
+    cell_rows = np.hstack([u, load_coefficients])
 
     indicators = np.empty(mesh_pair.coarse.n_cells)
-    n_test = loads.shape[1]
-    for _, cells, members in class_chunks(mesh_pair.coarse, n_test, u.shape[1]):
+    for _, cells, members in class_chunks(mesh_pair.coarse, basis.shape[1], u.shape[1]):
         b_bar = InnerProduct(enriched).local_gram(cells, whole_cells)
         g_bar = BilinearForm(enriched).local_matrix(cells, whole_cells)
         lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")
-        residual_maps = np.concatenate([g_bar, np.broadcast_to(-np.eye(n_test), b_bar.shape)], axis=2)
+        load_columns = np.broadcast_to(-basis.T, (*g_bar.shape[:-1], len(basis)))
+        residual_maps = np.concatenate([g_bar, load_columns], axis=2)
         lifts = triangular_solve(lower, residual_maps).mT
         for member_cells, lifted in class_products(cell_rows, lifts, members):  # rows (L^-1 rho_K)^T
             indicators[member_cells] = np.einsum("...i,...i->...", lifted, lifted)

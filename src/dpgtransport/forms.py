@@ -240,20 +240,23 @@ def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return points, loads, column_sums
 
 
-def local_load(rhs_f, mesh_pair: MeshPair, degree: int) -> np.ndarray:
-    """Load vectors (l_K)_j = int_K f z^j of all coarse cells, shape (n_cells, N).
+def local_load(rhs_f, mesh_pair: MeshPair, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Load vectors (l_K)_j = int_K f z^j of all coarse cells, as factors `(coefficients, basis)`.
 
-    z^j are the degree-`degree` test functions on the refined cells of
-    `mesh_pair`, in the DOF order of `submesh_dofs`.  `rhs_f` is either a
-    real number, the constant source f, or a callable.  A constant gives
-    every cell the load (2 f |K|) l, with l the column sums of the reference
-    load matrix: no point is mapped and f is never evaluated.  A callable is
-    called once, with the quadrature points of all cells as one (P, 2) array,
-    and must return f there.
+    The loads, shape (n_cells, N), are `coefficients @ basis`, shapes
+    (n_cells, r) and (r, N).  z^j are the degree-`degree` test functions on
+    the refined cells of `mesh_pair`, in the DOF order of `submesh_dofs`.
+    `rhs_f` is either a real number, the constant source f, or a callable.
+    A constant gives every cell the load (2 f |K|) l, with l the column sums
+    of the reference load matrix: r = 1, the coefficients are 2 f |K| and
+    the basis is l.  No point is mapped and f is never evaluated.  A callable
+    is called once, with the quadrature points of all cells as one (P, 2)
+    array, and must return f there; the loads are its coefficients, and I_N
+    its basis.
     """
     mesh = mesh_pair.coarse
     points, loads, column_sums = _load_rule(degree, mesh_pair.level)
     if not callable(rhs_f):
-        return np.outer(2.0 * float(rhs_f) * mesh.areas(), column_sums)
-    f = np.asarray(rhs_f(mesh.map_points(points).reshape(-1, 2)), dtype=float)
-    return (2.0 * mesh.areas())[:, None] * (f.reshape(mesh.n_cells, len(points)) @ loads)
+        return 2.0 * float(rhs_f) * mesh.areas()[:, None], column_sums[None, :]
+    f = np.asarray(rhs_f(mesh.map_points(points).reshape(-1, 2)), dtype=float).reshape(mesh.n_cells, -1)
+    return (2.0 * mesh.areas())[:, None] * (f @ loads), np.eye(loads.shape[1])

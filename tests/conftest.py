@@ -143,6 +143,16 @@ def constant_rhs(value=1.0):
     return lambda points: np.full(len(points), value)
 
 
+def no_load(b):
+    """The empty load basis, r = 0, for the test space of the Gram blocks `b`: `near_optimal_blocks` maps no load."""
+    return np.zeros((0, np.shape(b)[-1]))
+
+
+def near_optimal_coefficients(lower, z):
+    """C_K = L_K^-T Z_K, the near-optimal test functions, from the (L_K, Z_K) of `near_optimal_blocks`."""
+    return np.linalg.solve(np.swapaxes(lower, -1, -2), z)
+
+
 def solve_transport(
     level, test_refine, beta, m=2, rhs_f=None, tol=1e-12, mesh_builder=build_uniform_mesh, reaction=0.0
 ):

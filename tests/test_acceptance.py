@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from conftest import BENCHMARK_BETA, constant_rhs, jittered_mesh, solve_transport
+from conftest import (
+    BENCHMARK_BETA,
+    constant_rhs,
+    jittered_mesh,
+    near_optimal_coefficients,
+    no_load,
+    solve_transport,
+)
 from dpgtransport import (
     MeshPair,
     SpaceKind,
@@ -241,7 +248,8 @@ def test_criterion_6_defining_relation(capsys):
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     cells = np.arange(mesh_pair.coarse.n_cells)
     b, g = local_saddle_blocks(form, cells, mesh_pair)
-    _, c, _ = near_optimal_blocks(b, g, cells)
+    lower, z, _, _ = near_optimal_blocks(b, g, no_load(b), cells)
+    c = near_optimal_coefficients(lower, z)  # C_K = L_K^-T Z_K
     worst = np.abs(b @ c - g).max()
     ok = worst <= 1e-10
     _verdict(

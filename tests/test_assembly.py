@@ -7,6 +7,7 @@ from conftest import (
     boundary_faces,
     constant_rhs,
     mesh_faces,
+    no_load,
     outward_normal,
     perturbed_mesh,
     solve_transport,
@@ -31,9 +32,9 @@ from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.testspace import near_optimal_blocks
 
 
-def _setup(level, ell, beta, m=2, mesh_builder=build_uniform_mesh):
+def _setup(level, ell, beta, m=2, mesh_builder=build_uniform_mesh, reaction=0.0):
     mesh_pair = MeshPair(mesh_builder(level), ell)
-    form = transport_form(m, beta, 0.0)
+    form = transport_form(m, beta, reaction)
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
     return mesh_pair, form, phi_map, theta_map
@@ -44,7 +45,8 @@ def dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f):
     n_phi = phi_map.ndofs
     n = n_phi + theta_map.ndofs
     blocks_b, blocks_g, gdofs = [], [], []
-    loads = local_load(rhs_f, mesh_pair, form.test_degree)
+    coefficients, basis = local_load(rhs_f, mesh_pair, form.test_degree)
+    loads = coefficients @ basis
     for cell in range(mesh_pair.coarse.n_cells):
         b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
         blocks_b.append(b_k)
@@ -74,7 +76,8 @@ def per_cell_matrix(mesh_pair, form, phi_map, theta_map):
     n_phi = phi_map.ndofs
     a = np.zeros((n_phi + theta_map.ndofs,) * 2)
     for cell in range(mesh_pair.coarse.n_cells):
-        _, _, a_k = near_optimal_blocks(*local_saddle_blocks(form, cell, mesh_pair), cell)
+        b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
+        a_k = near_optimal_blocks(b_k, g_k, no_load(b_k), cell)[2]
         dofs = np.concatenate([phi_map.cell_dofs[cell], n_phi + theta_map.cell_dofs[cell]])
         a[np.ix_(dofs, dofs)] += a_k
     return a
@@ -101,7 +104,8 @@ def test_single_cell_mesh_matches_local_block():
     phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, 1)
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
-    _, _, a_k = near_optimal_blocks(*local_saddle_blocks(form, 0, mesh_pair), 0)
+    b_k, g_k = local_saddle_blocks(form, 0, mesh_pair)
+    a_k = near_optimal_blocks(b_k, g_k, no_load(b_k), 0)[2]
     s_k, _ = schur_complement(a_k, np.zeros(len(a_k)), phi_map.ndofs)
     np.testing.assert_allclose(system.matrix.toarray(), s_k, atol=1e-14)
 
@@ -112,13 +116,22 @@ def test_single_cell_mesh_matches_local_block():
     ids=["0-0", "0-1", "1-1", "perturbed-1-1"],
 )
 def test_assembly_matches_dense_oracle(level, ell, mesh_builder):
-    mesh_pair, form, phi_map, theta_map = _setup(level, ell, BENCHMARK_BETA, mesh_builder=mesh_builder)
-    rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]  # differs between the cells of one class
-    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
-    a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, rhs_f)
-    s, g = schur_complement(a, f, phi_map.ndofs)
-    assert np.abs(system.matrix.toarray() - s).max() < 1e-11
-    assert np.abs(system.rhs - g).max() < 1e-11
+    """A callable source, and a number, whose oracle takes the callable that returns it everywhere.
+
+    At c = 0 a constant source loads no phi column: its Riesz lift is the
+    constant, on which beta . grad vanishes.  So the number runs at c = 1 too.
+    """
+    callable_f = lambda p: 1.0 + p[:, 0] * p[:, 1]  # differs between the cells of one class
+    for reaction in (0.0, 1.0):
+        mesh_pair, form, phi_map, theta_map = _setup(
+            level, ell, BENCHMARK_BETA, mesh_builder=mesh_builder, reaction=reaction
+        )
+        for rhs_f, oracle_f in ((callable_f, callable_f), (2.5, constant_rhs(2.5))):
+            system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
+            a, f = dense_oracle(mesh_pair, form, phi_map, theta_map, oracle_f)
+            s, g = schur_complement(a, f, phi_map.ndofs)
+            assert np.abs(system.matrix.toarray() - s).max() < 1e-11
+            assert np.abs(system.rhs - g).max() < 1e-11
 
 
 @pytest.mark.parametrize("level", range(3))
@@ -378,18 +391,16 @@ def test_chunks_do_not_change_the_system(monkeypatch, mesh_builder, m, chunk_byt
 
     Where classes differ in their member counts, the one chunk applies the
     class operators in several groups, and so do some of the smaller chunks.
+    The source is a callable, then a number.
     """
     mesh_pair, form, phi_map, theta_map = _setup(2, 1, BENCHMARK_BETA, m=m, mesh_builder=mesh_builder)
     dof_maps = (phi_map, theta_map)
-    rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]
 
-    def run():
+    def run(rhs_f):
         system = assemble(form, mesh_pair, dof_maps, rhs_f)
         x = np.random.default_rng(8).standard_normal(system.size)
         return system, a_posteriori_error(form, mesh_pair, dof_maps, x, rhs_f).cell_indicators_sq
 
-    monkeypatch.setattr(testspace, "CHUNK_BYTES", 2**40)
-    whole, whole_eta = run()
     sizes, member_counts = [], []
 
     def spy(*args):
@@ -398,20 +409,26 @@ def test_chunks_do_not_change_the_system(monkeypatch, mesh_builder, m, chunk_byt
             member_counts.append({len(cells) for cells in chunk[2]})
             yield chunk
 
-    monkeypatch.setattr(testspace, "CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(assembly, "class_chunks", spy)
-    monkeypatch.setattr(estimator, "class_chunks", spy)
-    chunked, chunked_eta = run()
-    classes = len(whole.coupling)
-    assert sum(sizes) == 2 * classes and len(sizes) > 2  # assembly's chunks, then the estimator's
-    if chunk_bytes > 1:
-        assert len(set(sizes)) > 2  # chunks of two sizes, and a shorter last one
-    if len({len(cells) for cells in mesh_pair.coarse.class_members}) > 1:
-        assert max(map(len, member_counts)) > 1  # some chunk groups its classes by member count
-    assert (chunked.matrix != whole.matrix).nnz == 0
-    for name in ("rhs", "coupling", "phi_load"):
-        np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
-    np.testing.assert_array_equal(chunked_eta, whole_eta)
+    for rhs_f in (lambda p: 1.0 + p[:, 0] * p[:, 1], 2.5):
+        sizes.clear()
+        member_counts.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(testspace, "CHUNK_BYTES", 2**40)
+            whole, whole_eta = run(rhs_f)
+            patch.setattr(testspace, "CHUNK_BYTES", chunk_bytes)
+            patch.setattr(assembly, "class_chunks", spy)
+            patch.setattr(estimator, "class_chunks", spy)
+            chunked, chunked_eta = run(rhs_f)
+        classes = len(whole.coupling)
+        assert sum(sizes) == 2 * classes and len(sizes) > 2  # assembly's chunks, then the estimator's
+        if chunk_bytes > 1:
+            assert len(set(sizes)) > 2  # chunks of two sizes, and a shorter last one
+        if len({len(cells) for cells in mesh_pair.coarse.class_members}) > 1:
+            assert max(map(len, member_counts)) > 1  # some chunk groups its classes by member count
+        assert (chunked.matrix != whole.matrix).nnz == 0
+        for name in ("rhs", "coupling", "phi_load"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+        np.testing.assert_array_equal(chunked_eta, whole_eta)
 
 
 # ------------------------------------- geometric brute-force constraint oracle

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BENCHMARK_BETA, perturbed_mesh, solve_transport, trace_node_coords, use_wrong_trace_factor
+from conftest import (
+    BENCHMARK_BETA,
+    no_load,
+    perturbed_mesh,
+    solve_transport,
+    trace_node_coords,
+    use_wrong_trace_factor,
+)
 from dpgtransport import cli
 from dpgtransport.cli import (
     ErrorReport,
@@ -154,7 +161,7 @@ def test_report_row_counts_classes_and_bounds_gram_conditioning(monkeypatch, per
         pair = solution.mesh_pair
         cells = pair.coarse.geometry_classes[0]
         b, g = local_saddle_blocks(transport_form(config.degree, config.beta, config.reaction), cells, pair)
-        diagonal = np.diagonal(near_optimal_blocks(b, g, cells)[0], axis1=1, axis2=2)
+        diagonal = np.diagonal(near_optimal_blocks(b, g, no_load(b), cells)[0], axis1=1, axis2=2)
         assert row.gram_cond == ((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()
         assert row.gram_cond <= np.linalg.cond(b).max()
 

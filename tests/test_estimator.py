@@ -33,7 +33,8 @@ def _dense_eta_oracle(run, enrich=5):
     phi_map, theta_map = run["phi_map"], run["theta_map"]
     n_phi = phi_map.ndofs
     enriched = replace(run["form"], test_degree=enrich)
-    loads = local_load(run["rhs_f"], mesh_pair, enrich)
+    coefficients, basis = local_load(run["rhs_f"], mesh_pair, enrich)
+    loads = coefficients @ basis
     total = 0.0
     for cell in range(mesh_pair.coarse.n_cells):
         b, g = local_saddle_blocks(enriched, cell, mesh_pair)
@@ -64,12 +65,14 @@ def test_scalar_indicator_algebra():
 
 
 def test_eta_matches_dense_oracle():
+    """A callable source, and a number, whose oracle takes the callable that returns it everywhere."""
+    callable_f = lambda p: 1.0 + p[:, 0] * p[:, 1]  # differs between the cells of one class
     for mesh_builder in (build_uniform_mesh, perturbed_mesh):  # two classes, one class per cell
-        rhs_f = lambda p: 1.0 + p[:, 0] * p[:, 1]  # differs between the cells of one class
-        run = solve_transport(1, 1, BENCHMARK_BETA, rhs_f=rhs_f, mesh_builder=mesh_builder)
-        eta = _estimate(run).eta
-        oracle = _dense_eta_oracle(run)
-        assert abs(eta - oracle) <= 1e-10 * oracle
+        for rhs_f, oracle_f in ((callable_f, callable_f), (2.5, constant_rhs(2.5))):
+            run = solve_transport(1, 1, BENCHMARK_BETA, rhs_f=rhs_f, mesh_builder=mesh_builder)
+            eta = _estimate(run).eta
+            oracle = _dense_eta_oracle({**run, "rhs_f": oracle_f})
+            assert abs(eta - oracle) <= 1e-10 * oracle
 
 
 def test_indicators_nonnegative_and_sum_to_eta():
@@ -81,14 +84,16 @@ def test_indicators_nonnegative_and_sum_to_eta():
 
 
 def test_eta_scales_linearly_with_data():
+    """The scaled source is a callable, then a number."""
     s = 3.5
     run = solve_transport(1, 1, BENCHMARK_BETA)
     eta = _estimate(run).eta
-    scaled = dict(run)
-    scaled["x"] = s * run["x"]
-    scaled["rhs_f"] = constant_rhs(s)
-    eta_s = _estimate(scaled).eta
-    assert abs(eta_s - s * eta) <= 1e-10 * eta_s
+    for scaled_f in (constant_rhs(s), s):
+        scaled = dict(run)
+        scaled["x"] = s * run["x"]
+        scaled["rhs_f"] = scaled_f
+        eta_s = _estimate(scaled).eta
+        assert abs(eta_s - s * eta) <= 1e-10 * eta_s
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

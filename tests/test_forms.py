@@ -124,21 +124,27 @@ def test_direction_must_be_unit():
 # --------------------------------------------------------------- load/blocks
 
 
+def _loads(rhs_f, pair, degree):
+    """The (n_cells, N) loads, the product of the factors of `local_load`."""
+    coefficients, basis = local_load(rhs_f, pair, degree)
+    return coefficients @ basis
+
+
 def test_load_zero_rhs():
     for zero in (0.0, lambda p: np.zeros(len(p))):
-        out = local_load(zero, _ref_pair(1), 2)
+        out = _loads(zero, _ref_pair(1), 2)
         np.testing.assert_array_equal(out, 0.0)
 
 
 def test_load_constant_p0():
     for one in (1.0, lambda p: np.ones(len(p))):
-        out = local_load(one, _ref_pair(), 0)
+        out = _loads(one, _ref_pair(), 0)
         np.testing.assert_allclose(out, [[0.5]], atol=1e-14)
 
 
 def test_load_constant_p1():
     for one in (1.0, lambda p: np.ones(len(p))):
-        out = local_load(one, _ref_pair(), 1)
+        out = _loads(one, _ref_pair(), 1)
         np.testing.assert_allclose(out, [[1.0 / 6.0] * 3], atol=1e-14)
 
 
@@ -164,14 +170,17 @@ def test_constant_load_matches_the_callable(value, mesh, degree, levels):
     The test-search spaces at test refinement 0..3 and the enriched spaces of
     degree 1..5, on the uniform mesh, the benchmark's jittered one, whose
     cells all differ in area, and a nudged uniform one, whose cells differ in
-    area from the other cells of their geometry class.  Some loads vanish
+    area from the other cells of their geometry class.  The number's loads
+    are one coefficient per cell times one basis row.  Some loads vanish
     exactly (the vertex functions of P2, for one), so each cell's loads are
     compared relative to its largest one.
     """
     for ell in levels:
         pair = MeshPair(_CONSTANT_LOAD_MESHES[mesh](), ell)
-        expected = local_load(constant_rhs(value), pair, degree)
-        loads = local_load(value, pair, degree)
+        expected = _loads(constant_rhs(value), pair, degree)
+        coefficients, basis = local_load(value, pair, degree)
+        assert coefficients.shape == (pair.coarse.n_cells, 1) and basis.shape == (1, expected.shape[1])
+        loads = coefficients @ basis
         assert loads.shape == expected.shape
         scale = np.abs(expected).max(axis=1, keepdims=True)
         assert (np.abs(loads - expected) <= 1e-14 * scale).all()
@@ -212,7 +221,7 @@ def test_load_matches_per_cell_quadrature(m, ell):
     pair = MeshPair(perturbed_mesh(1), ell)
     degree = transport_form(m, (1.0, 0.0), 0.0).test_degree
     expected = _per_cell_loads(pair, degree)
-    loads = local_load(_quartic, pair, degree)
+    loads = _loads(_quartic, pair, degree)
     assert loads.shape == expected.shape
     assert np.abs(loads - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -222,7 +231,7 @@ def test_unbroken_load_matches_per_cell_quadrature(p):
     """The single-polynomial spaces of the estimator, against the same loop."""
     pair = MeshPair(perturbed_mesh(1), 0)
     expected = _per_cell_loads(pair, p)
-    loads = local_load(_quartic, pair, p)
+    loads = _loads(_quartic, pair, p)
     assert loads.shape == expected.shape
     assert np.abs(loads - expected).max() <= 1e-13 * np.abs(expected).max()
 

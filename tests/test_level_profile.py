@@ -18,14 +18,16 @@ def _load_script():
 
 
 def test_level_record_reads_the_factor_and_the_solve():
-    splu, cg_solve = solve.splu, cli.cg_solve
+    wrapped = solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error
     record = _load_script().profile_level(3)
-    assert (solve.splu, cli.cg_solve) == (splu, cg_solve)  # put back
+    assert (solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error) == wrapped  # put back
     _, row = cli.solve_level(cli.RunConfig(), 3)
     assert record["ndof"] == row.ndof
     assert record["free_trace_dofs"] <= row.ndof
     assert record["fill"] >= record["free_trace_dofs"]
     assert 0.0 < record["factor_s"] <= record["solve_s"] <= record["level_s"]
+    assert record["assemble_s"] > 0.0 and record["estimator_s"] > 0.0
+    assert record["assemble_s"] + record["solve_s"] + record["estimator_s"] <= record["level_s"]
     assert record["converged"] and record["true_residual"] <= 1e-12
     assert record["backward_error"] == row.backward_error > 0.0
     assert record["solved"]
@@ -36,18 +38,30 @@ def test_samples_aggregate_to_median_min_and_max():
     script = _load_script()
     samples = []
     for factor, level, rss, scale in [(0.5, 2.0, 90.0, 1.0), (0.1, 9.0, 95.0, 0.5), (0.2, 1.0, 80.0, 2.0)]:
-        seconds = {"factor_s": factor, "solve_s": factor + 1.0, "level_s": level}
+        seconds = {
+            "assemble_s": factor + 0.5,
+            "factor_s": factor,
+            "solve_s": factor + 1.0,
+            "estimator_s": factor + 2.0,
+            "level_s": level,
+        }
         refs = {f"{key}_ref": value * scale for key, value in seconds.items()}
         samples.append({"level": 6, "fill": 9, **seconds, "peak_rss_mib": rss, "speed_scale": scale, **refs})
     assert script.aggregate(samples) == {
         "level": 6,
         "fill": 9,
+        "assemble_s": 0.7,
+        "assemble_s_min": 0.6,
+        "assemble_s_max": 1.0,
         "factor_s": 0.2,
         "factor_s_min": 0.1,
         "factor_s_max": 0.5,
         "solve_s": 1.2,
         "solve_s_min": 1.1,
         "solve_s_max": 1.5,
+        "estimator_s": 2.2,
+        "estimator_s_min": 2.1,
+        "estimator_s_max": 2.5,
         "level_s": 2.0,
         "level_s_min": 1.0,
         "level_s_max": 9.0,
@@ -55,12 +69,18 @@ def test_samples_aggregate_to_median_min_and_max():
         "speed_scale": 1.0,
         "speed_scale_min": 0.5,
         "speed_scale_max": 2.0,
+        "assemble_s_ref": 1.0,
+        "assemble_s_ref_min": 0.3,
+        "assemble_s_ref_max": 1.4,
         "factor_s_ref": 0.4,
         "factor_s_ref_min": 0.05,
         "factor_s_ref_max": 0.5,
         "solve_s_ref": 1.5,
         "solve_s_ref_min": 0.55,
         "solve_s_ref_max": 2.4,
+        "estimator_s_ref": 2.5,
+        "estimator_s_ref_min": 1.05,
+        "estimator_s_ref_max": 4.4,
         "level_s_ref": 2.0,
         "level_s_ref_min": 2.0,
         "level_s_ref_max": 4.5,

@@ -3,20 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgtransport import testspace
+from dpgtransport import solve, testspace
 from dpgtransport.assembly import assemble
 from dpgtransport.estimator import a_posteriori_error
 from dpgtransport.fem import SpaceKind, build_dof_map
-from dpgtransport.forms import BilinearForm, InnerProduct, local_saddle_blocks, transport_form
+from dpgtransport.forms import BilinearForm, InnerProduct, local_load, local_saddle_blocks, transport_form
 from dpgtransport.mesh import KEY_DIGITS, MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
 from dpgtransport.testspace import near_optimal_blocks
 
-from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh
+from conftest import BENCHMARK_BETA, constant_rhs, near_optimal_coefficients, no_load, perturbed_mesh
 
 
 def _coefficients(b, g):
-    return near_optimal_blocks(b, g, 0)[1]
+    """C_K = L_K^-T Z_K from the blocks of one cell."""
+    return near_optimal_coefficients(*near_optimal_blocks(b, g, no_load(b), 0)[:2])
 
 
 def test_scalar_coefficients():
@@ -50,16 +51,19 @@ def test_defining_relation_random(n, m, seed):
     r = rng.standard_normal((3, n, n))
     b = r.transpose(0, 2, 1) @ r + n * np.eye(n)
     g = rng.standard_normal((3, n, m))
-    c = near_optimal_blocks(b, g, np.arange(3))[1]
+    lower, z = near_optimal_blocks(b, g, no_load(b), np.arange(3))[:2]
+    c = near_optimal_coefficients(lower, z)
     assert np.abs(b @ c - g).max() < 1e-10
 
 
 def test_near_optimal_matrix_scalar():
-    np.testing.assert_allclose(near_optimal_blocks(np.array([[2.0]]), np.array([[2.0]]), 0)[2], [[2.0]])
+    b = np.array([[2.0]])
+    np.testing.assert_allclose(near_optimal_blocks(b, np.array([[2.0]]), no_load(b), 0)[2], [[2.0]])
 
 
 def test_near_optimal_matrix_zero_g():
-    np.testing.assert_array_equal(near_optimal_blocks(np.eye(4), np.zeros((4, 3)), 0)[2], 0.0)
+    b = np.eye(4)
+    np.testing.assert_array_equal(near_optimal_blocks(b, np.zeros((4, 3)), no_load(b), 0)[2], 0.0)
 
 
 def test_near_optimal_matrix_against_dense_oracle():
@@ -68,7 +72,7 @@ def test_near_optimal_matrix_against_dense_oracle():
     b = r.T @ r + 4 * np.eye(4)
     g = rng.standard_normal((4, 3))
     oracle = g.T @ np.linalg.solve(b, g)
-    np.testing.assert_allclose(near_optimal_blocks(b, g, 0)[2], oracle, atol=1e-12)
+    np.testing.assert_allclose(near_optimal_blocks(b, g, no_load(b), 0)[2], oracle, atol=1e-12)
 
 
 # ------------------------------------------------------- geometry classes
@@ -92,10 +96,12 @@ def test_reflected_cell_gets_fresh_key():
 def test_translated_cells_get_identical_blocks():
     pair = MeshPair(build_uniform_mesh(1), 1)
     form = transport_form(2, BENCHMARK_BETA, 0.0)
-    _, c0, a0 = near_optimal_blocks(*local_saddle_blocks(form, 0, pair), 0)
-    _, c2, a2 = near_optimal_blocks(*local_saddle_blocks(form, 2, pair), 2)
-    np.testing.assert_array_equal(c0, c2)
+    basis = local_load(1.0, pair, form.test_degree)[1]
+    lower0, z0, a0, f0 = near_optimal_blocks(*local_saddle_blocks(form, 0, pair), basis, 0)
+    lower2, z2, a2, f2 = near_optimal_blocks(*local_saddle_blocks(form, 2, pair), basis, 2)
+    np.testing.assert_array_equal(near_optimal_coefficients(lower0, z0), near_optimal_coefficients(lower2, z2))
     np.testing.assert_array_equal(a0, a2)
+    np.testing.assert_array_equal(f0, f2)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -141,7 +147,8 @@ def test_defining_relation_on_mesh():
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
-        _, c, _ = near_optimal_blocks(b, g, cell)
+        lower, z, _, _ = near_optimal_blocks(b, g, no_load(b), cell)
+        c = near_optimal_coefficients(lower, z)
         assert np.abs(b @ c - g).max() < 1e-10
 
 
@@ -150,7 +157,8 @@ def test_energy_identity_and_psd():
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
-        _, c, a = near_optimal_blocks(b, g, cell)
+        lower, z, a, _ = near_optimal_blocks(b, g, no_load(b), cell)
+        c = near_optimal_coefficients(lower, z)
         # (A_K)_ii is the test-norm energy of the i-th near-optimal function
         energies = np.einsum("ji,jk,ki->i", c, b, c)
         np.testing.assert_allclose(np.diag(a), energies, atol=1e-11)
@@ -159,14 +167,18 @@ def test_energy_identity_and_psd():
 
 def _class_blocks(form, cells, pair):
     b, g = local_saddle_blocks(form, cells, pair)
-    return (b, g, *near_optimal_blocks(b, g, cells)[1:])
+    basis = local_load(1.0, pair, form.test_degree)[1]
+    return (b, g, *near_optimal_blocks(b, g, basis, cells))
 
 
 @pytest.mark.parametrize("ell", range(3))
 @pytest.mark.parametrize("m", range(1, 5))
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_class_blocks_do_not_depend_on_the_stack(perturbed, m, ell):
-    """B, G, C and A of a class are bit-identical alone, in the full stack and in a shuffled stack."""
+    """B, G, L, Z, A and F of a class are bit-identical alone, in the full stack and in a shuffled stack.
+
+    Z determines C = L^-T Z, so C is too.
+    """
     pair = MeshPair(perturbed_mesh(1) if perturbed else build_uniform_mesh(1), ell)
     form = transport_form(m, BENCHMARK_BETA, 0.5)
     representatives = pair.coarse.geometry_classes[0]
@@ -257,3 +269,26 @@ def test_local_solves_run_no_lu_larger_than_two_by_two(monkeypatch):
     run()
     assert shapes, "the spy saw no call; J^-1 beta should have gone through it"
     assert all(shape[-2:] == (2, 2) for shape in shapes), shapes
+
+
+def test_local_solves_take_one_column_per_load_basis_row(monkeypatch):
+    """With a number as the source, each class's solves take one load column, not one per test function.
+
+    At m = 3 and l = 1 the Gram solve (N = 45) is one triangular solve
+    against G_K and the constant load: k + theta size + 1 = 6 + 9 + 1
+    columns.  The solve with P (6 x 6) takes Q and the one phi load, 9 + 1,
+    and the estimator's lift (N = 21) takes Gbar_K and the one load, 15 + 1.
+    """
+    pair = MeshPair(perturbed_mesh(2), 1)
+    form = transport_form(3, BENCHMARK_BETA, 0.0)
+    dof_maps = build_dof_map(SpaceKind.BROKEN_COARSE, pair, 2), build_dof_map(SpaceKind.CONTINUOUS, pair, 3)
+    solve_each, solves = solve._solve_each, set()
+
+    def spied(routine, lower, rhs, **options):
+        solves.add((routine, np.shape(lower)[-1], np.shape(rhs)[-1]))
+        return solve_each(routine, lower, rhs, **options)
+
+    monkeypatch.setattr(solve, "_solve_each", spied)
+    system = assemble(form, pair, dof_maps, 2.5)
+    a_posteriori_error(form, pair, dof_maps, np.ones(system.size), 2.5)
+    assert solves == {(solve.dtrtrs, 45, 16), (solve.dpotrs, 6, 10), (solve.dtrtrs, 21, 16)}

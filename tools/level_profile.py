@@ -3,8 +3,10 @@
 Each of the levels 4 to 8 runs `dpgtransport.cli.solve_level` on the default configuration
 (m = 2, test refinement 1, beta angle pi/8, c = 0) in SAMPLES fresh processes,
 so each run's peak RSS is its own.  A record holds the level's ndof, the
-free trace DOFs, the sparse factor's seconds and fill (the entries SuperLU
-stores for L and U, supernode padding included), the true residual
+free trace DOFs, the seconds of the assembly (`assemble_s`), of the sparse
+factor and of the trace solve, the factor's fill (the entries SuperLU
+stores for L and U, supernode padding included), the seconds of the a
+posteriori estimator (`estimator_s`), the true residual
 ||g - S theta|| / ||g|| of the trace solve and its backward error omega,
 whether the level passed (`solved`: --tol met or omega at rounding), the
 level's seconds and the largest peak RSS of its processes.  Around the
@@ -48,18 +50,27 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THR
 LEVELS = range(4, 9)
 SAMPLES = 3  # processes per level: one run per level could not resolve a change below about 30 %
 SPEED_SAMPLES = 5  # speed-kernel runs right before the level and as many right after it
-TIMED = ("factor_s", "solve_s", "level_s")
+TIMED = ("assemble_s", "factor_s", "solve_s", "estimator_s", "level_s")
 AGGREGATED = TIMED + tuple(f"{key}_ref" for key in TIMED) + ("speed_scale",)
 
 
 def profile_level(level: int) -> dict:
-    """One level of the default sweep, in this process, with the trace factor and solve observed."""
+    """One level of the default sweep, in this process, with its assembly, trace solve and estimator observed."""
     import numpy as np
 
     from dpgtransport import cli, solve
 
     record = {"level": level}
-    splu, cg_solve = solve.splu, cli.cg_solve
+    splu, cg_solve, assemble, estimate = solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error
+
+    def timed(function, key):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            result = function(*args, **kwargs)
+            record[key] = time.perf_counter() - start
+            return result
+
+        return call
 
     def timed_splu(*args, **kwargs):
         start = time.perf_counter()
@@ -78,10 +89,11 @@ def profile_level(level: int) -> dict:
 
     kernel = [kernel_seconds() for _ in range(SPEED_SAMPLES)]
     solve.splu, cli.cg_solve = timed_splu, observed_cg_solve
+    cli.assemble, cli.a_posteriori_error = timed(assemble, "assemble_s"), timed(estimate, "estimator_s")
     try:
         _, row = cli.solve_level(cli.RunConfig(), level)
     finally:
-        solve.splu, cli.cg_solve = splu, cg_solve
+        solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error = splu, cg_solve, assemble, estimate
     kernel += [kernel_seconds() for _ in range(SPEED_SAMPLES)]
     record.update(
         ndof=row.ndof,
