@@ -93,7 +93,9 @@ def assemble(
         diagonal = np.diagonal(lower, axis1=1, axis2=2)
         gram_cond = max(gram_cond, float(((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()))
 
-    rows, cols = np.repeat(theta_dofs, size, axis=1), np.tile(theta_dofs, size)
+    # scipy stores the indices of a matrix this size as int32; int64 ones would be copied to it twice
+    indices = theta_dofs.astype(np.int32 if n_theta <= np.iinfo(np.int32).max else np.int64)
+    rows, cols = np.repeat(indices, size, axis=1), np.tile(indices, size)
     matrix = sp.coo_matrix(
         (blocks[inverse].ravel(), (rows.ravel(), cols.ravel())), shape=(n_theta, n_theta)
     ).tocsr()  # canonical: duplicates summed, indices sorted

@@ -98,19 +98,19 @@ class TriMesh:
         """Jacobians of every cell's reference map, shape (n_cells, 2, 2); read-only."""
         return self._jacobians
 
-    def map_points(self, points: np.ndarray) -> np.ndarray:
-        """Reference points (P, 2) mapped into every cell, shape (n_cells, P, 2).
+    def map_points(self, points: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """Reference points (P, 2) mapped into the cells `cells` (any index of the cell axis), shape (n, P, 2).
 
         One matrix product: the cells' affine coefficients [v0 | J[:, :, 0] |
-        J[:, :, 1]], shape (n_cells, 6), times the points expanded to (6, 2P),
+        J[:, :, 1]], shape (n, 6), times the points expanded to (6, 2P),
         whose columns x and y of point q are (1, 0, p_x, 0, p_y, 0) and
         (0, 1, 0, p_x, 0, p_y).
         """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
-        jac = self._jacobians
-        coefficients = np.hstack([self.vertices[self.cells[:, 0]], jac[:, :, 0], jac[:, :, 1]])
+        jac = self._jacobians[cells]
+        coefficients = np.hstack([self.vertices[self.cells[cells, 0]], jac[:, :, 0], jac[:, :, 1]])
         expanded = np.kron(np.vstack([np.ones(len(points)), points.T]), np.eye(2))
-        return (coefficients @ expanded).reshape(self.n_cells, len(points), 2)
+        return (coefficients @ expanded).reshape(len(coefficients), len(points), 2)
 
     def areas(self) -> np.ndarray:
         jac = self._jacobians

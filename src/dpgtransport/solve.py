@@ -98,7 +98,8 @@ def _solve_each(routine, lower: np.ndarray, rhs: np.ndarray, **options) -> np.nd
     for i, (factor, b) in enumerate(zip(lower.reshape(-1, n, n), x.reshape(-1, *x.shape[-2:]))):
         _, info = routine(factor.T, b.T, lower=0, overwrite_b=1, **options)
         if info != 0:
-            raise ValueError(f"{routine.__name__} failed on matrix {i} (info {info})")
+            name = routine.__name__.split()[-1]  # f2py's wrappers are named "function dtrtrs"
+            raise ValueError(f"{name} failed on matrix {i} (info {info})")
     return x.mT
 
 

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import BENCHMARK_BETA, constant_rhs, perturbed_mesh, solve_transport
+from dpgtransport import estimator
 from dpgtransport.estimator import a_posteriori_error, exact_transport_solution, l2_error
-from dpgtransport.fem import lagrange_basis
+from dpgtransport.fem import lagrange_basis, make_quadrature
 from dpgtransport.forms import local_load, local_saddle_blocks
 from dpgtransport.mesh import MeshPair, build_uniform_mesh
 from dpgtransport.solve import cholesky_factor, cholesky_solve
@@ -165,6 +167,43 @@ def test_l2_error_of_zero_against_ramp():
     phi_map, mesh_pair = run["phi_map"], run["mesh_pair"]
     err = l2_error(np.zeros(phi_map.ndofs), lambda p: p[..., 0], mesh_pair, phi_map)
     assert err == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+
+
+def _ramp(p):
+    return exact_transport_solution(p, BENCHMARK_BETA)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 300, 2048], ids=["one-cell", "short-last", "one-chunk"])
+def test_l2_error_does_not_depend_on_its_chunking(benchmark_sweep, monkeypatch, chunk_cells):
+    """Level 5 (2048 cells): the default budget's chunks of 455 cells, then chunks of 1, of 300 (a last one of 248) and one chunk."""
+    run = benchmark_sweep["runs"][5]["run"]
+    phi_map, mesh_pair = run["phi_map"], run["mesh_pair"]
+    assert mesh_pair.coarse.n_cells == 2048
+    default = l2_error(run["x"][: phi_map.ndofs], _ramp, mesh_pair, phi_map)
+    calls = []
+
+    def exact(p):
+        calls.append(len(p))
+        return _ramp(p)
+
+    monkeypatch.setattr(estimator, "CHUNK_BYTES", chunk_cells * make_quadrature(10).points.nbytes)
+    chunked = l2_error(run["x"][: phi_map.ndofs], exact, mesh_pair, phi_map)
+    assert len(calls) == -(-2048 // chunk_cells) and calls[-1] == 2048 - chunk_cells * (len(calls) - 1)
+    assert abs(chunked - default) <= 1e-15 * default
+
+
+def test_l2_error_memory_stays_bounded(benchmark_sweep):
+    """At level 6 (8192 cells) the chunks keep the traced peak under 2 MiB; all 36 points of every cell took 13.5."""
+    run = benchmark_sweep["runs"][6]["run"]
+    args = (run["x"][: run["phi_map"].ndofs], _ramp, run["mesh_pair"], run["phi_map"])
+    l2_error(*args)  # the basis and the rule are cached on first use
+    tracemalloc.start()
+    try:
+        assert l2_error(*args) == benchmark_sweep["runs"][6]["l2_error"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_l2_error_size_checked():

@@ -18,16 +18,17 @@ def _load_script():
 
 
 def test_level_record_reads_the_factor_and_the_solve():
-    wrapped = solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error
+    wrapped = solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error, cli.l2_error
     record = _load_script().profile_level(3)
-    assert (solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error) == wrapped  # put back
+    assert (solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error, cli.l2_error) == wrapped  # put back
     _, row = cli.solve_level(cli.RunConfig(), 3)
     assert record["ndof"] == row.ndof
     assert record["free_trace_dofs"] <= row.ndof
     assert record["fill"] >= record["free_trace_dofs"]
     assert 0.0 < record["factor_s"] <= record["solve_s"] <= record["level_s"]
-    assert record["assemble_s"] > 0.0 and record["estimator_s"] > 0.0
-    assert record["assemble_s"] + record["solve_s"] + record["estimator_s"] <= record["level_s"]
+    assert record["assemble_s"] > 0.0 and record["estimator_s"] > 0.0 and record["l2_s"] > 0.0
+    stages = record["assemble_s"] + record["solve_s"] + record["estimator_s"] + record["l2_s"]
+    assert stages <= record["level_s"]
     assert record["converged"] and record["true_residual"] <= 1e-12
     assert record["backward_error"] == row.backward_error > 0.0
     assert record["solved"]
@@ -43,6 +44,7 @@ def test_samples_aggregate_to_median_min_and_max():
             "factor_s": factor,
             "solve_s": factor + 1.0,
             "estimator_s": factor + 2.0,
+            "l2_s": factor + 3.0,
             "level_s": level,
         }
         refs = {f"{key}_ref": value * scale for key, value in seconds.items()}
@@ -62,6 +64,9 @@ def test_samples_aggregate_to_median_min_and_max():
         "estimator_s": 2.2,
         "estimator_s_min": 2.1,
         "estimator_s_max": 2.5,
+        "l2_s": 3.2,
+        "l2_s_min": 3.1,
+        "l2_s_max": 3.5,
         "level_s": 2.0,
         "level_s_min": 1.0,
         "level_s_max": 9.0,
@@ -81,6 +86,9 @@ def test_samples_aggregate_to_median_min_and_max():
         "estimator_s_ref": 2.5,
         "estimator_s_ref_min": 1.05,
         "estimator_s_ref_max": 4.4,
+        "l2_s_ref": 3.5,
+        "l2_s_ref_min": 1.55,
+        "l2_s_ref_max": 6.4,
         "level_s_ref": 2.0,
         "level_s_ref_min": 2.0,
         "level_s_ref_max": 4.5,

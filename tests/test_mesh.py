@@ -143,6 +143,21 @@ def test_map_points_is_the_affine_map_of_every_cell():
     assert np.abs(mapped - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
+def test_map_points_of_some_cells_is_their_rows_of_every_cell():
+    """Bit for bit for any selection of several cells or none.
+
+    numpy takes the product of a single row by a vector-matrix routine, so
+    a one-cell selection may differ from its row in the last bit.
+    """
+    mesh = perturbed_mesh(3)
+    points = np.random.default_rng(6).random((7, 2)) * 0.5
+    every = mesh.map_points(points)
+    for cells in (slice(5, 40), slice(100, None), slice(None, None, 3), np.array([7, 0, 7, 100]), [3, 4], []):
+        np.testing.assert_array_equal(mesh.map_points(points, cells), every[cells])
+    for cells in ([3], slice(127, None)):
+        assert np.abs(mesh.map_points(points, cells) - every[cells]).max() <= np.finfo(float).eps * np.abs(every).max()
+
+
 def test_map_points_of_no_points_is_empty():
     mesh = perturbed_mesh(2)
     assert mesh.map_points(np.empty((0, 2))).shape == (mesh.n_cells, 0, 2)

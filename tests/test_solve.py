@@ -222,6 +222,13 @@ def test_triangular_solve_matches_each_matrix_alone():
         np.testing.assert_array_equal(triangular_solve(factor, b), xk)
 
 
+def test_triangular_solve_names_the_routine_and_the_singular_factor():
+    lower = np.stack([np.eye(3)] * 4)
+    lower[2, 1, 1] = 0.0  # trtrs's info is the 1-based position of the zero on the diagonal
+    with pytest.raises(ValueError, match=r"^dtrtrs failed on matrix 2 \(info 2\)$"):
+        triangular_solve(lower, np.ones((4, 3, 2)))
+
+
 # ----------------------------------------------------------------------- CG
 
 

@@ -6,7 +6,8 @@ so each run's peak RSS is its own.  A record holds the level's ndof, the
 free trace DOFs, the seconds of the assembly (`assemble_s`), of the sparse
 factor and of the trace solve, the factor's fill (the entries SuperLU
 stores for L and U, supernode padding included), the seconds of the a
-posteriori estimator (`estimator_s`), the true residual
+posteriori estimator (`estimator_s`) and of the L2 error against the exact
+solution (`l2_s`), the true residual
 ||g - S theta|| / ||g|| of the trace solve and its backward error omega,
 whether the level passed (`solved`: --tol met or omega at rounding), the
 level's seconds and the largest peak RSS of its processes.  Around the
@@ -50,7 +51,7 @@ BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THR
 LEVELS = range(4, 9)
 SAMPLES = 3  # processes per level: one run per level could not resolve a change below about 30 %
 SPEED_SAMPLES = 5  # speed-kernel runs right before the level and as many right after it
-TIMED = ("assemble_s", "factor_s", "solve_s", "estimator_s", "level_s")
+TIMED = ("assemble_s", "factor_s", "solve_s", "estimator_s", "l2_s", "level_s")
 AGGREGATED = TIMED + tuple(f"{key}_ref" for key in TIMED) + ("speed_scale",)
 
 
@@ -61,7 +62,9 @@ def profile_level(level: int) -> dict:
     from dpgtransport import cli, solve
 
     record = {"level": level}
-    splu, cg_solve, assemble, estimate = solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error
+    splu, cg_solve, assemble, estimate, l2_error = (
+        solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error, cli.l2_error
+    )
 
     def timed(function, key):
         def call(*args, **kwargs):
@@ -90,10 +93,13 @@ def profile_level(level: int) -> dict:
     kernel = [kernel_seconds() for _ in range(SPEED_SAMPLES)]
     solve.splu, cli.cg_solve = timed_splu, observed_cg_solve
     cli.assemble, cli.a_posteriori_error = timed(assemble, "assemble_s"), timed(estimate, "estimator_s")
+    cli.l2_error = timed(l2_error, "l2_s")
     try:
         _, row = cli.solve_level(cli.RunConfig(), level)
     finally:
-        solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error = splu, cg_solve, assemble, estimate
+        solve.splu, cli.cg_solve, cli.assemble, cli.a_posteriori_error, cli.l2_error = (
+            splu, cg_solve, assemble, estimate, l2_error
+        )
     kernel += [kernel_seconds() for _ in range(SPEED_SAMPLES)]
     record.update(
         ndof=row.ndof,
