@@ -39,17 +39,11 @@ CHARACTERISTIC_TOL = 1e-10
 class GlobalSystem:
     matrix: sp.csr_matrix  # condensed trace matrix S, n_theta x n_theta
     rhs: np.ndarray  # condensed trace load g
-    n_phi: int
-    n_theta: int
     free: np.ndarray  # bool over the theta DOFs; False where a constraint fixes the DOF to 0
     coupling: np.ndarray  # W_K = P^-1 Q per geometry class, (n_classes, phi size, theta size)
     classes: np.ndarray  # geometry class of each cell
     phi_load: np.ndarray  # y_K = P^-1 f_phi per cell, (n_cells, phi size)
     gram_cond: float  # largest (max diag L / min diag L)^2 over the test-search Gram factors
-
-    @property
-    def size(self) -> int:
-        return self.n_phi + self.n_theta
 
 
 def assemble(
@@ -103,8 +97,6 @@ def assemble(
     return GlobalSystem(
         matrix,
         rhs,
-        phi_map.ndofs,
-        n_theta,
         free=np.ones(n_theta, dtype=bool),
         coupling=coupling,
         classes=inverse,
@@ -116,11 +108,11 @@ def assemble(
 def back_substitute(system: GlobalSystem, dof_maps: tuple[DofMap, DofMap], theta: np.ndarray) -> np.ndarray:
     """The full solution (phi, theta), with phi_K = y_K - W_K theta_K on every cell."""
     phi_map, theta_map = dof_maps
-    x = np.empty(system.size)
+    x = np.empty(phi_map.ndofs + theta_map.ndofs)
     x[phi_map.cell_dofs] = system.phi_load - np.einsum(
         "cij,cj->ci", system.coupling[system.classes], theta[theta_map.cell_dofs]
     )
-    x[system.n_phi :] = theta
+    x[phi_map.ndofs :] = theta
     return x
 
 
@@ -157,7 +149,7 @@ def inflow_mask(theta_map: DofMap, mesh: TriMesh, beta: np.ndarray) -> np.ndarra
 
 def apply_dirichlet(system: GlobalSystem, mask: np.ndarray) -> GlobalSystem:
     """Fix the marked theta DOFs to zero."""
-    if len(mask) != system.n_theta:
+    if len(mask) != len(system.free):
         raise ValueError("mask must be sized to the theta block")
     return _fix_theta(system, mask)
 

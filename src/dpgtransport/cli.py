@@ -1,4 +1,7 @@
-"""Convergence-study driver: sweep mesh levels, emit CSV tables and VTK fields."""
+"""Convergence-study driver: sweep mesh levels, emit CSV tables and VTK fields.
+
+`solve_on_mesh` runs a level's pipeline, DOF maps to phi; `solve_level` adds the L2 error, the estimator and the row.
+"""
 
 from __future__ import annotations
 
@@ -10,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import apply_dirichlet, assemble, back_substitute, inflow_mask, pin_characteristic_dofs
+from .assembly import GlobalSystem, apply_dirichlet, assemble, back_substitute, inflow_mask, pin_characteristic_dofs
 from .estimator import DEFAULT_ENRICHMENT_DEGREE, a_posteriori_error, exact_transport_solution, l2_error
 from .fem import MAX_BASIS_DEGREE, DofMap, SpaceKind, build_dof_map, lagrange_basis
-from .forms import transport_form
+from .forms import TransportForm, transport_form
 from .mesh import REFERENCE_TRIANGLE, MeshPair, build_uniform_mesh
-from .solve import cg_solve
+from .solve import CgReport, cg_solve
 
 MAX_TEST_REFINE = 3  # cost guard
 VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string that export_vtk writes
@@ -24,6 +27,7 @@ VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string t
 # factor solve: at most 4.4 eps (m = 1-4, test refinement 0-3, c up to 1e12,
 # six directions; uniform meshes to level 8, jittered meshes to level 7).
 ROUNDING_FACTOR = 16
+MAX_REACTION = 1e150  # P = G_phi^T B^-1 G_phi grows like c^2, which must stay finite
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,8 @@ class RunConfig:
             raise ValueError(f"enrichment degree must be in [1, {MAX_BASIS_DEGREE}]")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("solver tolerance must satisfy 0 < tol < 1")
-        if not 0.0 <= self.reaction < math.inf:
-            raise ValueError("reaction coefficient c must be finite and non-negative")
+        if not 0.0 <= self.reaction <= MAX_REACTION:
+            raise ValueError(f"reaction coefficient c must be in [0, {MAX_REACTION:g}]")
         if not (math.isfinite(self.beta_angle) and math.isfinite(self.rhs_const)):
             raise ValueError("beta angle and right-hand side f must be finite")
 
@@ -98,24 +102,32 @@ class LevelSolution:
     solution: np.ndarray
 
 
-def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow]:
+def solve_on_mesh(
+    mesh_pair: MeshPair, form: TransportForm, rhs_f, tol: float
+) -> tuple[LevelSolution, GlobalSystem, CgReport]:
     """Assemble the trace system, constrain it, solve it on its free DOFs and recover phi."""
-    start = time.perf_counter()
-    beta = config.beta
-    m = config.degree
-    mesh = build_uniform_mesh(level)
-    mesh_pair = MeshPair(mesh, config.test_refine)
-    form = transport_form(m, beta, config.reaction)
-    phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
-    theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
-    system = assemble(form, mesh_pair, (phi_map, theta_map), config.rhs_const)
+    mesh, beta = mesh_pair.coarse, np.array(form.beta)
+    phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, form.degree - 1)
+    theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, form.degree)
+    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
     system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta))
     system = pin_characteristic_dofs(system, theta_map, mesh, beta)
     free = system.free
-    theta_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=config.tol)
-    theta = np.zeros(system.n_theta)
+    theta_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=tol)
+    theta = np.zeros(theta_map.ndofs)
     theta[free] = theta_free
     x = back_substitute(system, (phi_map, theta_map), theta)
+    return LevelSolution(mesh_pair, phi_map, theta_map, x), system, report
+
+
+def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow]:
+    """The uniform mesh of `level` solved by `solve_on_mesh`, then its L2 error, estimator and report row."""
+    start = time.perf_counter()
+    beta = config.beta
+    mesh_pair = MeshPair(build_uniform_mesh(level), config.test_refine)
+    form = transport_form(config.degree, beta, config.reaction)
+    solution, system, report = solve_on_mesh(mesh_pair, form, config.rhs_const, config.tol)
+    phi_map, theta_map, x = solution.phi_map, solution.theta_map, solution.solution
 
     if config.reaction == 0.0 and beta[0] > 1e-12 and beta[1] > 1e-12:
         exact = lambda p: config.rhs_const * exact_transport_solution(p, beta)
@@ -130,7 +142,7 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
     row = ReportRow(
         level,
         2.0**-level,
-        system.size,
+        len(x),
         err,
         breakdown.eta,
         efficiency,
@@ -141,7 +153,7 @@ def solve_level(config: RunConfig, level: int) -> tuple[LevelSolution, ReportRow
         system.gram_cond,
         report.backward_error,
     )
-    return LevelSolution(mesh_pair, phi_map, theta_map, x), row
+    return solution, row
 
 
 def export_csv(report: ErrorReport, path: str) -> None:

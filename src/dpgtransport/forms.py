@@ -45,7 +45,7 @@ def _subcell_maps(levels: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def submesh_dofs(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous degree-`degree` Lagrange space on the red-refined reference triangle.
+    """Continuous degree-`degree` Lagrange space, degree >= 1, on the red-refined reference triangle.
 
     Returns `(table, nodes)`.  `table[t, i]` is the cell-local DOF of Lagrange
     node i of subcell t of `reference_subcells(levels)`; `nodes[d]` holds the
@@ -55,15 +55,12 @@ def submesh_dofs(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """
     basis = lagrange_basis(degree)
     jacobians, offsets = _subcell_maps(levels)
-    if degree == 0:  # the continuous P0 space holds the constants only
-        table, nodes = np.zeros((len(jacobians), 1), dtype=int), basis.nodes.copy()
-    else:
-        lattice = degree * 2**levels  # every node lies on the 1/lattice grid
-        points = basis.nodes @ jacobians.transpose(0, 2, 1) + offsets[:, None]
-        keys = np.rint(points.reshape(-1, 2) * lattice).astype(np.int64)
-        numbers, first = first_appearance(keys)
-        table = numbers.reshape(len(jacobians), basis.size)
-        nodes = keys[first] / lattice
+    lattice = degree * 2**levels  # every node lies on the 1/lattice grid
+    points = basis.nodes @ jacobians.transpose(0, 2, 1) + offsets[:, None]
+    keys = np.rint(points.reshape(-1, 2) * lattice).astype(np.int64)
+    numbers, first = first_appearance(keys)
+    table = numbers.reshape(len(jacobians), basis.size)
+    nodes = keys[first] / lattice
     table.setflags(write=False)
     nodes.setflags(write=False)
     return table, nodes

@@ -10,24 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from dpgtransport import (
-    MeshPair,
-    SpaceKind,
-    a_posteriori_error,
-    apply_dirichlet,
-    assemble,
-    back_substitute,
-    build_dof_map,
-    TriMesh,
-    build_uniform_mesh,
-    cg_solve,
-    exact_transport_solution,
-    inflow_mask,
-    l2_error,
-    lagrange_basis,
-    pin_characteristic_dofs,
-    transport_form,
-)
+from dpgtransport import MeshPair, TriMesh, build_uniform_mesh, cli, lagrange_basis, transport_form
 
 BENCHMARK_BETA = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -153,56 +136,39 @@ def near_optimal_coefficients(lower, z):
     return np.linalg.solve(np.swapaxes(lower, -1, -2), z)
 
 
+def _run(solution, form, rhs_f, **solve):
+    """The fields the tests read of one solved level: its `LevelSolution`, form and source, and `solve`."""
+    fields = {"mesh_pair": solution.mesh_pair, "phi_map": solution.phi_map, "theta_map": solution.theta_map}
+    return {**fields, "form": form, "x": solution.solution, "rhs_f": rhs_f, **solve}
+
+
 def solve_transport(
     level, test_refine, beta, m=2, rhs_f=None, tol=1e-12, mesh_builder=build_uniform_mesh, reaction=0.0
 ):
-    """Full pipeline for one level: the trace system solved on its free DOFs, then phi, as `cli.solve_level` does.
+    """Full pipeline for one level: `cli.solve_on_mesh` on the mesh of `mesh_builder`.
 
     Without `rhs_f` the source is the number 1.0, the CLI's default constant.
+    The result also holds the constrained system and the solve's report.
     """
     if rhs_f is None:
         rhs_f = 1.0
-    mesh = mesh_builder(level)
-    mesh_pair = MeshPair(mesh, test_refine)
     form = transport_form(m, beta, reaction)
-    phi_map = build_dof_map(SpaceKind.BROKEN_COARSE, mesh_pair, m - 1)
-    theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, m)
-    system = assemble(form, mesh_pair, (phi_map, theta_map), rhs_f)
-    system = apply_dirichlet(system, inflow_mask(theta_map, mesh, beta))
-    system = pin_characteristic_dofs(system, theta_map, mesh, beta)
-    free = system.free
-    theta_free, report = cg_solve(system.matrix[free][:, free], system.rhs[free], tol=tol)
-    theta = np.zeros(system.n_theta)
-    theta[free] = theta_free
-    x = back_substitute(system, (phi_map, theta_map), theta)
-    return {
-        "mesh_pair": mesh_pair,
-        "phi_map": phi_map,
-        "theta_map": theta_map,
-        "form": form,
-        "system": system,
-        "x": x,
-        "cg": report,
-        "rhs_f": rhs_f,
-    }
+    solution, system, report = cli.solve_on_mesh(MeshPair(mesh_builder(level), test_refine), form, rhs_f, tol)
+    return _run(solution, form, rhs_f, system=system, cg=report)
 
 
 @pytest.fixture(scope="session")
 def benchmark_sweep():
-    """Default benchmark, levels 2-6 at test refinement 1; timed once."""
+    """The CLI's default sweep, levels 2-6, each level run by `cli.solve_level`; timed once.
+
+    `l2_error` and `eta` are the values of the level's report row.
+    """
+    config = cli.RunConfig()
+    form = transport_form(config.degree, config.beta, config.reaction)
     start = time.perf_counter()
     runs = {}
-    for level in range(2, 7):
-        run = solve_transport(level, 1, BENCHMARK_BETA)
-        exact = lambda p: exact_transport_solution(p, BENCHMARK_BETA)
-        err = l2_error(run["x"][: run["phi_map"].ndofs], exact, run["mesh_pair"], run["phi_map"])
-        breakdown = a_posteriori_error(
-            run["form"],
-            run["mesh_pair"],
-            (run["phi_map"], run["theta_map"]),
-            run["x"],
-            run["rhs_f"],
-        )
-        runs[level] = {"run": run, "l2_error": err, "eta": breakdown.eta}
+    for level in config.levels:
+        solution, row = cli.solve_level(config, level)
+        runs[level] = {"run": _run(solution, form, config.rhs_const), "l2_error": row.l2_error, "eta": row.eta}
     elapsed = time.perf_counter() - start
     return {"runs": runs, "elapsed": elapsed}

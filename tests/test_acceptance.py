@@ -201,11 +201,11 @@ def test_criterion_4_spd_structure(capsys):
         asym = np.abs(diff.data).max() if diff.nnz else 0.0
         rel = asym / np.abs(a.data).max()
         sym_ok = rel <= 1e-11
-        if system.size <= 2000:
+        if len(run["x"]) <= 2000:
             full = per_cell_matrix(run["mesh_pair"], run["form"], run["phi_map"], run["theta_map"])
-            keep = np.concatenate([np.ones(system.n_phi, dtype=bool), free])
+            keep = np.concatenate([np.ones(run["phi_map"].ndofs, dtype=bool), free])
             full = full[np.ix_(keep, keep)]
-            schur, _ = schur_complement(full, np.zeros(len(full)), system.n_phi)
+            schur, _ = schur_complement(full, np.zeros(len(full)), run["phi_map"].ndofs)
             schur_rel = np.abs(a.toarray() - schur).max() / np.abs(a.data).max()
             try:
                 cholesky_factor(a.toarray())
@@ -290,7 +290,7 @@ def test_criterion_8_cache_transparency(capsys):
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
     per_cell = per_cell_matrix(mesh_pair, form, phi_map, theta_map)
-    per_cell, _ = schur_complement(per_cell, np.zeros(system.size), phi_map.ndofs)
+    per_cell, _ = schur_complement(per_cell, np.zeros(phi_map.ndofs + theta_map.ndofs), phi_map.ndofs)
     diff = np.abs(system.matrix.toarray() - per_cell).max()
     n = mesh_pair.coarse.n_cells
     shared = (n - len(mesh_pair.coarse.geometry_classes[0])) / n

@@ -177,8 +177,6 @@ def _toy_system():
     return GlobalSystem(
         matrix,
         np.array([1.0, 1.0]),
-        n_phi=1,
-        n_theta=2,
         free=np.ones(2, dtype=bool),
         coupling=np.array([[[1.0, 0.0]]]),
         classes=np.array([0]),
@@ -398,7 +396,7 @@ def test_chunks_do_not_change_the_system(monkeypatch, mesh_builder, m, chunk_byt
 
     def run(rhs_f):
         system = assemble(form, mesh_pair, dof_maps, rhs_f)
-        x = np.random.default_rng(8).standard_normal(system.size)
+        x = np.random.default_rng(8).standard_normal(phi_map.ndofs + theta_map.ndofs)
         return system, a_posteriori_error(form, mesh_pair, dof_maps, x, rhs_f).cell_indicators_sq
 
     sizes, member_counts = [], []

@@ -33,10 +33,14 @@ def _form(m, beta, reaction, test_degree):
 
 
 def test_value_value_p0_is_area():
-    """Constant test and phi functions: (v, w) and (phi, c v) are both the area."""
-    b, g = local_saddle_blocks(_form(1, (0.6, 0.8), 1.0, 0), 0, _ref_pair())
-    np.testing.assert_allclose(b, [[0.5]], atol=1e-14)
-    np.testing.assert_allclose(g[:, :1], [[0.5]], atol=1e-14)
+    """Constant test and phi functions: (v, w) and (phi, c v) are both the area.
+
+    v = w = 1 is the sum of the P1 test basis: its coefficient vector is all ones.
+    """
+    b, g = local_saddle_blocks(_form(1, (0.6, 0.8), 1.0, 1), 0, _ref_pair())
+    ones = np.ones(3)
+    np.testing.assert_allclose(ones @ b @ ones, 0.5, atol=1e-14)
+    np.testing.assert_allclose(ones @ g[:, :1], [0.5], atol=1e-14)
 
 
 def test_grad_value_barycentric():
@@ -47,8 +51,8 @@ def test_grad_value_barycentric():
 
 def test_normal_vector_divergence_theorem():
     """For constant v = theta = 1 the closed boundary integral of beta . n vanishes."""
-    _, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, 0), 0, _ref_pair())
-    assert abs(g[0, 1:].sum()) < 1e-14  # the P1 theta basis sums to 1
+    _, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, 1), 0, _ref_pair())
+    assert abs(g[:, 1:].sum()) < 1e-14  # the P1 test and theta bases each sum to 1
 
 
 def test_p1_mass_matrix():
@@ -137,9 +141,10 @@ def test_load_zero_rhs():
 
 
 def test_load_constant_p0():
+    """(1, v) for the constant v = 1, the sum of the P1 test basis, is the area."""
     for one in (1.0, lambda p: np.ones(len(p))):
-        out = _loads(one, _ref_pair(), 0)
-        np.testing.assert_allclose(out, [[0.5]], atol=1e-14)
+        out = _loads(one, _ref_pair(), 1)
+        np.testing.assert_allclose(out.sum(axis=1), [0.5], atol=1e-14)
 
 
 def test_load_constant_p1():
@@ -260,9 +265,11 @@ def test_load_rule_is_read_only(degree, levels):
 
 
 def test_saddle_blocks_p0():
-    b, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, 0), 0, _ref_pair())
-    np.testing.assert_allclose(b, [[0.5]], atol=1e-14)  # P0 gradients vanish
-    np.testing.assert_allclose(g[:, :1], [[0.0]], atol=1e-14)
+    """The constant test function, the sum of the P1 test basis, against the P0 phi."""
+    b, g = local_saddle_blocks(_form(1, (1.0, 0.0), 0.0, 1), 0, _ref_pair())
+    ones = np.ones(3)
+    np.testing.assert_allclose(ones @ b @ ones, 0.5, atol=1e-14)  # the gradient of a constant vanishes
+    np.testing.assert_allclose(ones @ g[:, :1], [0.0], atol=1e-14)
 
 
 def test_transport_forms_shapes_and_spd():
