@@ -2,13 +2,15 @@
 
 Global unknowns are blocked by trial variable: all phi DOFs first, then all
 theta DOFs.  phi is broken, so the phi block of A is block-diagonal per cell
-and is eliminated cell by cell before any global scatter: with the local
-A_K = Z_K^T Z_K split as [[P, Q], [Q^T, R]] (phi first), W_K = P^-1 Q and
-the local load f_K = c_K F_K of `near_optimal_blocks`, F_K = [F_phi | F_theta]
-the class's load map and c_K the cell's load coefficients of `local_load`,
+and is eliminated cell by cell before any global scatter.  The columns
+Y_K = L_K^-1 [G_K | basis^T] of `compute_coefficients`, phi, theta and load
+in turn, have the Gram matrix H_K = Y_K^T Y_K = [[P, Q, F_phi^T],
+[Q^T, R, F_theta^T], [F_phi, F_theta, .]].  With W_K = P^-1 Q and c_K the
+cell's load coefficients of `local_load`, the theta columns of the Schur
+complement of P in H_K are S_K = R - Q^T W_K over the load map
+F_theta - F_phi W_K, and
 
-    S_K = R - Q^T W_K,    y_K = c_K F_phi P^-1,    g_K = c_K (F_theta - F_phi W_K),
-    phi_K = y_K - W_K theta_K.
+    y_K = c_K F_phi P^-1,    g_K = c_K (F_theta - F_phi W_K),    phi_K = y_K - W_K theta_K.
 
 P, W_K, S_K and the maps from c_K to (y_K | g_K) depend only on the
 geometry class.  Every constraint fixes a theta DOF to zero: the inflow
@@ -54,14 +56,15 @@ def assemble(
 ) -> GlobalSystem:
     """S = sum_K scatter(S_K), g = sum_K scatter(g_K), one local solve and condensation per geometry class.
 
-    The classes' local algebra is stacked per chunk of `class_chunks`: one
-    solve with P against [Q | F_phi^T], r + theta size columns for a load
-    basis of r rows.  The loads (y_K | g_K) of a class's cells are their
-    load coefficients times the class's r x (phi size + theta size) map,
-    one stacked matrix product per member count of `class_products`.
+    The classes' local algebra is stacked per chunk of `class_chunks`: H_K
+    once, and one solve with P against H_K's phi rows [Q | F_phi^T], theta
+    size + r columns for a load basis of r rows.  The loads (y_K | g_K) of a
+    class's cells are their load coefficients times the class's
+    r x (phi size + theta size) map, one stacked matrix product per member
+    count of `class_products`.
     """
     phi_map, theta_map = dof_maps
-    k = phi_map.cell_dofs.shape[1]  # phi DOFs per cell, first in A_K
+    k = phi_map.cell_dofs.shape[1]  # phi DOFs per cell, first in Y_K
     theta_dofs = theta_map.cell_dofs  # (n_cells, theta size)
     n_theta, size = theta_map.ndofs, theta_dofs.shape[1]
     representatives, inverse = mesh_pair.coarse.geometry_classes
@@ -72,16 +75,16 @@ def assemble(
     cell_loads = np.empty((mesh_pair.coarse.n_cells, k + size))  # (y_K | g_K) per cell
     gram_cond = 1.0
     for classes, cells, members in class_chunks(mesh_pair.coarse, basis.shape[1], k + size):
-        lower, _, a, f = cell_blocks(cells, mesh_pair, form, basis)
-        p, q, r = a[:, :k, :k], a[:, :k, k:], a[:, k:, k:]
-        f_phi, f_theta = f[:, :, :k], f[:, :, k:]
-        p_lower = factor_on_cells(p, cells, "phi block")
-        solved = cholesky_solve(p_lower, np.concatenate([q, f_phi.mT], axis=2))  # P^-1 [Q | F_phi^T]
+        lower, lifted = cell_blocks(cells, mesh_pair, form, basis)
+        h = lifted.mT @ lifted  # H_K
+        p_lower = factor_on_cells(h[:, :k, :k], cells, "phi block")
+        solved = cholesky_solve(p_lower, h[:, :k, k:])  # P^-1 [Q | F_phi^T]
         w = solved[:, :, :size]
-        s_k = r - q.mT @ w
+        schur = h[:, k:, k : k + size] - h[:, k:, :k] @ w  # theta columns of P's Schur complement
+        s_k = schur[:, :size]
         blocks[classes] = 0.5 * (s_k + s_k.mT)
         coupling[classes] = w
-        load_maps = np.concatenate([solved[:, :, size:].mT, f_theta - f_phi @ w], axis=2)
+        load_maps = np.concatenate([solved[:, :, size:].mT, schur[:, size:]], axis=2)
         for member_cells, products in class_products(load_coefficients, load_maps, members):
             cell_loads[member_cells] = products
         diagonal = np.diagonal(lower, axis1=1, axis2=2)

@@ -27,7 +27,7 @@ VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string t
 # factor solve: at most 4.4 eps (m = 1-4, test refinement 0-3, c up to 1e12,
 # six directions; uniform meshes to level 8, jittered meshes to level 7).
 ROUNDING_FACTOR = 16
-MAX_REACTION = 1e150  # P = G_phi^T B^-1 G_phi grows like c^2, which must stay finite
+MAX_REACTION = 1e150  # the test norm's mass weight 1 + c^2 must stay finite
 
 
 @dataclass(frozen=True)

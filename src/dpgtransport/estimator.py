@@ -17,8 +17,7 @@ import numpy as np
 from .fem import DofMap, lagrange_basis, make_quadrature
 from .forms import BilinearForm, InnerProduct, TransportForm, local_load
 from .mesh import MeshPair
-from .solve import triangular_solve
-from .testspace import CHUNK_BYTES, class_chunks, class_products, factor_on_cells
+from .testspace import CHUNK_BYTES, _lift, class_chunks, class_products
 
 DEFAULT_ENRICHMENT_DEGREE = 5
 
@@ -61,10 +60,7 @@ def a_posteriori_error(
     for _, cells, members in class_chunks(mesh_pair.coarse, basis.shape[1], u.shape[1]):
         b_bar = InnerProduct(enriched).local_gram(cells, whole_cells)
         g_bar = BilinearForm(enriched).local_matrix(cells, whole_cells)
-        lower = factor_on_cells(b_bar, cells, "enriched Gram matrix")
-        load_columns = np.broadcast_to(-basis.T, (*g_bar.shape[:-1], len(basis)))
-        residual_maps = np.concatenate([g_bar, load_columns], axis=2)
-        lifts = triangular_solve(lower, residual_maps).mT
+        lifts = _lift(b_bar, g_bar, -basis, cells, "enriched Gram matrix")[1].mT
         for member_cells, lifted in class_products(cell_rows, lifts, members):  # rows (L^-1 rho_K)^T
             indicators[member_cells] = np.einsum("...i,...i->...", lifted, lifted)
     return ErrorBreakdown(indicators, float(np.sqrt(indicators.sum())))

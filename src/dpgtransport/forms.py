@@ -1,11 +1,11 @@
-"""The ultra-weak transport form and its broken graph-norm inner product.
+"""The ultra-weak transport form and its broken, reaction-scaled graph-norm inner product.
 
 On a coarse cell K, with test functions v, w and the trial pair (phi, theta),
 `InnerProduct.local_gram` returns the Gram matrix of the inner product and
 `BilinearForm.local_matrix` the matrix of the form, for a whole stack of
 cells at once; `local_saddle_blocks` returns both:
 
-    B_K = (v, w)_K + (beta . grad v, beta . grad w)_K,
+    B_K = (1 + c^2) (v, w)_K + (beta . grad v, beta . grad w)_K,
     G_K = [ (phi, c v - beta . grad v)_K  |  <theta, (beta . n) v>_dK ].
 
 A test space is a degree on a `MeshPair`: continuous piecewise polynomials
@@ -96,7 +96,7 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
 
     With b = J^-1 beta in reference coordinates, J the cell's Jacobian:
 
-        B_K = |det J| (M + b_0^2 S_00 + b_1^2 S_11 + b_0 b_1 (S_01 + S_10)),
+        B_K = |det J| ((1 + c^2) M + b_0^2 S_00 + b_1^2 S_11 + b_0 b_1 (S_01 + S_10)),
         G_K = |det J| (c P + b_0 T_0 + b_1 T_1).
 
     P holds (phi, v) in the phi columns and zero in the theta columns; T_d
@@ -173,7 +173,7 @@ def _cell_moments(form: TransportForm, mesh_pair: MeshPair) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """The broken graph-norm inner product on the test space of `form`."""
+    """The broken graph-norm inner product on the test space of `form`, its mass term weighted by 1 + c^2."""
 
     form: TransportForm
 
@@ -181,7 +181,8 @@ class InnerProduct:
         """B_K of the coarse cells `cells`, stacked; rows and columns in the DOF order of `submesh_dofs`."""
         det, b = _cell_geometry(self.form, cells, mesh_pair)
         b0, b1 = b[..., :1], b[..., 1:]
-        weights = det * np.concatenate([np.ones_like(b0), b0 * b0, b1 * b1, b0 * b1], axis=-1)
+        mass = np.full_like(b0, 1.0 + self.form.reaction**2)  # exactly 1.0 at c = 0
+        weights = det * np.concatenate([mass, b0 * b0, b1 * b1, b0 * b1], axis=-1)
         return _weighted_sum(weights, _cell_moments(self.form, mesh_pair)[0])
 
 

@@ -2,19 +2,19 @@
 
 The columns of C_K = B_K^-1 G_K are a coarse cell's near-optimal test
 functions in the test-search basis.  They reach the trace system only
-through A_K = G_K^T C_K and the load map l_K C_K, and neither needs C_K:
-with B_K = L_K L_K^T and Z_K = L_K^-1 G_K, A_K = Z_K^T Z_K, and a load
-l_K = c_K basis, as the factors of `local_load` give it, maps to
-l_K C_K = c_K (L_K^-1 basis^T)^T Z_K.  One triangular solve against
-[G_K | basis^T] gives both; a constant source has a basis of one row, so
-the solve takes one column more than G_K.  With constant coefficients the
-blocks depend on the cell only through the Jacobian of its reference map,
-so congruent-up-to-translation cells form one geometry class
-(`TriMesh.geometry_classes`) and share one solve.  The classes are
-processed in chunks whose local blocks take at most CHUNK_BYTES; each
-chunk's factors are one stacked call, and its solves one LAPACK call per
-class.  A chunk's per-class operators reach the rows of their member cells
-through `class_products`, one stacked product per member count.
+through G_K^T C_K and the load map l_K C_K, and neither needs C_K: with
+B_K = L_K L_K^T and a load l_K = c_K basis, as the factors of `local_load`
+give it, both are blocks of H_K = Y_K^T Y_K, the Gram matrix of the columns
+Y_K = L_K^-1 [G_K | basis^T].  One triangular solve gives Y_K; a constant
+source has a basis of one row, so the solve takes one column more than G_K.
+With constant coefficients the blocks depend on the cell only through the
+Jacobian of its reference map, so congruent-up-to-translation cells form
+one geometry class (`TriMesh.geometry_classes`) and share one solve.  The
+classes are processed in chunks whose local blocks take at most
+CHUNK_BYTES; each chunk's factors are one stacked call, and its solves one
+LAPACK call per class.  A chunk's per-class operators reach the rows of
+their member cells through `class_products`, one stacked product per member
+count.
 """
 
 from __future__ import annotations
@@ -68,38 +68,23 @@ def factor_on_cells(matrices: np.ndarray, cells, what: str) -> np.ndarray:
         raise NotPositiveDefiniteError(f"{what} indefinite on cell {cell}: {exc}", exc.index) from exc
 
 
-def compute_coefficients(b: np.ndarray, g: np.ndarray, basis: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
-    """(L_K, L_K^-1 [G_K | basis^T]) from the stacked blocks of `cells`, with L_K L_K^T = B_K.
-
-    `basis` holds the r rows of the load basis of `local_load`, shared by
-    every cell; one triangular solve per class takes the columns of G_K and
-    of basis^T together.
-    """
-    lower = factor_on_cells(b, cells, "Gram matrix")
+def _lift(b: np.ndarray, g: np.ndarray, basis: np.ndarray, cells, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(L_K, L_K^-1 [G_K | basis^T]), L_K L_K^T = B_K, one `trtrs` per class; a failing factor is named `what`."""
+    lower = factor_on_cells(b, cells, what)
     columns = np.broadcast_to(basis.T, (*g.shape[:-1], len(basis)))
     return lower, triangular_solve(lower, np.concatenate([g, columns], axis=-1))
 
 
-def near_optimal_blocks(
-    b: np.ndarray, g: np.ndarray, basis: np.ndarray, cells
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(L_K, Z_K, A_K, F_K) from the stacked blocks (B_K, G_K) of `cells` and the load basis.
+def compute_coefficients(b: np.ndarray, g: np.ndarray, basis: np.ndarray, cells) -> tuple[np.ndarray, np.ndarray]:
+    """(L_K, Y_K = L_K^-1 [G_K | basis^T]) from the stacked blocks of `cells`, with L_K L_K^T = B_K.
 
-    L_K is the Gram factor of `compute_coefficients` and Z_K = L_K^-1 G_K, so
-    C_K = L_K^-T Z_K.  A_K = Z_K^T Z_K = G_K^T B_K^-1 G_K is symmetrized
-    against roundoff.  F_K = (L_K^-1 basis^T)^T Z_K, shape (..., r, n_phi +
-    n_theta), maps a cell's load coefficients c_K to its load against the
-    near-optimal test functions, c_K F_K = l_K C_K.  Each cell's result is
-    the same whether it is computed alone or in a stack.
+    `basis` holds the r rows of the load basis of `local_load`, shared by
+    every cell.  C_K = L_K^-T Z_K, with Z_K = L_K^-1 G_K the first columns of
+    Y_K.  A cell's result is the same alone or in a stack.
     """
-    lower, lifted = compute_coefficients(b, g, basis, cells)
-    z, z_load = lifted[..., : g.shape[-1]], lifted[..., g.shape[-1] :]
-    a = z.mT @ z
-    return lower, z, 0.5 * (a + a.mT), z_load.mT @ z
+    return _lift(b, g, basis, cells, "Gram matrix")
 
 
-def cell_blocks(
-    cells, mesh_pair: MeshPair, form: TransportForm, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`near_optimal_blocks` of the coarse cells `cells`, one per geometry class they represent."""
-    return near_optimal_blocks(*local_saddle_blocks(form, cells, mesh_pair), basis, cells)
+def cell_blocks(cells, mesh_pair: MeshPair, form: TransportForm, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`compute_coefficients` of the coarse cells `cells`, one per geometry class they represent."""
+    return compute_coefficients(*local_saddle_blocks(form, cells, mesh_pair), basis, cells)

@@ -127,12 +127,12 @@ def constant_rhs(value=1.0):
 
 
 def no_load(b):
-    """The empty load basis, r = 0, for the test space of the Gram blocks `b`: `near_optimal_blocks` maps no load."""
+    """The empty load basis, r = 0, for the test space of the Gram blocks `b`: `compute_coefficients` lifts no load."""
     return np.zeros((0, np.shape(b)[-1]))
 
 
 def near_optimal_coefficients(lower, z):
-    """C_K = L_K^-T Z_K, the near-optimal test functions, from the (L_K, Z_K) of `near_optimal_blocks`."""
+    """C_K = L_K^-T Z_K, the near-optimal test functions, from L_K and Z_K = L_K^-1 G_K of `compute_coefficients`."""
     return np.linalg.solve(np.swapaxes(lower, -1, -2), z)
 
 

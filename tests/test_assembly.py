@@ -29,7 +29,7 @@ from dpgtransport.estimator import a_posteriori_error
 from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import local_load, local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
-from dpgtransport.testspace import near_optimal_blocks
+from dpgtransport.testspace import compute_coefficients
 
 
 def _setup(level, ell, beta, m=2, mesh_builder=build_uniform_mesh, reaction=0.0):
@@ -77,9 +77,9 @@ def per_cell_matrix(mesh_pair, form, phi_map, theta_map):
     a = np.zeros((n_phi + theta_map.ndofs,) * 2)
     for cell in range(mesh_pair.coarse.n_cells):
         b_k, g_k = local_saddle_blocks(form, cell, mesh_pair)
-        a_k = near_optimal_blocks(b_k, g_k, no_load(b_k), cell)[2]
+        z_k = compute_coefficients(b_k, g_k, no_load(b_k), cell)[1]
         dofs = np.concatenate([phi_map.cell_dofs[cell], n_phi + theta_map.cell_dofs[cell]])
-        a[np.ix_(dofs, dofs)] += a_k
+        a[np.ix_(dofs, dofs)] += z_k.T @ z_k  # A_K
     return a
 
 
@@ -105,7 +105,8 @@ def test_single_cell_mesh_matches_local_block():
     theta_map = build_dof_map(SpaceKind.CONTINUOUS, mesh_pair, 2)
     system = assemble(form, mesh_pair, (phi_map, theta_map), constant_rhs())
     b_k, g_k = local_saddle_blocks(form, 0, mesh_pair)
-    a_k = near_optimal_blocks(b_k, g_k, no_load(b_k), 0)[2]
+    z_k = compute_coefficients(b_k, g_k, no_load(b_k), 0)[1]
+    a_k = z_k.T @ z_k
     s_k, _ = schur_complement(a_k, np.zeros(len(a_k)), phi_map.ndofs)
     np.testing.assert_allclose(system.matrix.toarray(), s_k, atol=1e-14)
 

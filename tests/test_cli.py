@@ -28,7 +28,7 @@ from dpgtransport.cli import (
 from dpgtransport.fem import SpaceKind, build_dof_map, lagrange_basis
 from dpgtransport.forms import local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, build_uniform_mesh
-from dpgtransport.testspace import near_optimal_blocks
+from dpgtransport.testspace import compute_coefficients
 
 CSV_HEADER = "level,H,ndof,l2_error,eta,efficiency,iterations,seconds"
 
@@ -142,7 +142,7 @@ def test_report_row_counts_classes_and_bounds_gram_conditioning(monkeypatch, per
         pair = solution.mesh_pair
         cells = pair.coarse.geometry_classes[0]
         b, g = local_saddle_blocks(transport_form(config.degree, config.beta, config.reaction), cells, pair)
-        diagonal = np.diagonal(near_optimal_blocks(b, g, no_load(b), cells)[0], axis1=1, axis2=2)
+        diagonal = np.diagonal(compute_coefficients(b, g, no_load(b), cells)[0], axis1=1, axis2=2)
         assert row.gram_cond == ((diagonal.max(axis=1) / diagonal.min(axis=1)) ** 2).max()
         assert row.gram_cond <= np.linalg.cond(b).max()
 

@@ -85,6 +85,22 @@ def test_indicators_nonnegative_and_sum_to_eta():
     assert abs(total - breakdown.eta) <= 1e-13 * breakdown.eta
 
 
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("reaction", [1e2, 1e4, 1e8])
+def test_efficiency_holds_at_large_reaction(reaction, level):
+    """eta / err stays in criterion 7's band [0.5, 20] for beta = (1, 0) and large c.
+
+    The reference is phi = (1 - e^(-c x)) / c.  The test norm's mass weight
+    1 + c^2 keeps eta of the size of the error; with the weight 1 the
+    efficiency read 23-174 at c = 1e4 and 5e5-2e6 at c = 1e8.
+    """
+    run = solve_transport(level, 1, (1.0, 0.0), reaction=reaction)
+    phi_map = run["phi_map"]
+    decay = lambda p: -np.expm1(-reaction * p[..., 0]) / reaction
+    err = l2_error(run["x"][: phi_map.ndofs], decay, run["mesh_pair"], phi_map)
+    assert 0.5 <= _estimate(run).eta / err <= 20.0
+
+
 def test_eta_scales_linearly_with_data():
     """The scaled source is a callable, then a number."""
     s = 3.5

@@ -33,13 +33,13 @@ def _form(m, beta, reaction, test_degree):
 
 
 def test_value_value_p0_is_area():
-    """Constant test and phi functions: (v, w) and (phi, c v) are both the area.
+    """Constant test and phi functions: (v, w) and (phi, c v) are both the area; B_K weights (v, w) by 1 + c^2 = 2.
 
     v = w = 1 is the sum of the P1 test basis: its coefficient vector is all ones.
     """
     b, g = local_saddle_blocks(_form(1, (0.6, 0.8), 1.0, 1), 0, _ref_pair())
     ones = np.ones(3)
-    np.testing.assert_allclose(ones @ b @ ones, 0.5, atol=1e-14)
+    np.testing.assert_allclose(ones @ b @ ones, 2 * 0.5, atol=1e-14)
     np.testing.assert_allclose(ones @ g[:, :1], [0.5], atol=1e-14)
 
 
@@ -310,7 +310,8 @@ def test_weighted_sum_adds_the_terms_in_order(which, stack):
 def _brute_force_blocks(form, cell, mesh_pair):
     """B_K and G_K by a loop over subcells and quadrature points in physical coordinates.
 
-    Returns `(B, G_0, P)` with G_K = G_0 + c P.  The theta term is integrated
+    Returns `(M, S, G_0, P)` with B_K = (1 + c^2) M + S, M the mass term and S
+    the streamline term, and G_K = G_0 + c P.  The theta term is integrated
     over every edge of every subcell: on edges inside the coarse cell the
     two sides cancel for continuous test functions.  Its columns are the
     theta basis functions of the nodes on the cell's edges.
@@ -331,22 +332,24 @@ def _brute_force_blocks(form, cell, mesh_pair):
         return np.linalg.solve(jac, x - v0)[None]
 
     n = len(nodes)
-    b = np.zeros((n, n))
+    mass, stiff = np.zeros((n, n)), np.zeros((n, n))
     g0 = np.zeros((n, phi.size + len(on_edges)))
     p = np.zeros((n, phi.size))
     for t, sub in enumerate(reference_subcells(levels)):
         corners = sub @ jac.T + v0
         jac_s = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
         area = abs(np.linalg.det(jac_s))
-        b_t = np.zeros((test.size, test.size))
+        m_t, s_t = np.zeros((test.size, test.size)), np.zeros((test.size, test.size))
         for xi, w in zip(quad.points, quad.weights):
             v = test.eval(xi[None])[0]
             dv = test.grad(xi[None])[0] @ np.linalg.solve(jac_s, beta)  # beta . grad v
             u = phi.eval(coarse_ref(corners[0] + jac_s @ xi))[0]
-            b_t += w * area * (np.outer(v, v) + np.outer(dv, dv))
+            m_t += w * area * np.outer(v, v)
+            s_t += w * area * np.outer(dv, dv)
             g0[table[t], : phi.size] -= w * area * np.outer(dv, u)
             p[table[t]] += w * area * np.outer(v, u)
-        b[np.ix_(table[t], table[t])] += b_t
+        mass[np.ix_(table[t], table[t])] += m_t
+        stiff[np.ix_(table[t], table[t])] += s_t
         for k in range(3):
             tangent = corners[(k + 1) % 3] - corners[k]
             length = np.hypot(*tangent)
@@ -355,7 +358,7 @@ def _brute_force_blocks(form, cell, mesh_pair):
                 v = test.eval((unit[k] + s * (unit[(k + 1) % 3] - unit[k]))[None])[0]
                 u = theta.eval(coarse_ref(corners[k] + s * tangent))[0, on_edges]
                 g0[table[t], phi.size :] += w * length * flux * np.outer(v, u)
-    return b, g0, p
+    return mass, stiff, g0, p
 
 
 @pytest.mark.parametrize("ell", range(3))
@@ -372,9 +375,10 @@ def test_local_saddle_blocks_match_brute_force_oracle(perturbed, m, ell):
         beta = (math.cos(angle), math.sin(angle))
         for degree, level in spaces:
             pair = MeshPair(mesh, level)
-            b_ref, g0_ref, p_ref = _brute_force_blocks(_form(m, beta, 0.0, degree), cell, pair)
-            for c in (0.0, 1.0):
+            mass, stiff, g0_ref, p_ref = _brute_force_blocks(_form(m, beta, 0.0, degree), cell, pair)
+            for c in (0.0, 0.5, 1.0):  # 0.5 tells the weight 1 + c^2 from 1 + c
                 b, g = local_saddle_blocks(_form(m, beta, c, degree), cell, pair)
+                b_ref = (1.0 + c**2) * mass + stiff
                 g_ref = g0_ref.copy()
                 g_ref[:, : p_ref.shape[1]] += c * p_ref
                 assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()

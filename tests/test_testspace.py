@@ -10,14 +10,20 @@ from dpgtransport.fem import SpaceKind, build_dof_map
 from dpgtransport.forms import BilinearForm, InnerProduct, local_load, local_saddle_blocks, transport_form
 from dpgtransport.mesh import KEY_DIGITS, MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
-from dpgtransport.testspace import near_optimal_blocks
+from dpgtransport.testspace import compute_coefficients
 
 from conftest import BENCHMARK_BETA, constant_rhs, near_optimal_coefficients, no_load, perturbed_mesh
 
 
 def _coefficients(b, g):
     """C_K = L_K^-T Z_K from the blocks of one cell."""
-    return near_optimal_coefficients(*near_optimal_blocks(b, g, no_load(b), 0)[:2])
+    return near_optimal_coefficients(*compute_coefficients(b, g, no_load(b), 0))
+
+
+def _near_optimal_matrix(b, g):
+    """A_K = Z_K^T Z_K from the blocks of one cell."""
+    z = compute_coefficients(b, g, no_load(b), 0)[1]
+    return z.T @ z
 
 
 def test_scalar_coefficients():
@@ -51,19 +57,19 @@ def test_defining_relation_random(n, m, seed):
     r = rng.standard_normal((3, n, n))
     b = r.transpose(0, 2, 1) @ r + n * np.eye(n)
     g = rng.standard_normal((3, n, m))
-    lower, z = near_optimal_blocks(b, g, no_load(b), np.arange(3))[:2]
+    lower, z = compute_coefficients(b, g, no_load(b), np.arange(3))
     c = near_optimal_coefficients(lower, z)
     assert np.abs(b @ c - g).max() < 1e-10
 
 
 def test_near_optimal_matrix_scalar():
     b = np.array([[2.0]])
-    np.testing.assert_allclose(near_optimal_blocks(b, np.array([[2.0]]), no_load(b), 0)[2], [[2.0]])
+    np.testing.assert_allclose(_near_optimal_matrix(b, np.array([[2.0]])), [[2.0]])
 
 
 def test_near_optimal_matrix_zero_g():
     b = np.eye(4)
-    np.testing.assert_array_equal(near_optimal_blocks(b, np.zeros((4, 3)), no_load(b), 0)[2], 0.0)
+    np.testing.assert_array_equal(_near_optimal_matrix(b, np.zeros((4, 3))), 0.0)
 
 
 def test_near_optimal_matrix_against_dense_oracle():
@@ -72,7 +78,7 @@ def test_near_optimal_matrix_against_dense_oracle():
     b = r.T @ r + 4 * np.eye(4)
     g = rng.standard_normal((4, 3))
     oracle = g.T @ np.linalg.solve(b, g)
-    np.testing.assert_allclose(near_optimal_blocks(b, g, no_load(b), 0)[2], oracle, atol=1e-12)
+    np.testing.assert_allclose(_near_optimal_matrix(b, g), oracle, atol=1e-12)
 
 
 # ------------------------------------------------------- geometry classes
@@ -97,11 +103,13 @@ def test_translated_cells_get_identical_blocks():
     pair = MeshPair(build_uniform_mesh(1), 1)
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     basis = local_load(1.0, pair, form.test_degree)[1]
-    lower0, z0, a0, f0 = near_optimal_blocks(*local_saddle_blocks(form, 0, pair), basis, 0)
-    lower2, z2, a2, f2 = near_optimal_blocks(*local_saddle_blocks(form, 2, pair), basis, 2)
-    np.testing.assert_array_equal(near_optimal_coefficients(lower0, z0), near_optimal_coefficients(lower2, z2))
-    np.testing.assert_array_equal(a0, a2)
-    np.testing.assert_array_equal(f0, f2)
+    blocks = []
+    for cell in (0, 2):
+        lower, lifted = compute_coefficients(*local_saddle_blocks(form, cell, pair), basis, cell)
+        z, z_load = lifted[:, : -len(basis)], lifted[:, -len(basis) :]
+        blocks.append((near_optimal_coefficients(lower, z), z.T @ z, z_load.T @ z))  # C_K, A_K and F_K
+    for first, second in zip(*blocks):
+        np.testing.assert_array_equal(first, second)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -147,7 +155,7 @@ def test_defining_relation_on_mesh():
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
-        lower, z, _, _ = near_optimal_blocks(b, g, no_load(b), cell)
+        lower, z = compute_coefficients(b, g, no_load(b), cell)
         c = near_optimal_coefficients(lower, z)
         assert np.abs(b @ c - g).max() < 1e-10
 
@@ -157,8 +165,8 @@ def test_energy_identity_and_psd():
     form = transport_form(2, BENCHMARK_BETA, 0.0)
     for cell in range(pair.coarse.n_cells):
         b, g = local_saddle_blocks(form, cell, pair)
-        lower, z, a, _ = near_optimal_blocks(b, g, no_load(b), cell)
-        c = near_optimal_coefficients(lower, z)
+        lower, z = compute_coefficients(b, g, no_load(b), cell)
+        c, a = near_optimal_coefficients(lower, z), z.T @ z
         # (A_K)_ii is the test-norm energy of the i-th near-optimal function
         energies = np.einsum("ji,jk,ki->i", c, b, c)
         np.testing.assert_allclose(np.diag(a), energies, atol=1e-11)
@@ -168,16 +176,18 @@ def test_energy_identity_and_psd():
 def _class_blocks(form, cells, pair):
     b, g = local_saddle_blocks(form, cells, pair)
     basis = local_load(1.0, pair, form.test_degree)[1]
-    return (b, g, *near_optimal_blocks(b, g, basis, cells))
+    lower, lifted = compute_coefficients(b, g, basis, cells)
+    return b, g, lower, lifted, lifted.mT @ lifted
 
 
 @pytest.mark.parametrize("ell", range(3))
 @pytest.mark.parametrize("m", range(1, 5))
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_class_blocks_do_not_depend_on_the_stack(perturbed, m, ell):
-    """B, G, L, Z, A and F of a class are bit-identical alone, in the full stack and in a shuffled stack.
+    """B, G, L, Y = L^-1 [G | basis^T] and H = Y^T Y of a class are bit-identical alone, in the full stack and shuffled.
 
-    Z determines C = L^-T Z, so C is too.
+    Y determines C = L^-T Z, Z its first columns, so C is too; A = Z^T Z and
+    F are blocks of H, the Gram matrix that `assemble` condenses.
     """
     pair = MeshPair(perturbed_mesh(1) if perturbed else build_uniform_mesh(1), ell)
     form = transport_form(m, BENCHMARK_BETA, 0.5)
