@@ -19,7 +19,7 @@ from .forms import BilinearForm, InnerProduct, TransportForm, local_load
 from .mesh import MeshPair
 from .testspace import CHUNK_BYTES, _lift, class_chunks, class_products
 
-DEFAULT_ENRICHMENT_DEGREE = 5
+ENRICHMENT_DEGREE = 5  # of the enriched space: degree 1 read eta/err 0.16-0.25 at levels 0-1 with m = 4
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,6 @@ def a_posteriori_error(
     dof_maps: tuple[DofMap, DofMap],
     solution: np.ndarray,
     rhs_f,
-    enrichment_degree: int = DEFAULT_ENRICHMENT_DEGREE,
 ) -> ErrorBreakdown:
     """Per-cell indicators eta_K^2 = rho_K^T Bbar_K^{-1} rho_K and their total.
 
@@ -50,10 +49,10 @@ def a_posteriori_error(
         raise ValueError("solution vector does not match the DOF maps")
     if not np.isfinite(solution).all():
         raise ValueError("solution vector is not finite")
-    enriched = replace(form, test_degree=enrichment_degree)
+    enriched = replace(form, test_degree=ENRICHMENT_DEGREE)
     whole_cells = MeshPair(mesh_pair.coarse, 0)  # one enriched polynomial per coarse cell
     u = solution[np.hstack([phi_map.cell_dofs, n_phi + theta_map.cell_dofs])]  # (n_cells, N)
-    load_coefficients, basis = local_load(rhs_f, whole_cells, enrichment_degree)
+    load_coefficients, basis = local_load(rhs_f, whole_cells, ENRICHMENT_DEGREE)
     cell_rows = np.hstack([u, load_coefficients])
 
     indicators = np.empty(mesh_pair.coarse.n_cells)

@@ -11,7 +11,9 @@ cells at once; `local_saddle_blocks` returns both:
 A test space is a degree on a `MeshPair`: continuous piecewise polynomials
 on the level-times red-refined submesh of each coarse cell, level l for the
 test-search space and 0 for the enriched estimator space, broken across
-coarse cells only, so in the broken graph space prod_K H(beta; K).  phi is
+coarse cells only, so in the broken graph space prod_K H(beta; K).  The
+submesh's pieces are the cells of the `TriMesh` `reference_subcells(l)`, and
+`TriMesh` maps their points and gives their Jacobians and areas.  phi is
 one polynomial per coarse cell, and theta a polynomial on each edge of it.
 Since v is continuous on K, the trace term is a volume integral (see
 `_moments`), and G_K, like B_K, needs only the cell's Jacobian.
@@ -29,37 +31,21 @@ from .mesh import GEOM_TOL, MeshPair, reference_subcells
 
 
 @lru_cache(maxsize=None)
-def _subcell_maps(levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Affine maps unit triangle -> subcell t of `reference_subcells(levels)`.
-
-    Returns `(jacobians, offsets)`, shapes (pieces, 2, 2) and (pieces, 2), in
-    coarse reference coordinates.  Read-only, cached.
-    """
-    subs = reference_subcells(levels)
-    jacobians = np.stack([subs[:, 1] - subs[:, 0], subs[:, 2] - subs[:, 0]], axis=-1)
-    offsets = subs[:, 0].copy()
-    for a in (jacobians, offsets):
-        a.setflags(write=False)
-    return jacobians, offsets
-
-
-@lru_cache(maxsize=None)
 def submesh_dofs(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Continuous degree-`degree` Lagrange space, degree >= 1, on the red-refined reference triangle.
 
     Returns `(table, nodes)`.  `table[t, i]` is the cell-local DOF of Lagrange
-    node i of subcell t of `reference_subcells(levels)`; `nodes[d]` holds the
+    node i of cell t of `reference_subcells(levels)`; `nodes[d]` holds the
     reference coordinates of DOF d.  Nodes shared by neighbouring subcells
     get one DOF, numbered in order of first appearance, so `levels == 0`
     gives the identity table.  Read-only, cached.
     """
     basis = lagrange_basis(degree)
-    jacobians, offsets = _subcell_maps(levels)
+    pieces = reference_subcells(levels)
     lattice = degree * 2**levels  # every node lies on the 1/lattice grid
-    points = basis.nodes @ jacobians.transpose(0, 2, 1) + offsets[:, None]
-    keys = np.rint(points.reshape(-1, 2) * lattice).astype(np.int64)
+    keys = np.rint(pieces.map_points(basis.nodes).reshape(-1, 2) * lattice).astype(np.int64)
     numbers, first = first_appearance(keys)
-    table = numbers.reshape(len(jacobians), basis.size)
+    table = numbers.reshape(pieces.n_cells, basis.size)
     nodes = keys[first] / lattice
     table.setflags(write=False)
     nodes.setflags(write=False)
@@ -117,14 +103,14 @@ def _moments(test_degree: int, levels: int, m: int) -> tuple[np.ndarray, np.ndar
     """
     test, phi, theta = lagrange_basis(test_degree), lagrange_basis(m - 1), lagrange_basis(m)
     table, nodes = submesh_dofs(test_degree, levels)
-    jacobians, offsets = _subcell_maps(levels)
+    pieces = reference_subcells(levels)
     quad = make_quadrature(min(2 * test_degree + 2, MAX_QUADRATURE_DEGREE))
 
-    weights = np.abs(np.linalg.det(jacobians))[:, None] * quad.weights  # (pieces, nq)
+    weights = (2.0 * pieces.areas())[:, None] * quad.weights  # (pieces, nq)
     values = test.eval(quad.points)  # (nq, nt), the same on every piece
     # gradients in coarse reference coordinates, (pieces, nq, nt, 2)
-    grads = np.einsum("qid,sde->sqie", test.grad(quad.points), np.linalg.inv(jacobians))
-    points = (np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]).reshape(-1, 2)
+    grads = np.einsum("qid,sde->sqie", test.grad(quad.points), np.linalg.inv(pieces.jacobians()))
+    points = pieces.map_points(quad.points).reshape(-1, 2)
     shape = weights.shape + (-1,)
     phi_values = phi.eval(points).reshape(shape)
     theta_values = theta.eval(points)[:, : skeleton_size(m)].reshape(shape)
@@ -224,10 +210,10 @@ def _load_rule(degree: int, levels: int) -> tuple[np.ndarray, np.ndarray, np.nda
     of the point values f, and `column_sums` that of f = 1.  Read-only, cached.
     """
     quad = make_quadrature(min(degree + 4, MAX_QUADRATURE_DEGREE))
-    jacobians, offsets = _subcell_maps(levels)
+    pieces = reference_subcells(levels)
     table, nodes = submesh_dofs(degree, levels)
-    points = (np.einsum("qd,sed->sqe", quad.points, jacobians) + offsets[:, None]).reshape(-1, 2)
-    weights = np.abs(np.linalg.det(jacobians))[:, None] * quad.weights  # (pieces, nq)
+    points = pieces.map_points(quad.points).reshape(-1, 2)
+    weights = (2.0 * pieces.areas())[:, None] * quad.weights  # (pieces, nq)
     # each row is one point of one piece, whose DOFs are distinct: no entry is hit twice
     loads = np.zeros((len(points), len(nodes)))
     rows = np.arange(len(points)).reshape(weights.shape)

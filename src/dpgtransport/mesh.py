@@ -188,19 +188,21 @@ def refine_cell(coords: np.ndarray, levels: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def reference_subcells(levels: int) -> np.ndarray:
-    """Red refinement of the reference triangle; read-only, cached."""
+def reference_subcells(levels: int) -> TriMesh:
+    """The red-refined reference triangle as a read-only, cached `TriMesh`: cell t is subcell t of `refine_cell`."""
     tris = refine_cell(REFERENCE_TRIANGLE, levels)
-    tris.setflags(write=False)
-    return tris
+    pieces = TriMesh(tris.reshape(-1, 2), np.arange(tris.size // 2).reshape(-1, 3))
+    for a in (pieces.vertices, pieces.cells):
+        a.setflags(write=False)
+    return pieces
 
 
 class MeshPair:
     """Coarse mesh plus uniform per-cell refinement to level `level`.
 
     Every coarse cell is split alike: subcell t of any cell is the image of
-    `reference_subcells(level)[t]` under the cell's reference map.  A test
-    space lives on it: l for the test-search space, 0 for the enriched one.
+    cell t of `reference_subcells(level)` under the cell's reference map.  A
+    test space lives on it: l for the test-search space, 0 for the enriched one.
     """
 
     def __init__(self, coarse: TriMesh, level: int):

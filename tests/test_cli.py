@@ -25,6 +25,7 @@ from dpgtransport.cli import (
     parse_levels,
     solve_level,
 )
+from dpgtransport.estimator import exact_transport_solution
 from dpgtransport.fem import SpaceKind, build_dof_map, lagrange_basis
 from dpgtransport.forms import local_saddle_blocks, transport_form
 from dpgtransport.mesh import MeshPair, build_uniform_mesh
@@ -56,7 +57,6 @@ def test_default_config_matches_benchmark():
     assert config.beta_angle == pytest.approx(math.pi / 8)
     assert config.reaction == 0.0
     assert config.rhs_const == 1.0
-    assert config.enrich_degree == 5
     np.testing.assert_allclose(
         config.beta, [math.cos(math.pi / 8), math.sin(math.pi / 8)], atol=1e-15
     )
@@ -75,8 +75,6 @@ def test_parser_defaults_are_run_config_defaults():
         {"degree": 5},
         {"test_refine": 4},
         {"test_refine": -1},
-        {"enrich_degree": 0},
-        {"enrich_degree": 6},
         {"tol": 0.0},
         {"tol": 1.0},
         {"tol": 2.0},
@@ -85,11 +83,13 @@ def test_parser_defaults_are_run_config_defaults():
         {"reaction": -5.0},
         {"reaction": math.inf},
         {"reaction": math.nan},
+        {"reaction": 1e9},
         {"reaction": 1e151},
         {"beta_angle": math.nan},
         {"beta_angle": math.inf},
         {"rhs_const": math.nan},
         {"rhs_const": math.inf},
+        {"rhs_const": -math.inf},
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -99,10 +99,10 @@ def test_config_validation_rejects(kwargs):
 
 def test_flag_round_trip():
     argv = ["--levels", "1,3", "--degree", "3", "--test-refine", "2", "--reaction", "0.5"]
-    argv += ["--beta-angle", "0.25", "--rhs-const", "2", "--enrich", "4", "--tol", "1e-8"]
+    argv += ["--beta-angle", "0.25", "--rhs-const", "2", "--tol", "1e-8"]
     argv += ["--csv", "a.csv", "--vtk", "b.vtk"]
     config = config_from_args(build_parser().parse_args(argv))
-    assert config == RunConfig((1, 3), 2, 3, 0.25, 0.5, 2.0, 4, "a.csv", "b.vtk", 1e-8)
+    assert config == RunConfig((1, 3), 2, 3, 0.25, 0.5, 2.0, "a.csv", "b.vtk", 1e-8)
 
 
 # ---------------------------------------------------------------------- runs
@@ -329,11 +329,24 @@ def test_main_rejects_negative_reaction(capsys):
 
 
 def test_largest_reaction_still_solves():
-    """c = MAX_REACTION passes validate and solves: c^2 = 1e300 is finite."""
-    config = RunConfig(levels=(1,), reaction=cli.MAX_REACTION)
+    """c = MAX_REACTION passes validate, solves, and gives theta to 1e-7 against -expm1(-c t)/c.
+
+    The condensed load F_theta - F_phi W_K cancels by about c eps, so theta's
+    error grows with c: its median relative error over the trace nodes whose
+    exact value exceeds 0.5/c read 9.5e-9 at c = 1e8 and 6.4e-7 at 1e10
+    (level 5, m = 4, beta angle 0.7), and theta was 0 at c = 1e150.
+    """
+    config = RunConfig(levels=(5,), degree=4, beta_angle=0.7, reaction=cli.MAX_REACTION)
     config.validate()
-    _, row = solve_level(config, 1)
+    solution, row = solve_level(config, 5)
     assert row.solved and math.isfinite(row.eta)
+    c = config.reaction
+    travel = exact_transport_solution(trace_node_coords(solution.mesh_pair.coarse, solution.theta_map), config.beta)
+    exact = -np.expm1(-c * travel) / c
+    theta = solution.solution[solution.phi_map.ndofs :]
+    far = exact > 0.5 / c
+    assert far.sum() > 0.9 * len(far)
+    assert np.median(np.abs(theta[far] - exact[far]) / exact[far]) <= 1e-7
 
 
 @pytest.mark.parametrize(
@@ -346,6 +359,7 @@ def test_largest_reaction_still_solves():
         ("--rhs-const", "nan"),
         ("--rhs-const", "inf"),
         ("--reaction", "inf"),
+        ("--reaction", "1e9"),  # above MAX_REACTION: the condensed load would cancel
         ("--reaction", "1e155"),  # c^2 would overflow in P = G_phi^T B^-1 G_phi
     ],
 )
@@ -367,3 +381,23 @@ def test_main_rejects_reversed_level_range(capsys):
 
 def test_main_rejects_bad_levels(capsys):
     assert main(["--levels=-2:1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--degree", "x"], ["--bogus", "1"], ["--levels"], ["--enrich", "4"]],
+    ids=["bad-int", "unknown-flag", "missing-value", "removed-enrich"],
+)
+def test_main_rejects_malformed_flags(argv, capsys):
+    """argparse's errors are bad input: exit code 1 and one error line, not argparse's exit 2 and usage block."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_main_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    assert exit_info.value.code == 0
+    assert "--reaction" in capsys.readouterr().out

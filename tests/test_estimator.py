@@ -14,18 +14,11 @@ from dpgtransport.mesh import MeshPair, build_uniform_mesh
 from dpgtransport.solve import cholesky_factor, cholesky_solve
 
 
-def _estimate(run, enrich=5):
-    return a_posteriori_error(
-        run["form"],
-        run["mesh_pair"],
-        (run["phi_map"], run["theta_map"]),
-        run["x"],
-        run["rhs_f"],
-        enrich,
-    )
+def _estimate(run):
+    return a_posteriori_error(run["form"], run["mesh_pair"], (run["phi_map"], run["theta_map"]), run["x"], run["rhs_f"])
 
 
-def _dense_eta_oracle(run, enrich=5):
+def _dense_eta_oracle(run):
     """Independent per-cell evaluation of rho^T Bbar^{-1} rho via dense LU.
 
     The enriched space is one polynomial per coarse cell: its pair is built
@@ -34,8 +27,8 @@ def _dense_eta_oracle(run, enrich=5):
     mesh_pair = MeshPair(run["mesh_pair"].coarse, 0)
     phi_map, theta_map = run["phi_map"], run["theta_map"]
     n_phi = phi_map.ndofs
-    enriched = replace(run["form"], test_degree=enrich)
-    coefficients, basis = local_load(run["rhs_f"], mesh_pair, enrich)
+    enriched = replace(run["form"], test_degree=estimator.ENRICHMENT_DEGREE)
+    coefficients, basis = local_load(run["rhs_f"], mesh_pair, estimator.ENRICHMENT_DEGREE)
     loads = coefficients @ basis
     total = 0.0
     for cell in range(mesh_pair.coarse.n_cells):

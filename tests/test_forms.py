@@ -83,7 +83,8 @@ def test_submesh_dofs_are_the_distinct_lagrange_nodes(degree, levels):
     assert len(nodes) == (n + 1) * (n + 2) // 2
     assert len(np.unique(np.round(nodes * n).astype(int), axis=0)) == len(nodes)
     basis = lagrange_basis(degree)
-    for t, sub in enumerate(reference_subcells(levels)):
+    pieces = reference_subcells(levels)
+    for t, sub in enumerate(pieces.vertices[pieces.cells]):
         jac = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
         np.testing.assert_allclose(nodes[table[t]], basis.nodes @ jac.T + sub[0], atol=1e-14)
     first_seen = np.unique(table.ravel(), return_index=True)[1]
@@ -335,7 +336,8 @@ def _brute_force_blocks(form, cell, mesh_pair):
     mass, stiff = np.zeros((n, n)), np.zeros((n, n))
     g0 = np.zeros((n, phi.size + len(on_edges)))
     p = np.zeros((n, phi.size))
-    for t, sub in enumerate(reference_subcells(levels)):
+    pieces = reference_subcells(levels)
+    for t, sub in enumerate(pieces.vertices[pieces.cells]):
         corners = sub @ jac.T + v0
         jac_s = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
         area = abs(np.linalg.det(jac_s))

@@ -7,6 +7,7 @@ from conftest import boundary_faces, mesh_faces, outward_normal, perturbed_mesh
 from dpgtransport.mesh import (
     NEXT_VERTEX,
     REFERENCE_TRIANGLE,
+    TriMesh,
     build_uniform_mesh,
     reference_subcells,
     refine_cell,
@@ -82,6 +83,16 @@ def test_refine_twice_preserves_area():
     np.testing.assert_allclose(_areas(tris), parent_area / 16)
 
 
+@pytest.mark.parametrize("levels", range(4))
+def test_reference_subcells_is_the_cached_trimesh_of_refine_cell(levels):
+    """Cell t has the corners of subcell t of `refine_cell`, in order; the mesh is cached and read-only."""
+    pieces = reference_subcells(levels)
+    assert isinstance(pieces, TriMesh) and reference_subcells(levels) is pieces
+    np.testing.assert_array_equal(pieces.vertices[pieces.cells], refine_cell(REFERENCE_TRIANGLE, levels))
+    assert not any(a.flags.writeable for a in (pieces.vertices, pieces.cells, pieces.jacobians()))
+    np.testing.assert_array_equal(2.0 * pieces.areas(), 4.0**-levels)
+
+
 def test_face_normal_dot_axis_aligned():
     mesh = build_uniform_mesh(0)
     beta = np.array([1.0, 0.0])
@@ -122,8 +133,9 @@ def test_interior_normals_opposite(level):
 
 def test_fine_cells_tile_coarse_cell():
     mesh = build_uniform_mesh(1)
+    pieces = reference_subcells(2)
     for cell in range(mesh.n_cells):
-        tris = reference_subcells(2) @ mesh.jacobians()[cell].T + mesh.vertices[mesh.cells[cell]][0]
+        tris = pieces.vertices[pieces.cells] @ mesh.jacobians()[cell].T + mesh.vertices[mesh.cells[cell]][0]
         coarse_area = _areas(mesh.vertices[mesh.cells[cell]][None])[0]
         assert abs(_areas(tris).sum() - coarse_area) < 1e-14
 
