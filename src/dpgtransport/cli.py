@@ -45,6 +45,8 @@ class RunConfig:
     def validate(self) -> None:
         if not self.levels or any(lv < 0 for lv in self.levels):
             raise ValueError("levels must be non-negative integers")
+        if len(set(self.levels)) < len(self.levels):
+            raise ValueError(f"levels must not repeat: {','.join(map(str, self.levels))}")
         if not 1 <= self.degree < MAX_BASIS_DEGREE:  # the test-search space has degree m + 1
             raise ValueError(f"degree m must satisfy 1 <= m <= {MAX_BASIS_DEGREE - 1}")
         if not 0 <= self.test_refine <= MAX_TEST_REFINE:

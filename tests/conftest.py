@@ -10,7 +10,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from dpgtransport import MeshPair, TriMesh, build_uniform_mesh, cli, lagrange_basis, transport_form
+from dpgtransport import cli
+from dpgtransport.fem import lagrange_basis
+from dpgtransport.forms import transport_form
+from dpgtransport.mesh import MeshPair, TriMesh, build_uniform_mesh
 
 BENCHMARK_BETA = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -17,20 +17,13 @@ from conftest import (
     no_load,
     solve_transport,
 )
-from dpgtransport import (
-    MeshPair,
-    SpaceKind,
-    a_posteriori_error,
-    assemble,
-    build_dof_map,
-    build_uniform_mesh,
-    cholesky_factor,
-    exact_transport_solution,
-    l2_error,
-    local_saddle_blocks,
-    transport_form,
-)
+from dpgtransport.assembly import assemble
 from dpgtransport.cli import ErrorReport, RunConfig, export_csv, export_vtk, solve_level
+from dpgtransport.estimator import a_posteriori_error, exact_transport_solution, l2_error
+from dpgtransport.fem import SpaceKind, build_dof_map
+from dpgtransport.forms import local_saddle_blocks, transport_form
+from dpgtransport.mesh import MeshPair, build_uniform_mesh
+from dpgtransport.solve import cholesky_factor
 from dpgtransport.testspace import compute_coefficients
 from test_assembly import dense_oracle, per_cell_matrix, schur_complement
 from test_estimator import _dense_eta_oracle, _estimate

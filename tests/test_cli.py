@@ -66,32 +66,35 @@ def test_parser_defaults_are_run_config_defaults():
     assert config_from_args(build_parser().parse_args([])) == RunConfig()
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"levels": ()},
-        {"levels": (-1,)},
-        {"degree": 0},
-        {"degree": 5},
-        {"test_refine": 4},
-        {"test_refine": -1},
-        {"tol": 0.0},
-        {"tol": 1.0},
-        {"tol": 2.0},
-        {"tol": math.inf},
-        {"tol": math.nan},
-        {"reaction": -5.0},
-        {"reaction": math.inf},
-        {"reaction": math.nan},
-        {"reaction": 1e9},
-        {"reaction": 1e151},
-        {"beta_angle": math.nan},
-        {"beta_angle": math.inf},
-        {"rhs_const": math.nan},
-        {"rhs_const": math.inf},
-        {"rhs_const": -math.inf},
-    ],
-)
+# Explicit ids, so that inserting or removing a case renames no other case; the
+# kwargsN cases keep the names that test lists already record for them.
+REJECTED_CONFIGS = {
+    "kwargs0": {"levels": ()},
+    "kwargs1": {"levels": (-1,)},
+    "kwargs2": {"degree": 0},
+    "kwargs3": {"degree": 5},
+    "kwargs4": {"test_refine": 4},
+    "kwargs5": {"test_refine": -1},
+    "kwargs6": {"tol": 0.0},
+    "kwargs7": {"tol": 1.0},
+    "kwargs8": {"tol": 2.0},
+    "kwargs9": {"tol": math.inf},
+    "kwargs10": {"tol": math.nan},
+    "kwargs11": {"reaction": -5.0},
+    "kwargs12": {"reaction": math.inf},
+    "kwargs13": {"reaction": math.nan},
+    "kwargs14": {"reaction": 1e9},
+    "kwargs15": {"reaction": 1e151},
+    "kwargs16": {"beta_angle": math.nan},
+    "kwargs17": {"beta_angle": math.inf},
+    "kwargs18": {"rhs_const": math.nan},
+    "kwargs19": {"rhs_const": math.inf},
+    "kwargs20": {"rhs_const": -math.inf},
+    "levels-repeated": {"levels": (2, 2)},
+}
+
+
+@pytest.mark.parametrize("kwargs", REJECTED_CONFIGS.values(), ids=REJECTED_CONFIGS)
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs).validate()
@@ -361,6 +364,7 @@ def test_largest_reaction_still_solves():
         ("--reaction", "inf"),
         ("--reaction", "1e9"),  # above MAX_REACTION: the condensed load would cancel
         ("--reaction", "1e155"),  # c^2 would overflow in P = G_phi^T B^-1 G_phi
+        ("--levels", "2,2"),  # would solve level 2 twice and write two identical rows
     ],
 )
 def test_main_rejects_non_finite_or_out_of_range_input(flag, value, capsys):
