@@ -28,6 +28,7 @@ VTK_CHUNK = 4096  # values (corners, phi values or CELLS point ids) per string t
 # six directions; uniform meshes to level 8, jittered meshes to level 7).
 ROUNDING_FACTOR = 16
 MAX_REACTION = 1e8  # the condensed load cancels by about c eps: theta was 3e-3 off at c = 1e14, and 0 at 1e150
+MAX_SOURCE = 1e150  # |f| = 1e160 gave l2_error and eta = inf, and 1e200 a non-finite residual in cg_solve
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,10 @@ class RunConfig:
             raise ValueError("solver tolerance must satisfy 0 < tol < 1")
         if not 0.0 <= self.reaction <= MAX_REACTION:
             raise ValueError(f"reaction coefficient c must be in [0, {MAX_REACTION:g}]")
-        if not (math.isfinite(self.beta_angle) and math.isfinite(self.rhs_const)):
-            raise ValueError("beta angle and right-hand side f must be finite")
+        if not math.isfinite(self.beta_angle):
+            raise ValueError("beta angle must be finite")
+        if not abs(self.rhs_const) <= MAX_SOURCE:  # also rejects a non-finite f
+            raise ValueError(f"right-hand side f must satisfy |f| <= {MAX_SOURCE:g}")
 
     @property
     def beta(self) -> np.ndarray:

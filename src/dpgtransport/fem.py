@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import NEXT_VERTEX, REFERENCE_TRIANGLE, MeshPair, TriMesh, row_ids
+from .mesh import NEXT_VERTEX, REFERENCE_TRIANGLE, MeshPair, TriMesh
 
 MAX_BASIS_DEGREE = 5
 MAX_QUADRATURE_DEGREE = 12
@@ -158,15 +158,6 @@ class DofMap:
     degree: int
     ndofs: int
     cell_dofs: np.ndarray = field(repr=False)  # (n_coarse, local size)
-
-
-def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of `keys` by first appearance: (numbers, first rows)."""
-    _, first, inverse = np.unique(row_ids(keys), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    numbers = np.empty(len(first), dtype=int)
-    numbers[order] = np.arange(len(first))
-    return numbers[inverse], first[order]
 
 
 def dissection_leaves(mesh: TriMesh) -> tuple[np.ndarray, int]:

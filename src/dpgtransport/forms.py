@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fem import MAX_QUADRATURE_DEGREE, first_appearance, lagrange_basis, make_quadrature, skeleton_size
-from .mesh import GEOM_TOL, MeshPair, reference_subcells
+from .fem import MAX_QUADRATURE_DEGREE, lagrange_basis, make_quadrature, skeleton_size
+from .mesh import GEOM_TOL, MeshPair, first_appearance, reference_subcells
 
 
 @lru_cache(maxsize=None)
@@ -147,10 +147,9 @@ def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def _cell_geometry(form: TransportForm, cells, mesh_pair: MeshPair):
-    """(|det J|, b = J^-1 beta) of the coarse cells `cells`, shapes (..., 1) and (..., 2)."""
-    jac = mesh_pair.coarse.jacobians()[cells]
-    det = np.abs(np.linalg.det(jac))[..., None]
-    return det, np.linalg.solve(jac, np.asarray(form.beta))
+    """(|det J| = 2 |K|, b = J^-1 beta) of the coarse cells `cells`, shapes (..., 1) and (..., 2)."""
+    mesh = mesh_pair.coarse
+    return 2.0 * mesh.areas()[cells][..., None], np.linalg.solve(mesh.jacobians()[cells], np.asarray(form.beta))
 
 
 def _cell_moments(form: TransportForm, mesh_pair: MeshPair) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ The coarse mesh splits the square into 2^level x 2^level squares, each cut
 along the lower-left to upper-right diagonal.  Fine cells are obtained by
 red (midpoint) refinement of every coarse cell; they are stored in the
 coordinates of the unit reference triangle so that congruent coarse cells
-share the same subdivision.  `row_ids` ranks rows of keys; it keys the
-geometry classes of a mesh and the test-search sub-mesh's DOF numbering.
+share the same subdivision.  `first_appearance` numbers distinct rows of keys
+by first appearance: the geometry classes and the test-search sub-mesh's DOFs.
 """
 
 from __future__ import annotations
@@ -49,9 +49,11 @@ def row_ids(keys: np.ndarray) -> np.ndarray:
     return ids
 
 
-def first_rows(ids: np.ndarray) -> np.ndarray:
-    """The first row holding each id of `row_ids`, in id order."""
-    return np.unique(ids, return_index=True)[1]
+def first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of `keys` by first appearance: (numbers, first rows), the first rows ascending."""
+    ids = row_ids(keys)
+    first = np.unique(ids, return_index=True)[1]  # the first row of each id, in id order
+    return np.argsort(np.argsort(first))[ids], np.sort(first)  # an id's number is the rank of its first row
 
 
 @dataclass(frozen=True)
@@ -72,18 +74,20 @@ class EdgeTable:
 class TriMesh:
     """Immutable triangle mesh: vertex table and CCW cells.
 
-    The Jacobians of the cells' reference maps are computed once, with the
-    mesh, and the geometry-class index, its members and the edge table on
-    first use; all are read-only.
+    The Jacobians of the cells' reference maps and the cells' areas are
+    computed once, with the mesh, and the geometry-class index, its members
+    and the edge table on first use; all are read-only.
     """
 
     def __init__(self, vertices: np.ndarray, cells: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=int)
         v = self.vertices[self.cells]
-        self._jacobians = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-        self._jacobians.setflags(write=False)
-        if np.any(self.areas() <= 0.0):
+        jac = self._jacobians = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        self._areas = 0.5 * (jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 1, 0] * jac[:, 0, 1])
+        for a in (jac, self._areas):
+            a.setflags(write=False)
+        if np.any(self._areas <= 0.0):
             raise ValueError("all cells must be counter-clockwise with positive area")
 
     @property
@@ -113,19 +117,19 @@ class TriMesh:
         return (coefficients @ expanded).reshape(len(coefficients), len(points), 2)
 
     def areas(self) -> np.ndarray:
-        jac = self._jacobians
-        return 0.5 * (jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 1, 0] * jac[:, 0, 1])
+        """Areas of the cells, det J / 2 with det J > 0, shape (n_cells,); the one array, read-only."""
+        return self._areas
 
     @cached_property
     def geometry_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cells grouped by their Jacobian rounded to KEY_DIGITS digits.
+        """Cells grouped by their Jacobian rounded to KEY_DIGITS digits, numbered by `first_appearance`.
 
-        `(representatives, inverse)`: `representatives[k]` is the first cell
-        of class k and `inverse[cell]` is the class of `cell`.  Cells of one
-        class are congruent up to translation.  Read-only.
+        `(representatives, inverse)`: class k is the k-th distinct key in cell
+        order, `representatives[k]` its first cell, so they ascend, and
+        `inverse[cell]` the class of `cell`.  Cells of one class are congruent
+        up to translation.  Read-only.
         """
-        inverse = row_ids(np.round(self._jacobians.reshape(self.n_cells, 4), KEY_DIGITS))
-        representatives = first_rows(inverse)
+        inverse, representatives = first_appearance(np.round(self._jacobians.reshape(self.n_cells, 4), KEY_DIGITS))
         for a in (representatives, inverse):
             a.setflags(write=False)
         return representatives, inverse

@@ -77,6 +77,14 @@ def trace_node_coords(mesh, theta_map) -> np.ndarray:
     return coords
 
 
+def first_appearance_reference(keys):
+    """`first_appearance` by `np.unique(axis=0)`: each row's number, and the first row of each number, ascending."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()], np.sort(first)
+
+
 def boundary_faces(mesh) -> list[Face]:
     return [f for f in mesh_faces(mesh) if f.boundary]
 

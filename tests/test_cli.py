@@ -91,6 +91,8 @@ REJECTED_CONFIGS = {
     "kwargs19": {"rhs_const": math.inf},
     "kwargs20": {"rhs_const": -math.inf},
     "levels-repeated": {"levels": (2, 2)},
+    "rhs-const-1e151": {"rhs_const": 1e151},
+    "rhs-const-minus-1e151": {"rhs_const": -1e151},
 }
 
 
@@ -106,6 +108,13 @@ def test_flag_round_trip():
     argv += ["--csv", "a.csv", "--vtk", "b.vtk"]
     config = config_from_args(build_parser().parse_args(argv))
     assert config == RunConfig((1, 3), 2, 3, 0.25, 0.5, 2.0, "a.csv", "b.vtk", 1e-8)
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2e3"])
+def test_negative_value_with_an_exponent_parses_after_equals(value):
+    """argparse may take `-1e-3` after a space for a flag; after `=` it is always the flag's value."""
+    args = build_parser().parse_args([f"--beta-angle={value}", f"--rhs-const={value}"])
+    assert config_from_args(args) == RunConfig(beta_angle=float(value), rhs_const=float(value))
 
 
 # ---------------------------------------------------------------------- runs
@@ -352,6 +361,18 @@ def test_largest_reaction_still_solves():
     assert np.median(np.abs(theta[far] - exact[far]) / exact[far]) <= 1e-7
 
 
+def test_largest_source_still_solves(tmp_path, capsys):
+    """f = +-MAX_SOURCE passes validate and exits 0, with l2_error and eta |f| times those of f = 1."""
+    unit = solve_level(RunConfig(levels=(3,)), 3)[1]
+    for f in (cli.MAX_SOURCE, -cli.MAX_SOURCE):
+        path = tmp_path / "run.csv"
+        assert main(["--levels", "3", f"--rhs-const={f!r}", "--csv", str(path)]) == 0
+        row = path.read_text().splitlines()[1].split(",")
+        expected = [abs(f) * unit.l2_error, abs(f) * unit.eta]
+        np.testing.assert_allclose([float(row[3]), float(row[4])], expected, rtol=1e-12)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [
@@ -364,6 +385,8 @@ def test_largest_reaction_still_solves():
         ("--reaction", "inf"),
         ("--reaction", "1e9"),  # above MAX_REACTION: the condensed load would cancel
         ("--reaction", "1e155"),  # c^2 would overflow in P = G_phi^T B^-1 G_phi
+        ("--rhs-const", "1e160"),  # above MAX_SOURCE: l2_error and eta would overflow to inf
+        ("--rhs-const", "1e200"),  # the trace solve's residual would overflow
         ("--levels", "2,2"),  # would solve level 2 twice and write two identical rows
     ],
 )

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCHMARK_BETA, jittered_mesh, mesh_faces, perturbed_mesh, skeleton_nodes, trace_node_coords
+from conftest import (
+    BENCHMARK_BETA,
+    first_appearance_reference,
+    jittered_mesh,
+    mesh_faces,
+    perturbed_mesh,
+    skeleton_nodes,
+    trace_node_coords,
+)
 from dpgtransport.fem import (
     MAX_BASIS_DEGREE,
     MAX_QUADRATURE_DEGREE,
@@ -16,14 +24,13 @@ from dpgtransport.fem import (
     SpaceKind,
     build_dof_map,
     edge_nodes,
-    first_appearance,
     gauss_jacobi,
     gauss_legendre,
     lagrange_basis,
     make_quadrature,
 )
 from dpgtransport.forms import local_saddle_blocks, submesh_dofs, transport_form
-from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, TriMesh, build_uniform_mesh, first_rows, row_ids
+from dpgtransport.mesh import REFERENCE_TRIANGLE, MeshPair, TriMesh, build_uniform_mesh, first_appearance, row_ids
 
 
 def _random_reference_points(rng, n):
@@ -331,19 +338,6 @@ def test_top_separator_is_numbered_after_both_halves():
     np.testing.assert_array_equal(separator, np.arange(dof_map.ndofs - len(separator), dof_map.ndofs))
 
 
-def _unique_rows_reference(keys):
-    """(first row of each distinct row, lexicographic id of each row), by `np.unique(axis=0)`."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
-
-
-def _first_appearance_reference(keys):
-    first, inverse = _unique_rows_reference(keys)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse], np.sort(first)
-
-
 def _row_keys(case):
     rng = np.random.default_rng(5)
     if case == "wide":  # a naive x * span + y composite overflows int64
@@ -366,11 +360,8 @@ def _row_keys(case):
 @pytest.mark.parametrize("case", ["wide", "duplicates", "single", "four_columns", "signed_zeros"])
 def test_row_ids_match_unique_rows(case):
     keys = _row_keys(case)
-    first, inverse = _unique_rows_reference(keys)
-    ids = row_ids(keys)
-    np.testing.assert_array_equal(ids, inverse)
-    np.testing.assert_array_equal(first_rows(ids), first)
-    for got, want in zip(first_appearance(keys), _first_appearance_reference(keys)):
+    np.testing.assert_array_equal(row_ids(keys), np.unique(keys, axis=0, return_inverse=True)[1].ravel())
+    for got, want in zip(first_appearance(keys), first_appearance_reference(keys)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -378,7 +369,7 @@ def test_row_ids_match_unique_rows(case):
 def test_first_appearance_matches_unique_rows_on_jittered_mesh(level):
     mesh = perturbed_mesh(level)
     keys = np.round(mesh.vertices[mesh.cells].reshape(-1, 2) * 1e10).astype(np.int64)
-    for got, want in zip(first_appearance(keys), _first_appearance_reference(keys)):
+    for got, want in zip(first_appearance(keys), first_appearance_reference(keys)):
         np.testing.assert_array_equal(got, want)
 
 

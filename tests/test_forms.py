@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import constant_rhs, jittered_mesh, perturbed_mesh, skeleton_nodes
+from conftest import BENCHMARK_BETA, constant_rhs, jittered_mesh, perturbed_mesh, skeleton_nodes
 from dpgtransport.fem import gauss_legendre, lagrange_basis, make_quadrature
 from dpgtransport.forms import (
+    _cell_geometry,
     _load_rule,
     _moments,
     _weighted_sum,
@@ -22,6 +23,11 @@ _REF_MESH = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0
 
 def _ref_pair(level=0):
     return MeshPair(_REF_MESH, level)
+
+
+def _det(jac):
+    """The determinant of one 2 x 2 matrix."""
+    return jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
 
 
 def _form(m, beta, reaction, test_degree):
@@ -212,7 +218,7 @@ def _per_cell_loads(pair, degree):
         for t, sub in enumerate(refine_cell(pair.coarse.vertices[pair.coarse.cells[cell]], ell)):
             jac = np.column_stack([sub[1] - sub[0], sub[2] - sub[0]])
             f = _quartic(quad.points @ jac.T + sub[0])
-            np.add.at(expected[cell], table[t], abs(np.linalg.det(jac)) * (quad.weights * f) @ values)
+            np.add.at(expected[cell], table[t], abs(_det(jac)) * (quad.weights * f) @ values)
     return expected
 
 
@@ -284,6 +290,20 @@ def test_transport_forms_shapes_and_spd():
     assert np.linalg.eigvalsh(b).min() > 0.0
 
 
+@pytest.mark.parametrize("level", range(9))
+def test_cell_geometry_is_exact_on_the_uniform_mesh(level):
+    """|det J| is 2 |K| from `TriMesh.areas`: 4^-level exactly, the area the loads and `l2_error` use too."""
+    mesh = build_uniform_mesh(level)
+    pair = MeshPair(mesh, 0)
+    form = transport_form(2, BENCHMARK_BETA, 0.0)
+    det, b = _cell_geometry(form, np.arange(mesh.n_cells), pair)
+    np.testing.assert_array_equal(det, np.full((mesh.n_cells, 1), 4.0**-level))
+    np.testing.assert_array_equal(det[:, 0], 2.0 * mesh.areas())
+    np.testing.assert_allclose(np.einsum("cij,cj->ci", mesh.jacobians(), b), np.broadcast_to(form.beta, b.shape))
+    one, _ = _cell_geometry(form, 1, pair)  # one cell: shape (1,)
+    np.testing.assert_array_equal(one, [4.0**-level])
+
+
 def _term_by_term(weights, terms):
     """sum_t weights[..., t] terms[t] by a Python loop over t, in the order t = 0, 1, ..."""
     total = weights[..., 0, None, None] * terms[0]
@@ -340,7 +360,7 @@ def _brute_force_blocks(form, cell, mesh_pair):
     for t, sub in enumerate(pieces.vertices[pieces.cells]):
         corners = sub @ jac.T + v0
         jac_s = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
-        area = abs(np.linalg.det(jac_s))
+        area = abs(_det(jac_s))
         m_t, s_t = np.zeros((test.size, test.size)), np.zeros((test.size, test.size))
         for xi, w in zip(quad.points, quad.weights):
             v = test.eval(xi[None])[0]

@@ -39,6 +39,15 @@ def test_union_of_areas(level):
     assert abs(mesh.areas().sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("level", [0, 3])
+def test_areas_are_one_read_only_array(level):
+    """`areas()` returns the array computed with the mesh, every call, read-only: half the cross product of J."""
+    mesh = perturbed_mesh(level)
+    areas = mesh.areas()
+    assert mesh.areas() is areas and not areas.flags.writeable
+    np.testing.assert_array_equal(areas, _areas(mesh.vertices[mesh.cells]))
+
+
 def test_negative_level_rejected():
     with pytest.raises(ValueError):
         build_uniform_mesh(-1)

@@ -12,7 +12,14 @@ from dpgtransport.mesh import KEY_DIGITS, MeshPair, TriMesh, build_uniform_mesh
 from dpgtransport.solve import NotPositiveDefiniteError
 from dpgtransport.testspace import compute_coefficients
 
-from conftest import BENCHMARK_BETA, constant_rhs, near_optimal_coefficients, no_load, perturbed_mesh
+from conftest import (
+    BENCHMARK_BETA,
+    constant_rhs,
+    first_appearance_reference,
+    near_optimal_coefficients,
+    no_load,
+    perturbed_mesh,
+)
 
 
 def _coefficients(b, g):
@@ -131,12 +138,12 @@ def test_uniform_mesh_has_two_congruence_classes(level):
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("level", range(1, 6))
 def test_geometry_classes_match_unique_rows(level, perturbed):
+    """Class k is the k-th distinct rounded Jacobian in cell order, so the representatives ascend."""
     mesh = perturbed_mesh(level) if perturbed else build_uniform_mesh(level)
     keys = np.round(mesh.jacobians().reshape(mesh.n_cells, 4), KEY_DIGITS)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    representatives, classes = mesh.geometry_classes
-    np.testing.assert_array_equal(representatives, first)
-    np.testing.assert_array_equal(classes, inverse.ravel())
+    classes, representatives = first_appearance_reference(keys)
+    np.testing.assert_array_equal(mesh.geometry_classes[0], representatives)
+    np.testing.assert_array_equal(mesh.geometry_classes[1], classes)
 
 
 def test_perturbed_mesh_has_one_class_per_cell():
